@@ -8,7 +8,6 @@ measure plus its two basis-independent companions: the angle average (global
 measure) and the angle minimum.
 """
 
-from ._kernels import ACTIVE_BACKEND, HAS_NUMBA
 from .catalog import (AnalyticGaussian, BoxSpec, box_cfs_momentum,
                       box_cfs_position, box_k_integral, box_state,
                       box_wavefunction, choose_squeezed_truncation,
@@ -30,9 +29,9 @@ from .sweep import SweepResult, analyze, global_fs, min_fs, sweep
 __version__ = "0.1.0"
 
 __all__ = [
-    "ACTIVE_BACKEND", "AnalyticGaussian", "BasisTable", "BoxSpec",
-    "ComplexityReport", "DensityProfile", "FockEvaluator", "FockState",
-    "Grid", "HAS_NUMBA", "KernelTransform", "Numerics", "NumericsError",
+    "AnalyticGaussian", "BasisTable", "BoxSpec", "ComplexityReport",
+    "DensityProfile", "FockEvaluator", "FockState", "Grid",
+    "KernelTransform", "Numerics", "NumericsError",
     "ParseError", "QscError", "SweepResult", "analyze", "box_cfs_momentum",
     "box_cfs_position", "box_k_integral", "box_state", "box_wavefunction",
     "build_basis_table", "canonical_theta", "choose_squeezed_truncation",

@@ -1,9 +1,4 @@
-"""Hot numeric kernels: numba-compiled when available, pure numpy otherwise.
-
-The numba path is active when numba imports cleanly and the environment
-variable ``QSC_DISABLE_NUMBA`` is unset/empty.  Both implementations stay
-importable (``numpy_impl`` / ``numba_impl``) so the parity tests and
-``benchmarks/bench_kernels.py`` can compare them side by side.
+"""Hot numeric kernels in numpy.
 
 The recurrence kernel tracks a per-point exponent: the weighted functions
 start at exp(-x^2/2), which underflows float64 for |x| > 38.6 even though
@@ -12,27 +7,23 @@ points.  Values are carried as v * exp(g) with v renormalized whenever it
 grows past 2**512, which keeps the recurrence exact-to-rounding over the
 full (n <= 10^3, |x| <= 60) range.
 
-Reductions run in fixed left-to-right order on the numba path and through
-numpy's deterministic pairwise reduction on the fallback; either way a given
-backend produces bit-identical results run to run.
+The density kernel takes a block of angles at once: psi and psi' of every
+angle come from two matrix products against the basis table.  The integrands
+and the trapezoid rule act along the last (grid) axis, so a single profile
+and a block of profiles go through the same code.  Every reduction runs in a
+fixed order, so a given input produces bit-identical results run to run.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 __all__ = [
-    "ACTIVE_BACKEND",
-    "HAS_NUMBA",
     "density_terms",
     "entropy_integrand",
     "fisher_integrand",
     "hermite_table",
     "klog_integrand",
-    "numba_impl",
-    "numpy_impl",
     "trapezoid",
 ]
 
@@ -45,11 +36,7 @@ _EXP_SAFE = -690.0       # exp(g) is a normal float above this
 _LOG_TINY = -745.0       # exp below this underflows to zero
 
 
-# ---------------------------------------------------------------------------
-# pure numpy implementations
-# ---------------------------------------------------------------------------
-
-def _unscale_np(v, g, w, unsafe):
+def _unscale(v, g, w, unsafe):
     out = v * w
     if unsafe.any():
         idx = unsafe & (v != 0.0)
@@ -60,7 +47,8 @@ def _unscale_np(v, g, w, unsafe):
     return out
 
 
-def _hermite_table_np(points, n_max):
+def hermite_table(points, n_max):
+    """Rows u_0..u_{n_max} and their derivatives at ``points``."""
     m = points.shape[0]
     g = _LOG_PI4 - 0.5 * points * points
     unsafe = g <= _EXP_SAFE
@@ -68,8 +56,8 @@ def _hermite_table_np(points, n_max):
     lo = np.ones(m)                      # v of row n-1 (row 0 to start)
     hi = _SQRT2 * points                 # v of row n
     values = np.empty((n_max + 2, m))
-    values[0] = _unscale_np(lo, g, w, unsafe)
-    values[1] = _unscale_np(hi, g, w, unsafe)
+    values[0] = _unscale(lo, g, w, unsafe)
+    values[1] = _unscale(hi, g, w, unsafe)
     for n in range(1, n_max + 1):
         nxt = (np.sqrt(2.0 / (n + 1.0)) * points * hi
                - np.sqrt(n / (n + 1.0)) * lo)
@@ -81,7 +69,7 @@ def _hermite_table_np(points, n_max):
             unsafe = g <= _EXP_SAFE
             w = np.where(unsafe, 0.0, np.exp(np.maximum(g, _EXP_SAFE)))
         lo, hi = hi, nxt
-        values[n + 1] = _unscale_np(hi, g, w, unsafe)
+        values[n + 1] = _unscale(hi, g, w, unsafe)
     derivs = np.empty((n_max + 1, m))
     derivs[0] = -np.sqrt(0.5) * values[1]
     for n in range(1, n_max + 1):
@@ -90,40 +78,53 @@ def _hermite_table_np(points, n_max):
     return np.ascontiguousarray(values[: n_max + 1]), derivs
 
 
-def _density_terms_np(coeffs_re, coeffs_im, values, derivs):
-    pr = coeffs_re @ values
-    pi = coeffs_im @ values
-    qr = coeffs_re @ derivs
-    qi = coeffs_im @ derivs
-    rho = pr * pr + pi * pi
-    drho = 2.0 * (pr * qr + pi * qi)
-    dpsi_abs2 = qr * qr + qi * qi
+def density_terms(phased, values, derivs):
+    """rho = |psi|^2, drho = 2 Re(conj(psi) psi') and |psi'|^2, each (A x M),
+    for an (A x K) block of phased coefficients against (K x M) table rows.
+
+    The real and imaginary rows are stacked into one (2A x K) real matrix, so
+    psi and psi' are one GEMM each.
+    """
+    a = phased.shape[0]
+    c = np.concatenate((phased.real, phased.imag))
+    p = c @ values
+    q = c @ derivs
+    pr, pi, qr, qi = p[:a], p[a:], q[:a], q[a:]
+    rho = pr * pr
+    rho += pi * pi
+    drho = pr * qr
+    drho += pi * qi
+    drho *= 2.0
+    dpsi_abs2 = qr * qr
+    dpsi_abs2 += qi * qi
     return rho, drho, dpsi_abs2
 
 
-def _trapezoid_np(y, dx):
-    if y.shape[0] < 2:
-        return 0.0
-    return float(dx * (np.sum(y) - 0.5 * (y[0] + y[-1])))
+def trapezoid(y, dx):
+    """Composite trapezoid rule along the last axis."""
+    return dx * (np.sum(y, axis=-1) - 0.5 * (y[..., 0] + y[..., -1]))
 
 
-def _fisher_integrand_np(rho, drho, dpsi_abs2, eps):
+def fisher_integrand(rho, drho, dpsi_abs2, eps):
+    """(rho')^2 / rho, replaced by the node limit 4 |psi'|^2 where rho <= eps;
+    ``eps`` broadcasts against ``rho`` (one threshold per row)."""
     node = rho <= eps
-    out = np.empty_like(rho)
-    out[~node] = drho[~node] ** 2 / rho[~node]
+    out = np.square(drho)
+    np.divide(out, rho, out=out, where=~node)
     out[node] = 4.0 * dpsi_abs2[node]
     return out
 
 
-def _entropy_integrand_np(rho):
-    out = np.zeros_like(rho)
+def entropy_integrand(rho):
+    """-rho log rho, with 0 log 0 = 0."""
     pos = rho > 0.0
-    r = rho[pos]
-    out[pos] = -r * np.log(r)
-    return out
+    out = np.zeros_like(rho)
+    np.log(rho, out=out, where=pos)
+    np.multiply(out, rho, out=out, where=pos)
+    return np.negative(out, out=out, where=pos)
 
 
-def _klog_integrand_np(t, n):
+def klog_integrand(t, n):
     denom = t * t + (np.pi * n) * t
     s = np.sin(t)
     g = (n * n) * (s * s) / (denom * denom)
@@ -131,171 +132,3 @@ def _klog_integrand_np(t, n):
     pos = g > 0.0
     out[pos] = g[pos] * np.log(g[pos])
     return out
-
-
-numpy_impl = {
-    "hermite_table": _hermite_table_np,
-    "density_terms": _density_terms_np,
-    "trapezoid": _trapezoid_np,
-    "fisher_integrand": _fisher_integrand_np,
-    "entropy_integrand": _entropy_integrand_np,
-    "klog_integrand": _klog_integrand_np,
-}
-
-
-# ---------------------------------------------------------------------------
-# numba implementations
-# ---------------------------------------------------------------------------
-
-HAS_NUMBA = False
-numba_impl = None
-
-if not os.environ.get("QSC_DISABLE_NUMBA"):
-    try:
-        from numba import njit
-
-        @njit(cache=True)
-        def _unscale_nb(v, g, w):
-            if v == 0.0:
-                return 0.0
-            if g > _EXP_SAFE:
-                return v * w
-            t = g + np.log(np.abs(v))
-            if t < _LOG_TINY:
-                return 0.0
-            if t > 0.0:
-                t = 0.0
-            u = np.exp(t)
-            return u if v > 0.0 else -u
-
-        @njit(cache=True)
-        def _hermite_table_nb(points, n_max):
-            m = points.shape[0]
-            values = np.empty((n_max + 2, m))
-            g = np.empty(m)
-            w = np.empty(m)
-            lo = np.empty(m)
-            hi = np.empty(m)
-            for j in range(m):
-                g[j] = _LOG_PI4 - 0.5 * points[j] * points[j]
-                w[j] = np.exp(g[j]) if g[j] > _EXP_SAFE else 0.0
-                lo[j] = 1.0
-                hi[j] = _SQRT2 * points[j]
-                values[0, j] = _unscale_nb(lo[j], g[j], w[j])
-                values[1, j] = _unscale_nb(hi[j], g[j], w[j])
-            for n in range(1, n_max + 1):
-                a = np.sqrt(2.0 / (n + 1.0))
-                b = np.sqrt(n / (n + 1.0))
-                for j in range(m):
-                    nxt = a * points[j] * hi[j] - b * lo[j]
-                    if np.abs(nxt) > _RESCALE:
-                        nxt *= _INV_RESCALE
-                        hi[j] *= _INV_RESCALE
-                        g[j] += _LOG_RESCALE
-                        w[j] = np.exp(g[j]) if g[j] > _EXP_SAFE else 0.0
-                    lo[j] = hi[j]
-                    hi[j] = nxt
-                    values[n + 1, j] = _unscale_nb(nxt, g[j], w[j])
-            derivs = np.empty((n_max + 1, m))
-            c0 = np.sqrt(0.5)
-            for j in range(m):
-                derivs[0, j] = -c0 * values[1, j]
-            for n in range(1, n_max + 1):
-                slo = np.sqrt(0.5 * n)
-                shi = np.sqrt(0.5 * (n + 1.0))
-                for j in range(m):
-                    derivs[n, j] = slo * values[n - 1, j] - shi * values[n + 1, j]
-            return values[: n_max + 1].copy(), derivs
-
-        @njit(cache=True)
-        def _density_terms_nb(coeffs_re, coeffs_im, values, derivs):
-            k = coeffs_re.shape[0]
-            m = values.shape[1]
-            pr = np.zeros(m)
-            pi = np.zeros(m)
-            qr = np.zeros(m)
-            qi = np.zeros(m)
-            for n in range(k):
-                a = coeffs_re[n]
-                b = coeffs_im[n]
-                for j in range(m):
-                    pr[j] += a * values[n, j]
-                    pi[j] += b * values[n, j]
-                    qr[j] += a * derivs[n, j]
-                    qi[j] += b * derivs[n, j]
-            rho = np.empty(m)
-            drho = np.empty(m)
-            dpsi_abs2 = np.empty(m)
-            for j in range(m):
-                rho[j] = pr[j] * pr[j] + pi[j] * pi[j]
-                drho[j] = 2.0 * (pr[j] * qr[j] + pi[j] * qi[j])
-                dpsi_abs2[j] = qr[j] * qr[j] + qi[j] * qi[j]
-            return rho, drho, dpsi_abs2
-
-        @njit(cache=True)
-        def _trapezoid_nb(y, dx):
-            m = y.shape[0]
-            if m < 2:
-                return 0.0
-            acc = 0.5 * y[0]
-            for j in range(1, m - 1):
-                acc += y[j]
-            acc += 0.5 * y[m - 1]
-            return dx * acc
-
-        @njit(cache=True)
-        def _fisher_integrand_nb(rho, drho, dpsi_abs2, eps):
-            m = rho.shape[0]
-            out = np.empty(m)
-            for j in range(m):
-                if rho[j] > eps:
-                    out[j] = drho[j] * drho[j] / rho[j]
-                else:
-                    out[j] = 4.0 * dpsi_abs2[j]
-            return out
-
-        @njit(cache=True)
-        def _entropy_integrand_nb(rho):
-            m = rho.shape[0]
-            out = np.zeros(m)
-            for j in range(m):
-                if rho[j] > 0.0:
-                    out[j] = -rho[j] * np.log(rho[j])
-            return out
-
-        @njit(cache=True)
-        def _klog_integrand_nb(t, n):
-            m = t.shape[0]
-            out = np.zeros(m)
-            pin = np.pi * n
-            nsq = n * n
-            for j in range(m):
-                denom = t[j] * t[j] + pin * t[j]
-                s = np.sin(t[j])
-                g = nsq * s * s / (denom * denom)
-                if g > 0.0:
-                    out[j] = g * np.log(g)
-            return out
-
-        numba_impl = {
-            "hermite_table": _hermite_table_nb,
-            "density_terms": _density_terms_nb,
-            "trapezoid": _trapezoid_nb,
-            "fisher_integrand": _fisher_integrand_nb,
-            "entropy_integrand": _entropy_integrand_nb,
-            "klog_integrand": _klog_integrand_nb,
-        }
-        HAS_NUMBA = True
-    except ImportError:
-        HAS_NUMBA = False
-        numba_impl = None
-
-_active = numba_impl if HAS_NUMBA else numpy_impl
-ACTIVE_BACKEND = "numba" if HAS_NUMBA else "numpy"
-
-hermite_table = _active["hermite_table"]
-density_terms = _active["density_terms"]
-trapezoid = _active["trapezoid"]
-fisher_integrand = _active["fisher_integrand"]
-entropy_integrand = _active["entropy_integrand"]
-klog_integrand = _active["klog_integrand"]

@@ -10,6 +10,7 @@ tolerances than everything else in the package.
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -284,9 +285,12 @@ def box_cfs_momentum(n: int, **kwargs) -> float:
 def _parse_complex(token: str) -> complex:
     token = token.strip().replace("i", "j")
     try:
-        return complex(token)
+        value = complex(token)
     except ValueError:
         raise ParseError(f"bad complex literal {token!r}") from None
+    if not cmath.isfinite(value):
+        raise ParseError(f"coefficient {token!r} is not finite")
+    return value
 
 
 def parse_state_literal(text: str):
@@ -351,6 +355,8 @@ def parse_state_literal(text: str):
                 sigma = float(fields.pop("sigma"))
             except ValueError:
                 raise ParseError("gauss: sigma must be a number") from None
+            if not math.isfinite(sigma):
+                raise ParseError("gauss: sigma must be finite")
             trunc = take_int("N") if "N" in fields else None
             if fields:
                 raise ParseError(f"gauss: unknown fields {sorted(fields)}")

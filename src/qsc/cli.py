@@ -29,6 +29,15 @@ def _fmt(x: float) -> str:
     return format(x, ".12g")
 
 
+def _print_json(payload) -> None:
+    """Print strict JSON: a NaN or infinity is a numerics error, never output."""
+    try:
+        text = json.dumps(payload, allow_nan=False)
+    except ValueError:
+        raise NumericsError("result is not finite") from None
+    print(text)
+
+
 def _numerics(args) -> Numerics:
     return Numerics(grid_points=args.grid_points, grid_margin=args.grid_margin,
                     node_eps=args.node_eps, gfs_rel_tol=args.gfs_rel_tol,
@@ -49,6 +58,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def cmd_measure(args) -> int:
+    if not math.isfinite(args.theta):
+        raise ParseError(f"--theta must be finite, got {args.theta!r}")
     state = parse_state_literal(args.state)
     report = fs_complexity(state, args.theta, _numerics(args), extensions=True)
     payload = {
@@ -63,7 +74,7 @@ def cmd_measure(args) -> int:
     }
     if report.edge_dominated:
         payload["edge_dominated"] = True
-    print(json.dumps(payload))
+    _print_json(payload)
     return 0
 
 
@@ -133,15 +144,15 @@ def cmd_sweep(args) -> int:
 def cmd_gfs(args) -> int:
     state = parse_state_literal(args.state)
     result = analyze(state, _numerics(args))
-    print(json.dumps({"gfs": result.gfs, "converged": result.converged,
-                      "resolution": result.resolution}))
+    _print_json({"gfs": result.gfs, "converged": result.converged,
+                 "resolution": result.resolution})
     return 0
 
 
 def cmd_mfs(args) -> int:
     state = parse_state_literal(args.state)
     theta_star, value = min_fs(state, _numerics(args))
-    print(json.dumps({"mfs": value, "theta_star": theta_star}))
+    _print_json({"mfs": value, "theta_star": theta_star})
     return 0
 
 
@@ -218,7 +229,7 @@ def _print_rows(rows) -> None:
 def cmd_table1(args) -> int:
     rows = _reference_rows(_numerics(args), sections=("table1",))
     if args.json:
-        print(json.dumps(rows))
+        _print_json(rows)
     else:
         _print_rows(rows)
     return 0 if all(r["ok"] for r in rows) else 1
@@ -239,7 +250,7 @@ def cmd_box(args) -> int:
                      "momentum_pipeline": mom, "momentum_formula": mom_ref,
                      "momentum_rel_delta": abs(mom - mom_ref) / mom_ref})
     if args.json:
-        print(json.dumps(rows))
+        _print_json(rows)
         return 0
     print(f"{'n':>3}{'pos pipeline':>16}{'pos formula':>16}{'delta':>10}"
           f"{'mom pipeline':>16}{'mom formula':>16}{'delta':>10}")
@@ -254,7 +265,7 @@ def cmd_box(args) -> int:
 def cmd_reproduce(args) -> int:
     rows = _reference_rows(_numerics(args))
     if args.json:
-        print(json.dumps(rows))
+        _print_json(rows)
     else:
         _print_rows(rows)
     failures = [r for r in rows if not r["ok"]]

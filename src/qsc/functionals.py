@@ -25,7 +25,8 @@ import numpy as np
 from . import _kernels
 from .errors import NumericsError
 from .hermite import build_basis_table
-from .state import DensityProfile, FockState, Grid, default_grid, eval_density
+from .state import (DensityProfile, FockState, Grid, canonical_theta,
+                    default_grid, density_block, eval_density)
 
 __all__ = [
     "ComplexityReport", "FockEvaluator", "Numerics", "ProfileEvaluator",
@@ -35,6 +36,11 @@ __all__ = [
 ]
 
 ENTROPY_POWER_GUARD = 350.0
+
+# Byte budget of one lattice block's working set, on top of the basis table:
+# 8 angles at the default 4096 grid points.  Larger blocks gain little speed
+# once the GEMMs have 16 rows, and every byte adds to the peak memory.
+BLOCK_BYTES = 2 ** 21
 
 
 @dataclass(frozen=True)
@@ -80,7 +86,7 @@ def integrate(values, grid: Grid) -> float:
     values = np.asarray(values, dtype=float)
     if values.shape[0] != grid.count:
         raise ValueError("value count does not match grid")
-    return _kernels.trapezoid(values, grid.dx)
+    return float(_kernels.trapezoid(values, grid.dx))
 
 
 def _dpsi_abs2(profile: DensityProfile) -> np.ndarray:
@@ -90,21 +96,48 @@ def _dpsi_abs2(profile: DensityProfile) -> np.ndarray:
     return np.zeros_like(profile.rho)
 
 
+# The functions below take one profile (arrays of M points) or a block of
+# profiles (A x M arrays, one row per angle) and reduce along the last axis.
+
+def _fisher_terms(rho, drho, dpsi_abs2, dx, node_eps):
+    """Fisher integrand and its integral, with the node limit below
+    ``node_eps * max(rho)`` of each row."""
+    peak = rho.max(axis=-1, initial=0.0)
+    if np.any(peak <= 0.0):
+        raise NumericsError("degenerate profile: density has no mass")
+    integrand = _kernels.fisher_integrand(rho, drho, dpsi_abs2,
+                                          node_eps * peak[..., None])
+    return integrand, _kernels.trapezoid(integrand, dx)
+
+
+def _entropy(rho, dx):
+    return _kernels.trapezoid(_kernels.entropy_integrand(rho), dx)
+
+
+def _variance(rho, grid: Grid):
+    s = grid.points
+    mean = _kernels.trapezoid(s * rho, grid.dx)
+    second = _kernels.trapezoid(s * s * rho, grid.dx)
+    return second - mean * mean
+
+
+def _edge_dominated(integrand, cell_share: float = 0.002, fraction: float = 0.5):
+    total = np.sum(integrand, axis=-1)
+    k = max(1, int(math.ceil(cell_share * integrand.shape[-1])))
+    top = np.sum(np.sort(integrand, axis=-1)[..., -k:], axis=-1)
+    return (total > 0.0) & (top > fraction * total)
+
+
 def fisher_information(profile: DensityProfile, node_eps: float = 1e-13) -> float:
     """I = integral of (rho')^2 / rho with the node limit 4 |psi'|^2."""
-    peak = float(profile.rho.max(initial=0.0))
-    if peak <= 0.0:
-        raise NumericsError("degenerate profile: density has no mass")
-    eps = node_eps * peak
-    integrand = _kernels.fisher_integrand(
-        profile.rho, profile.drho, _dpsi_abs2(profile), eps)
-    return _kernels.trapezoid(integrand, profile.grid.dx)
+    _, fisher = _fisher_terms(profile.rho, profile.drho, _dpsi_abs2(profile),
+                              profile.grid.dx, node_eps)
+    return float(fisher)
 
 
 def shannon_entropy(profile: DensityProfile) -> float:
     """S = -integral of rho log rho (nats), with 0 log 0 = 0."""
-    integrand = _kernels.entropy_integrand(profile.rho)
-    return _kernels.trapezoid(integrand, profile.grid.dx)
+    return float(_entropy(profile.rho, profile.grid.dx))
 
 
 def entropy_power(entropy: float) -> float:
@@ -116,15 +149,12 @@ def entropy_power(entropy: float) -> float:
 
 def disequilibrium(profile: DensityProfile) -> float:
     """D = integral of rho^2, the density's self-overlap."""
-    return _kernels.trapezoid(profile.rho * profile.rho, profile.grid.dx)
+    return float(_kernels.trapezoid(profile.rho * profile.rho, profile.grid.dx))
 
 
 def variance(profile: DensityProfile) -> float:
     """V = <s^2> - <s>^2 under the density."""
-    s = profile.grid.points
-    mean = _kernels.trapezoid(s * profile.rho, profile.grid.dx)
-    second = _kernels.trapezoid(s * s * profile.rho, profile.grid.dx)
-    return second - mean * mean
+    return float(_variance(profile.rho, profile.grid))
 
 
 def lmc_complexity(profile: DensityProfile) -> float:
@@ -142,35 +172,45 @@ def is_edge_dominated(profile: DensityProfile, node_eps: float = 1e-13,
     """True when a tiny share of grid cells carries most of the Fisher
     integral, the signature of a density with sharp support edges whose
     grid-scale jumps dominate the value (making it resolution-dependent)."""
-    peak = float(profile.rho.max(initial=0.0))
-    if peak <= 0.0:
+    if profile.rho.max(initial=0.0) <= 0.0:
         return False
-    integrand = _kernels.fisher_integrand(
-        profile.rho, profile.drho, _dpsi_abs2(profile), node_eps * peak)
-    total = float(np.sum(integrand))
-    if total <= 0.0:
-        return False
-    k = max(1, int(math.ceil(cell_share * integrand.shape[0])))
-    top = float(np.sum(np.sort(integrand)[-k:]))
-    return top > fraction * total
+    integrand, _ = _fisher_terms(profile.rho, profile.drho, _dpsi_abs2(profile),
+                                 profile.grid.dx, node_eps)
+    return bool(_edge_dominated(integrand, cell_share, fraction))
+
+
+def _reports(thetas, rho, drho, dpsi_abs2, grid: Grid, node_eps: float,
+             extensions: bool) -> list[ComplexityReport]:
+    """Reports of a block of profiles, (A x M) arrays with one row per angle
+    of ``thetas`` (canonical angles)."""
+    entropy = _entropy(rho, grid.dx)
+    integrand, fisher = _fisher_terms(rho, drho, dpsi_abs2, grid.dx, node_eps)
+    if extensions:
+        diseq = _kernels.trapezoid(rho * rho, grid.dx)
+        var = _variance(rho, grid)
+        edge = _edge_dominated(integrand)
+    reports = []
+    for k, theta in enumerate(thetas):
+        f, s = float(fisher[k]), float(entropy[k])
+        power = entropy_power(s)
+        lmc = cr = None
+        if extensions:
+            lmc = float(diseq[k]) * math.exp(s)
+            cr = f * float(var[k])
+        reports.append(ComplexityReport(
+            theta=theta, fisher=f, entropy=s, entropy_power=power,
+            cfs=f * power, lmc=lmc, cr=cr,
+            edge_dominated=bool(extensions and edge[k])))
+    return reports
 
 
 def report_from_profile(profile: DensityProfile, node_eps: float = 1e-13,
                         extensions: bool = False) -> ComplexityReport:
-    """Assemble the full per-angle report from one density profile."""
-    fisher = fisher_information(profile, node_eps)
-    entropy = shannon_entropy(profile)
-    power = entropy_power(entropy)
-    lmc = cr = None
-    edge = False
-    if extensions:
-        diseq = disequilibrium(profile)
-        lmc = diseq * math.exp(entropy)
-        cr = fisher * variance(profile)
-        edge = is_edge_dominated(profile, node_eps)
-    return ComplexityReport(theta=profile.theta, fisher=fisher, entropy=entropy,
-                            entropy_power=power, cfs=fisher * power,
-                            lmc=lmc, cr=cr, edge_dominated=edge)
+    """Assemble the full per-angle report from one density profile: the
+    block computation with a single row."""
+    return _reports([profile.theta], profile.rho[None], profile.drho[None],
+                    _dpsi_abs2(profile)[None], profile.grid, node_eps,
+                    extensions)[0]
 
 
 class ProfileEvaluator:
@@ -186,8 +226,10 @@ class ProfileEvaluator:
     def profile(self, theta: float) -> DensityProfile:
         raise NotImplementedError
 
-    def is_cached(self, theta: float, extensions: bool = False) -> bool:
-        return (theta, extensions) in self._cache
+    def fill(self, thetas, extensions: bool = False) -> None:
+        """Memoize the reports of all ``thetas``; here one angle at a time."""
+        for theta in thetas:
+            self.report(theta, extensions)
 
     def report(self, theta: float, extensions: bool = False) -> ComplexityReport:
         key = (theta, extensions)
@@ -202,6 +244,13 @@ class ProfileEvaluator:
         return self.report(theta).cfs
 
 
+def block_rows(grid_points: int) -> int:
+    """Angles per lattice block: BLOCK_BYTES over the working set of one
+    angle, which peaks at about 8 float rows of ``grid_points`` points (the
+    two GEMM products of 2 rows each, the density terms and a temporary)."""
+    return max(1, BLOCK_BYTES // (64 * grid_points))
+
+
 class FockEvaluator(ProfileEvaluator):
     """Fock-pipeline evaluator: caches the grid and basis table of one state."""
 
@@ -214,6 +263,23 @@ class FockEvaluator(ProfileEvaluator):
 
     def profile(self, theta: float) -> DensityProfile:
         return eval_density(self.state, theta, self.grid, self.table)
+
+    def fill(self, thetas, extensions: bool = False) -> None:
+        """Memoize the reports of all ``thetas``, evaluating the missing
+        angles in blocks of ``block_rows`` rows."""
+        todo = [t for t in thetas if (t, extensions) not in self._cache]
+        rows = block_rows(self.grid.count)
+        for start in range(0, len(todo), rows):
+            block = todo[start:start + rows]
+            self._cache.update(zip([(t, extensions) for t in block],
+                                   self._block_reports(block, extensions)))
+
+    def _block_reports(self, block, extensions: bool):
+        # a function of its own, so one block's arrays are freed before the
+        # next block is evaluated
+        terms = density_block(self.state, block, self.grid, self.table)
+        return _reports([canonical_theta(t) for t in block], *terms,
+                        self.grid, self.numerics.node_eps, extensions)
 
 
 def evaluator_for(state, numerics: Numerics = DEFAULT_NUMERICS):

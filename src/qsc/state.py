@@ -18,7 +18,8 @@ from .errors import NumericsError
 from .hermite import BasisTable
 
 __all__ = ["DensityProfile", "FockState", "Grid", "canonical_theta",
-           "default_grid", "eval_density", "make_state", "rotate"]
+           "default_grid", "density_block", "eval_density", "make_state",
+           "rotate"]
 
 NORM_TOL = 1e-10
 
@@ -138,16 +139,16 @@ class DensityProfile:
 
     def mass(self) -> float:
         """Trapezoid integral of rho over the grid."""
-        return _kernels.trapezoid(self.rho, self.grid.dx)
+        return float(_kernels.trapezoid(self.rho, self.grid.dx))
 
 
-def eval_density(state: FockState, theta: float, grid: Grid,
-                 table: BasisTable) -> DensityProfile:
-    """Evaluate rho = |psi|^2 and drho = 2 Re(conj(psi) psi') at angle theta.
+def density_block(state: FockState, thetas, grid: Grid, table: BasisTable):
+    """rho = |psi|^2, drho = 2 Re(conj(psi) psi') and |psi'|^2 at every angle
+    of ``thetas``, as (len(thetas) x M) arrays, one row per angle.
 
     psi(x_j) = sum_n c_n exp(i n theta) u_n(x_j); the derivative uses the
     tabulated ladder derivatives, never finite differences.  The phase is
-    applied with the raw theta; the stored angle is canonicalized to [0, pi).
+    applied with the raw angles.
     """
     k = state.coeffs.shape[0]
     if table.n_max < state.n_max:
@@ -155,9 +156,16 @@ def eval_density(state: FockState, theta: float, grid: Grid,
             f"basis table holds n <= {table.n_max} but state needs {state.n_max}")
     if table.points.shape[0] != grid.count or table.points[0] != grid.points[0]:
         raise NumericsError("basis table was built on a different grid")
-    phased = state.coeffs * np.exp(1j * np.arange(k) * theta)
-    rho, drho, dpsi_abs2 = _kernels.density_terms(
-        np.ascontiguousarray(phased.real), np.ascontiguousarray(phased.imag),
-        table.values[:k], table.derivs[:k])
+    phases = np.exp(1j * np.multiply.outer(np.asarray(thetas, dtype=float),
+                                           np.arange(k)))
+    return _kernels.density_terms(state.coeffs * phases,
+                                  table.values[:k], table.derivs[:k])
+
+
+def eval_density(state: FockState, theta: float, grid: Grid,
+                 table: BasisTable) -> DensityProfile:
+    """The density profile at one angle: a one-row ``density_block``.  The
+    stored angle is canonicalized to [0, pi)."""
+    rho, drho, dpsi_abs2 = density_block(state, [theta], grid, table)
     return DensityProfile(grid=grid, theta=canonical_theta(theta),
-                          rho=rho, drho=drho, dpsi_abs2=dpsi_abs2)
+                          rho=rho[0], drho=drho[0], dpsi_abs2=dpsi_abs2[0])

@@ -1,21 +1,22 @@
 """Angle sweeps: the global (averaged) and minimum Fisher-Shannon measures.
 
-The complexity curve cfs(theta) is smooth and pi-periodic, so the global
-measure uses the periodic trapezoid rule on the lattice theta_k = k pi / n
-(the plain lattice mean), refined by doubling until successive estimates
-agree.  The minimum measure scans a coarse periodic lattice and then runs a
-derivative-free golden-section refinement inside the bracketing interval:
-the curve can carry several local minima, so scan-then-bracket is the robust
-choice.  Angle evaluations are independent and may run on a small thread
-pool (capped by QSC_THREADS, 0 = auto); every aggregation afterwards walks
-the results in fixed index order, keeping outputs deterministic.
+The complexity curve cfs(theta) is continuous and pi-periodic but not
+smooth: it has a cusp wherever the rotated wavefunction gains a real node
+(for (|0> + |2>)/sqrt(2) at theta = pi/2).  The global measure uses the
+periodic trapezoid rule on the lattice theta_k = k pi / n (the plain lattice
+mean), refined by doubling until successive estimates agree; across such
+cusps the rule converges only as O(h^2), not spectrally.  The minimum measure
+scans a coarse periodic lattice and then runs a derivative-free
+golden-section refinement inside the bracketing interval: the curve can
+carry several local minima, so scan-then-bracket is the robust choice.
+Lattice angles are evaluated in blocks by the evaluator (one matrix product
+per block); every aggregation walks the results in fixed index order,
+keeping outputs deterministic.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +28,6 @@ from .state import canonical_theta
 __all__ = ["SweepResult", "analyze", "global_fs", "min_fs", "sweep"]
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-_MIN_PARALLEL_TASKS = 16
 
 
 @dataclass(frozen=True)
@@ -51,26 +51,10 @@ def _lattice(n: int) -> list[float]:
     return [(k * math.pi) / n for k in range(n)]
 
 
-def _worker_count(n_tasks: int) -> int:
-    raw = os.environ.get("QSC_THREADS", "").strip()
-    if raw in ("", "0"):
-        workers = min(8, os.cpu_count() or 1)
-    else:
-        try:
-            workers = max(1, int(raw))
-        except ValueError:
-            workers = 1
-    return min(workers, n_tasks)
-
-
 def _reports_at(ev, thetas, extensions: bool = False):
-    """Evaluate reports for all angles, optionally in parallel; the returned
-    list follows the input order regardless of completion order."""
-    todo = [t for t in thetas if not ev.is_cached(t, extensions)]
-    workers = _worker_count(len(todo))
-    if workers > 1 and len(todo) >= _MIN_PARALLEL_TASKS:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda t: ev.report(t, extensions), todo))
+    """Reports for all angles, in input order; the evaluator computes the
+    missing ones as a batch."""
+    ev.fill(thetas, extensions)
     return [ev.report(t, extensions) for t in thetas]
 
 

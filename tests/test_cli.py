@@ -1,6 +1,5 @@
 import json
 import math
-import os
 import subprocess
 import sys
 import warnings
@@ -43,6 +42,26 @@ class TestMeasure:
         code, _, err = run_cli(capsys, "measure", "box:n=5,N=24")
         assert code == 3
         assert "numerics" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("measure", "fock:1", "--theta", "nan"),
+        ("measure", "fock:1", "--theta", "inf"),
+        ("gfs", "super:nan,1"),
+        ("mfs", "gauss:sigma=inf"),
+        ("measure", "gauss:sigma=nan,analytic"),
+    ])
+    def test_non_finite_input_is_a_parse_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "error" in err
+
+    def test_non_finite_result_is_a_numerics_error(self, capsys, monkeypatch):
+        monkeypatch.setattr("qsc.cli.min_fs", lambda state, numerics: (0.1, math.nan))
+        code, out, err = run_cli(capsys, "mfs", "fock:1")
+        assert code == 3
+        assert out == ""
+        assert "not finite" in err
 
     def test_unknown_flag_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -166,9 +185,8 @@ def test_selftest_passes(capsys):
 
 
 def test_module_entry_point():
-    env = dict(os.environ, QSC_DISABLE_NUMBA="1")
     proc = subprocess.run(
         [sys.executable, "-m", "qsc", "measure", "fock:0"],
-        capture_output=True, text=True, env=env)
+        capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["cfs"] == pytest.approx(1.0, abs=1e-6)

@@ -192,6 +192,7 @@ class TestExtensionMeasures:
             rho = np.where(np.abs(grid.points) <= 1.0, 0.5, 0.0)
             prof = DensityProfile.from_samples(grid, rho)
             assert is_edge_dominated(prof)
+            assert report_from_profile(prof, extensions=True).edge_dominated
             values[count] = cr_complexity(prof)
             assert math.isfinite(values[count])
         assert values[801] != pytest.approx(values[1601], rel=1e-2)

@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qsc
 from qsc.catalog import AnalyticGaussian, superposition_state
-from qsc.functionals import FockEvaluator, Numerics, fs_complexity
+from qsc.functionals import FockEvaluator, Numerics, block_rows, fs_complexity
 from qsc.state import make_state, rotate
 from qsc.sweep import SweepResult, analyze, global_fs, min_fs, sweep
 from conftest import INV_SQRT2, fock
@@ -150,15 +155,66 @@ def test_gfs_respects_custom_tolerance(phi1):
     assert value == pytest.approx(GFS_PHI1, rel=1e-3)
 
 
-def test_thread_count_does_not_change_results(phi1, monkeypatch):
-    serial = None
-    for workers in ("1", "3"):
-        monkeypatch.setenv("QSC_THREADS", workers)
-        values = [r.cfs for r in sweep(phi1, 32).reports]
-        if serial is None:
-            serial = values
-        else:
-            assert values == serial
+def _random_state(terms: int, seed: int):
+    rng = np.random.default_rng(seed)
+    return make_state(rng.normal(size=terms) + 1j * rng.normal(size=terms),
+                      renormalize=True)
+
+
+def _assert_reports_agree(block, single, names=("fisher", "entropy", "cfs")):
+    assert block.theta == single.theta
+    for name in names:
+        assert getattr(block, name) == pytest.approx(
+            getattr(single, name), rel=1e-13), name
+
+
+def test_block_reports_match_single_angle_reports():
+    # 257 terms, and a lattice that ends on a partial block
+    state = _random_state(257, 17)
+    rows = block_rows(Numerics().grid_points)
+    n_theta = 2 * rows + 3
+    assert n_theta % rows != 0
+    res = sweep(state, n_theta)
+    for theta, report in zip(res.thetas, res.reports):
+        _assert_reports_agree(report, fs_complexity(state, float(theta)))
+
+
+def test_block_extension_measures_match_measure():
+    import warnings
+    from qsc.catalog import BoxSpec, box_state
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        state = box_state(BoxSpec(n=2, n_fock=256))
+    res = sweep(state, 12, extensions=True)
+    for theta, report in zip(res.thetas, res.reports):
+        single = fs_complexity(state, float(theta), extensions=True)
+        _assert_reports_agree(report, single,
+                              ("fisher", "entropy", "cfs", "lmc", "cr"))
+        assert report.edge_dominated == single.edge_dominated
+
+
+def test_sweep_csv_is_the_same_for_any_blas_thread_count():
+    # BLAS does the sums over Fock terms; the CSV for identical flags must
+    # stay byte-identical whatever thread count OpenBLAS picks
+    rng = np.random.default_rng(5)
+    literal = "super:" + ",".join(repr(float(x)) for x in rng.normal(size=257))
+    src = str(Path(qsc.__file__).resolve().parents[1])
+
+    def csv(**overrides):
+        env = dict(os.environ, **overrides)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-m", "qsc", "sweep", literal,
+             "--theta-samples", "256"],
+            capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    inherited = csv()
+    assert inherited.count("\n") == 257
+    assert csv(OPENBLAS_NUM_THREADS="1") == inherited
+    assert csv(OPENBLAS_NUM_THREADS="2") == inherited
 
 
 def test_box_curve_small_angle_structure():
