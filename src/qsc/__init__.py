@@ -16,10 +16,8 @@ from .catalog import (AnalyticGaussian, BoxSpec, box_cfs_momentum,
 from .errors import NumericsError, ParseError, QscError
 from .frft import KernelTransform, kernel, transform
 from .functionals import (ComplexityReport, FockEvaluator, Numerics,
-                          cr_complexity, disequilibrium, entropy_power,
-                          fisher_information, fs_complexity, integrate,
-                          lmc_complexity, report_from_profile,
-                          shannon_entropy, variance)
+                          entropy_power, fs_complexity, integrate,
+                          report_from_profile)
 from .hermite import (BasisTable, build_basis_table, hermite_fn,
                       hermite_fn_derivative)
 from .state import (DensityProfile, FockState, Grid, canonical_theta,
@@ -35,11 +33,9 @@ __all__ = [
     "ParseError", "QscError", "SweepResult", "analyze", "box_cfs_momentum",
     "box_cfs_position", "box_k_integral", "box_state", "box_wavefunction",
     "build_basis_table", "canonical_theta", "choose_squeezed_truncation",
-    "cr_complexity", "default_grid", "disequilibrium", "entropy_power",
-    "eval_density", "fisher_information", "fs_complexity",
+    "default_grid", "entropy_power", "eval_density", "fs_complexity",
     "gaussian_sigma_theta", "global_fs", "hermite_fn",
-    "hermite_fn_derivative", "integrate", "kernel", "lmc_complexity",
-    "make_state", "min_fs", "parse_state_literal", "report_from_profile",
-    "rotate", "shannon_entropy", "squeezed_vacuum_fock",
-    "superposition_state", "sweep", "transform", "variance",
+    "hermite_fn_derivative", "integrate", "kernel", "make_state", "min_fs",
+    "parse_state_literal", "report_from_profile", "rotate",
+    "squeezed_vacuum_fock", "superposition_state", "sweep", "transform",
 ]

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels, hermite
+from . import hermite
 from .errors import NumericsError, ParseError
 from .functionals import DEFAULT_NUMERICS, Numerics, ProfileEvaluator
 from .state import DensityProfile, FockState, Grid, canonical_theta, make_state
@@ -30,6 +30,14 @@ __all__ = [
 ]
 
 TRAILING_WARN = 1e-8
+# squeezed-vacuum truncation: squared-coefficient tail below SQUEEZED_DEFICIT,
+# at most SQUEEZED_CAP terms
+SQUEEZED_DEFICIT = 1e-12
+SQUEEZED_CAP = 4096
+# box projection: largest accepted squared-norm deficit, and the fewest
+# Gauss-Legendre nodes (4 per kept basis function when that is more)
+BOX_NORM_TOL = 5e-3
+BOX_MIN_NODES = 2048
 
 
 def superposition_state(m: int, a: float) -> FockState:
@@ -100,10 +108,9 @@ def _squeezed_ratio(sigma: float) -> float:
     return num / (2.0 * sigma * sigma + 1.0)
 
 
-def choose_squeezed_truncation(sigma: float, deficit: float = 1e-12,
-                               cap: int = 4096) -> int:
+def choose_squeezed_truncation(sigma: float) -> int:
     """Smallest even truncation whose squared-coefficient tail is below
-    ``deficit`` for the squeezed vacuum of position variance sigma^2."""
+    SQUEEZED_DEFICIT for the squeezed vacuum of position variance sigma^2."""
     if sigma <= 0.0:
         raise ValueError("sigma must be positive")
     q = _squeezed_ratio(sigma)
@@ -111,12 +118,13 @@ def choose_squeezed_truncation(sigma: float, deficit: float = 1e-12,
     c = math.sqrt(2.0 * u / (1.0 + u * u))   # 1/sqrt(cosh r)
     total = c * c
     k = 0
-    while 1.0 - total > deficit:
+    while 1.0 - total > SQUEEZED_DEFICIT:
         c *= q * math.sqrt((2 * k + 1) / (2 * k + 2))
         total += c * c
         k += 1
-        if 2 * k > cap:
-            raise NumericsError(f"no adequate truncation below {cap}")
+        if 2 * k > SQUEEZED_CAP:
+            raise NumericsError(
+                f"no adequate truncation below {SQUEEZED_CAP}")
     return max(2, 2 * k)
 
 
@@ -174,18 +182,18 @@ class BoxSpec:
             raise ValueError("truncation must be at least 4n")
 
 
-def box_state(spec: BoxSpec, norm_tol: float = 5e-3,
-              quad_points: int = 2048) -> FockState:
+def box_state(spec: BoxSpec) -> FockState:
     """Project the well eigenstate onto the truncated oscillator basis.
 
     Coefficients come from Gauss-Legendre quadrature over [-1, 1]; the
     opposite-parity half is exactly zero and is pinned so.  Raises when the
-    captured norm falls short of 1 - norm_tol (the remedy is a larger
+    captured norm falls short of 1 - BOX_NORM_TOL (the remedy is a larger
     truncation).  The kinked well edges make |c_k|^2 decay like k**-5/2, so
     the squared-norm deficit shrinks only like n_fock**-3/2: about 4e-5 for
     n = 1 and 1.2e-3 for n = 5 at the default truncation of 256.
     """
-    nodes, weights = np.polynomial.legendre.leggauss(max(quad_points, 4 * spec.n_fock))
+    nodes, weights = np.polynomial.legendre.leggauss(
+        max(BOX_MIN_NODES, 4 * spec.n_fock))
     table = hermite.tabulate(nodes, spec.n_fock)
     psi = box_wavefunction(spec.n, nodes)
     coeffs = table.values @ (weights * psi)
@@ -194,10 +202,10 @@ def box_state(spec: BoxSpec, norm_tol: float = 5e-3,
     coeffs[np.abs(coeffs) < 1e-14] = 0.0
     captured = float(np.sum(coeffs * coeffs))
     deficit = 1.0 - captured
-    if deficit > norm_tol:
+    if deficit > BOX_NORM_TOL:
         raise NumericsError(
             f"box projection captured only {captured:.9f} of the norm "
-            f"(deficit {deficit:.3e} > {norm_tol:.1e}); increase n_fock")
+            f"(deficit {deficit:.3e} > {BOX_NORM_TOL:.1e}); increase n_fock")
     if coeffs[-1] ** 2 > TRAILING_WARN or coeffs[-2] ** 2 > TRAILING_WARN:
         warnings.warn(
             f"box truncation n_fock={spec.n_fock} leaves trailing weight "
@@ -212,6 +220,17 @@ def box_cfs_position(n: int) -> float:
     return 8.0 * math.pi * n * n / math.exp(3.0)
 
 
+def _klog_integrand(t, n):
+    """g log g with g(t) = n^2 sin^2(t) / (t^2 + pi n t)^2, and 0 log 0 = 0."""
+    denom = t * t + (np.pi * n) * t
+    s = np.sin(t)
+    g = (n * n) * (s * s) / (denom * denom)
+    out = np.zeros_like(t)
+    pos = g > 0.0
+    out[pos] = g[pos] * np.log(g[pos])
+    return out
+
+
 def _k_tail_bound(t0: float, n: int) -> float:
     # |g log g| <= n^2/t^4 * (4 log t + c) for t >= t0, integrated exactly
     c = 2.0 * abs(math.log(n)) + 2.0 * math.log(1.0 + math.pi * n / t0) + math.exp(-1.0)
@@ -220,7 +239,7 @@ def _k_tail_bound(t0: float, n: int) -> float:
 
 
 def box_k_integral(n: int, points_per_panel: int = 64, tail_tol: float = 1e-8,
-                   max_panels: int = 10 ** 6, full_output: bool = False):
+                   max_panels: int = 10 ** 6) -> float:
     """The entropy integral of the well's momentum density:
 
         K(n) = log(8/pi)
@@ -253,8 +272,8 @@ def box_k_integral(n: int, points_per_panel: int = 64, tail_tol: float = 1e-8,
         half = 0.5 * (uppers - lowers)
         mid = 0.5 * (uppers + lowers)
         t = mid[:, None] + half[:, None] * xg[None, :]
-        f = _kernels.klog_integrand(np.ascontiguousarray(t.ravel()), float(n))
-        total += float(np.sum((f.reshape(t.shape) @ wg) * half))
+        f = _klog_integrand(t, float(n))
+        total += float(np.sum((f @ wg) * half))
         panels += uppers.shape[0]
         m += block
         bound = _k_tail_bound(float(uppers[-1]), n)
@@ -264,16 +283,13 @@ def box_k_integral(n: int, points_per_panel: int = 64, tail_tol: float = 1e-8,
             raise NumericsError(
                 f"K({n}) tail bound {bound:.2e} still above {tail_tol:.1e} "
                 f"after {panels} panels")
-    value = math.log(8.0 / math.pi) - math.pi * total
-    if full_output:
-        return value, {"panels": panels, "tail_bound": bound, "converged": True}
-    return value
+    return math.log(8.0 / math.pi) - math.pi * total
 
 
-def box_cfs_momentum(n: int, **kwargs) -> float:
+def box_cfs_momentum(n: int) -> float:
     """Momentum-space complexity of well eigenstate n:
     exp(2 K(n)) / (24 pi e) * (1 - 6 / (pi^2 n^2))."""
-    k = box_k_integral(n, **kwargs)
+    k = box_k_integral(n)
     return (math.exp(2.0 * k) / (24.0 * math.pi * math.e)
             * (1.0 - 6.0 / (math.pi * math.pi * n * n)))
 
@@ -283,9 +299,10 @@ def box_cfs_momentum(n: int, **kwargs) -> float:
 # ---------------------------------------------------------------------------
 
 def _parse_complex(token: str) -> complex:
-    token = token.strip().replace("i", "j")
+    # a trailing i is the imaginary unit (1+2i); the i of inf stays
+    token = token.strip()
     try:
-        value = complex(token)
+        value = complex(token[:-1] + "j" if token.endswith("i") else token)
     except ValueError:
         raise ParseError(f"bad complex literal {token!r}") from None
     if not cmath.isfinite(value):

@@ -39,9 +39,13 @@ def _print_json(payload) -> None:
 
 
 def _numerics(args) -> Numerics:
-    return Numerics(grid_points=args.grid_points, grid_margin=args.grid_margin,
-                    node_eps=args.node_eps, gfs_rel_tol=args.gfs_rel_tol,
-                    mfs_theta_tol=args.mfs_theta_tol)
+    try:
+        return Numerics(grid_points=args.grid_points,
+                        grid_margin=args.grid_margin, node_eps=args.node_eps,
+                        gfs_rel_tol=args.gfs_rel_tol,
+                        mfs_theta_tol=args.mfs_theta_tol)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -127,7 +131,11 @@ def _sweep_svg(thetas, values) -> str:
 
 def cmd_sweep(args) -> int:
     state = parse_state_literal(args.state)
-    result = sweep(state, args.theta_samples, _numerics(args))
+    numerics = _numerics(args)
+    try:
+        result = sweep(state, args.theta_samples, numerics)
+    except ValueError as exc:       # too few samples
+        raise ParseError(str(exc)) from None
     csv = _sweep_csv(result)
     if args.out:
         with open(args.out, "w", newline="") as fh:

@@ -112,7 +112,7 @@ def equivalence_failures(n_states: int = 20, seed: int = 2024, n_max: int = 12,
     composition (densities only; the composed kernel differs by a global
     phase).  Returns a list of human-readable failures, empty on success.
     """
-    from . import _kernels
+    from .functionals import integrate
     from .hermite import build_basis_table
     from .state import default_grid, eval_density, make_state
 
@@ -122,7 +122,7 @@ def equivalence_failures(n_states: int = 20, seed: int = 2024, n_max: int = 12,
     failures: list[str] = []
 
     def l1(a, b):
-        return _kernels.trapezoid(np.abs(a - b), grid.dx)
+        return integrate(np.abs(a - b), grid)
 
     for idx in range(n_states):
         raw = rng.normal(size=n_max + 1) + 1j * rng.normal(size=n_max + 1)
@@ -130,7 +130,7 @@ def equivalence_failures(n_states: int = 20, seed: int = 2024, n_max: int = 12,
         psi0 = state.coeffs @ table.values.astype(complex)
         for alpha in alphas:
             phi = transform(psi0, alpha, grid)
-            norm = _kernels.trapezoid(np.abs(phi) ** 2, grid.dx)
+            norm = integrate(np.abs(phi) ** 2, grid)
             if abs(norm - 1.0) > unit_tol:
                 failures.append(
                     f"state {idx} alpha {alpha}: output norm off by "

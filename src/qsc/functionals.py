@@ -1,10 +1,18 @@
 """Information functionals on density profiles and the composite measures.
 
-Everything reduces through the composite trapezoid rule with a fixed
-summation order, so outputs are reproducible bit for bit.  Accuracy comes
-from resolution (4096 points by default plus doubling checks), not from a
-higher-order rule: the densities handled here decay exponentially and are
-smooth, a regime where the trapezoid rule is spectrally accurate.
+Everything reduces through one composite trapezoid rule, ``integrate``,
+along the last (grid) axis with a fixed summation order, so one profile and a
+block of profiles (one row per angle) go through the same code and outputs
+are reproducible bit for bit.  Accuracy comes from resolution (4096 points by
+default), not from a higher-order rule.  The rule is spectrally accurate
+only for smooth, exponentially decaying densities such as those of short Fock
+superpositions.  Not every density here is of that kind: a well eigenstate
+has kinked edges, which its Fock projection resolves only through rapidly
+oscillating high-order terms, and a density sampled across a jump is not
+smooth at all.  There the error falls only algebraically with the grid
+spacing.  Reports with extensions flag the case as ``edge_dominated``: a tiny
+share of grid cells carries most of the Fisher integral, so the value depends
+on resolution.
 
 The Fisher integrand (rho')^2 / rho is finite at simple nodes of the
 wavefunction but numerically 0/0 there; points where rho falls below
@@ -18,11 +26,10 @@ such in every user-facing output.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .errors import NumericsError
 from .hermite import build_basis_table
 from .state import (DensityProfile, FockState, Grid, canonical_theta,
@@ -30,9 +37,8 @@ from .state import (DensityProfile, FockState, Grid, canonical_theta,
 
 __all__ = [
     "ComplexityReport", "FockEvaluator", "Numerics", "ProfileEvaluator",
-    "cr_complexity", "disequilibrium", "entropy_power", "evaluator_for",
-    "fisher_information", "fs_complexity", "integrate", "is_edge_dominated",
-    "lmc_complexity", "report_from_profile", "shannon_entropy", "variance",
+    "entropy_power", "evaluator_for", "fs_complexity", "integrate",
+    "report_from_profile",
 ]
 
 ENTROPY_POWER_GUARD = 350.0
@@ -45,19 +51,24 @@ BLOCK_BYTES = 2 ** 21
 
 @dataclass(frozen=True)
 class Numerics:
-    """Resolution and tolerance knobs, mirrored by the CLI flags."""
+    """Resolution and tolerance knobs, mirrored by the CLI flags; checked
+    at construction (ValueError)."""
 
     grid_points: int = 4096
     grid_margin: float = 6.0
     node_eps: float = 1e-13        # relative to max(rho)
-    gfs_start: int = 32
-    gfs_max_resolution: int = 1024
     gfs_rel_tol: float = 1e-5
-    mfs_scan: int = 128
     mfs_theta_tol: float = 1e-6
 
-    def with_grid_points(self, m: int) -> "Numerics":
-        return replace(self, grid_points=m)
+    def __post_init__(self):
+        if self.grid_points < 2:
+            raise ValueError(f"grid_points must be >= 2, got {self.grid_points}")
+        for name in ("grid_margin", "node_eps", "gfs_rel_tol", "mfs_theta_tol"):
+            value = getattr(self, name)
+            tol = name.endswith("_tol")        # tolerances must be positive
+            if not math.isfinite(value) or value < 0.0 or (tol and value == 0.0):
+                raise ValueError(f"{name} must be finite and "
+                                 f"{'> 0' if tol else '>= 0'}, got {value!r}")
 
 
 DEFAULT_NUMERICS = Numerics()
@@ -81,12 +92,13 @@ class ComplexityReport:
     edge_dominated: bool = False
 
 
-def integrate(values, grid: Grid) -> float:
-    """Composite trapezoid rule over the grid, fixed summation order."""
-    values = np.asarray(values, dtype=float)
-    if values.shape[0] != grid.count:
+def integrate(values, grid: Grid):
+    """Composite trapezoid rule over the grid along the last axis, in a fixed
+    summation order: a float for one profile, one value per row of a block."""
+    y = np.asarray(values, dtype=float)
+    if y.shape[-1] != grid.count:
         raise ValueError("value count does not match grid")
-    return float(_kernels.trapezoid(values, grid.dx))
+    return grid.dx * (np.sum(y, axis=-1) - 0.5 * (y[..., 0] + y[..., -1]))
 
 
 def _dpsi_abs2(profile: DensityProfile) -> np.ndarray:
@@ -99,45 +111,45 @@ def _dpsi_abs2(profile: DensityProfile) -> np.ndarray:
 # The functions below take one profile (arrays of M points) or a block of
 # profiles (A x M arrays, one row per angle) and reduce along the last axis.
 
-def _fisher_terms(rho, drho, dpsi_abs2, dx, node_eps):
-    """Fisher integrand and its integral, with the node limit below
-    ``node_eps * max(rho)`` of each row."""
+def _fisher_terms(rho, drho, dpsi_abs2, grid: Grid, node_eps):
+    """Fisher integrand (rho')^2 / rho and its integral.  At or below
+    ``node_eps * max(rho)`` of each row, where the quotient is numerically
+    0/0, the integrand takes its node limit 4 |psi'|^2."""
     peak = rho.max(axis=-1, initial=0.0)
     if np.any(peak <= 0.0):
         raise NumericsError("degenerate profile: density has no mass")
-    integrand = _kernels.fisher_integrand(rho, drho, dpsi_abs2,
-                                          node_eps * peak[..., None])
-    return integrand, _kernels.trapezoid(integrand, dx)
+    node = rho <= node_eps * peak[..., None]
+    integrand = np.square(drho)
+    np.divide(integrand, rho, out=integrand, where=~node)
+    integrand[node] = 4.0 * dpsi_abs2[node]
+    return integrand, integrate(integrand, grid)
 
 
-def _entropy(rho, dx):
-    return _kernels.trapezoid(_kernels.entropy_integrand(rho), dx)
+def _entropy(rho, grid: Grid):
+    """S = -integral of rho log rho (nats), with 0 log 0 = 0."""
+    pos = rho > 0.0
+    out = np.zeros_like(rho)
+    np.log(rho, out=out, where=pos)
+    np.multiply(out, rho, out=out, where=pos)
+    return integrate(np.negative(out, out=out, where=pos), grid)
 
 
 def _variance(rho, grid: Grid):
+    """V = <s^2> - <s>^2 under the density."""
     s = grid.points
-    mean = _kernels.trapezoid(s * rho, grid.dx)
-    second = _kernels.trapezoid(s * s * rho, grid.dx)
+    mean = integrate(s * rho, grid)
+    second = integrate(s * s * rho, grid)
     return second - mean * mean
 
 
-def _edge_dominated(integrand, cell_share: float = 0.002, fraction: float = 0.5):
+def _edge_dominated(integrand):
+    """True when 0.2% of the grid cells carry over half of the Fisher
+    integral, the signature of a density with sharp support edges whose
+    grid-scale jumps dominate the value (making it resolution-dependent)."""
     total = np.sum(integrand, axis=-1)
-    k = max(1, int(math.ceil(cell_share * integrand.shape[-1])))
+    k = max(1, int(math.ceil(0.002 * integrand.shape[-1])))
     top = np.sum(np.sort(integrand, axis=-1)[..., -k:], axis=-1)
-    return (total > 0.0) & (top > fraction * total)
-
-
-def fisher_information(profile: DensityProfile, node_eps: float = 1e-13) -> float:
-    """I = integral of (rho')^2 / rho with the node limit 4 |psi'|^2."""
-    _, fisher = _fisher_terms(profile.rho, profile.drho, _dpsi_abs2(profile),
-                              profile.grid.dx, node_eps)
-    return float(fisher)
-
-
-def shannon_entropy(profile: DensityProfile) -> float:
-    """S = -integral of rho log rho (nats), with 0 log 0 = 0."""
-    return float(_entropy(profile.rho, profile.grid.dx))
+    return (total > 0.0) & (top > 0.5 * total)
 
 
 def entropy_power(entropy: float) -> float:
@@ -147,46 +159,16 @@ def entropy_power(entropy: float) -> float:
     return math.exp(2.0 * entropy) / (2.0 * math.pi * math.e)
 
 
-def disequilibrium(profile: DensityProfile) -> float:
-    """D = integral of rho^2, the density's self-overlap."""
-    return float(_kernels.trapezoid(profile.rho * profile.rho, profile.grid.dx))
-
-
-def variance(profile: DensityProfile) -> float:
-    """V = <s^2> - <s>^2 under the density."""
-    return float(_variance(profile.rho, profile.grid))
-
-
-def lmc_complexity(profile: DensityProfile) -> float:
-    """Extension measure: disequilibrium times exp(entropy)."""
-    return disequilibrium(profile) * math.exp(shannon_entropy(profile))
-
-
-def cr_complexity(profile: DensityProfile, node_eps: float = 1e-13) -> float:
-    """Extension measure: Fisher information times variance."""
-    return fisher_information(profile, node_eps) * variance(profile)
-
-
-def is_edge_dominated(profile: DensityProfile, node_eps: float = 1e-13,
-                      cell_share: float = 0.002, fraction: float = 0.5) -> bool:
-    """True when a tiny share of grid cells carries most of the Fisher
-    integral, the signature of a density with sharp support edges whose
-    grid-scale jumps dominate the value (making it resolution-dependent)."""
-    if profile.rho.max(initial=0.0) <= 0.0:
-        return False
-    integrand, _ = _fisher_terms(profile.rho, profile.drho, _dpsi_abs2(profile),
-                                 profile.grid.dx, node_eps)
-    return bool(_edge_dominated(integrand, cell_share, fraction))
-
-
 def _reports(thetas, rho, drho, dpsi_abs2, grid: Grid, node_eps: float,
              extensions: bool) -> list[ComplexityReport]:
     """Reports of a block of profiles, (A x M) arrays with one row per angle
-    of ``thetas`` (canonical angles)."""
-    entropy = _entropy(rho, grid.dx)
-    integrand, fisher = _fisher_terms(rho, drho, dpsi_abs2, grid.dx, node_eps)
+    of ``thetas`` (canonical angles).  The extensions are the disequilibrium
+    D = integral of rho^2 and the variance V, combined as C_LMC = D exp(S)
+    and C_CR = I V, and the ``edge_dominated`` flag."""
+    entropy = _entropy(rho, grid)
+    integrand, fisher = _fisher_terms(rho, drho, dpsi_abs2, grid, node_eps)
     if extensions:
-        diseq = _kernels.trapezoid(rho * rho, grid.dx)
+        diseq = integrate(rho * rho, grid)
         var = _variance(rho, grid)
         edge = _edge_dominated(integrand)
     reports = []
@@ -207,7 +189,9 @@ def _reports(thetas, rho, drho, dpsi_abs2, grid: Grid, node_eps: float,
 def report_from_profile(profile: DensityProfile, node_eps: float = 1e-13,
                         extensions: bool = False) -> ComplexityReport:
     """Assemble the full per-angle report from one density profile: the
-    block computation with a single row."""
+    block computation with a single row.  With ``extensions`` it carries
+    every per-profile measure: I, S, J, C_FS, C_LMC, C_CR and the
+    edge-dominance flag."""
     return _reports([profile.theta], profile.rho[None], profile.drho[None],
                     _dpsi_abs2(profile)[None], profile.grid, node_eps,
                     extensions)[0]

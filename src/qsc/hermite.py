@@ -8,10 +8,12 @@ Gaussian-weighted functions
     u_{n+1}(x) = sqrt(2/(n+1)) * x * u_n(x) - sqrt(n/(n+1)) * u_{n-1}(x)
 
 which stays bounded up to quantum numbers of order 10^3, where the bare
-Hermite polynomials have long since overflowed.  The kernel carries a
-per-point exponent besides, so points inside the classical turning point but
-beyond the float range of exp(-x^2/2) still come out right.  Derivatives
-come from the ladder identity
+Hermite polynomials have long since overflowed.  The recurrence carries a
+per-point exponent besides: values are kept as v * exp(g), with v rescaled
+whenever it grows past 2**512, so points inside the classical turning point
+but beyond the float range of exp(-x^2/2) (|x| > 38.6) still come out right
+over the full (n <= 10^3, |x| <= 60) range.  Derivatives come from the
+ladder identity
 
     u_n'(x) = sqrt(n/2) * u_{n-1}(x) - sqrt((n+1)/2) * u_{n+1}(x)
 
@@ -27,7 +29,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .errors import NumericsError
 
 __all__ = ["BasisTable", "MAX_TABLE_CELLS", "build_basis_table",
@@ -36,12 +37,62 @@ __all__ = ["BasisTable", "MAX_TABLE_CELLS", "build_basis_table",
 # guards accidental huge allocations, not a tuning knob
 MAX_TABLE_CELLS = 1 << 27
 
+_SQRT2 = np.sqrt(2.0)
+_LOG_PI4 = -0.25 * np.log(np.pi)
+_RESCALE = 2.0 ** 512
+_INV_RESCALE = 2.0 ** -512
+_LOG_RESCALE = 512.0 * np.log(2.0)
+_EXP_SAFE = -690.0       # exp(g) is a normal float above this
+_LOG_TINY = -745.0       # exp below this underflows to zero
+
+
+def _unscale(v, g, w, unsafe):
+    out = v * w
+    if unsafe.any():
+        idx = unsafe & (v != 0.0)
+        t = g[idx] + np.log(np.abs(v[idx]))
+        out[idx] = np.where(t < _LOG_TINY, 0.0,
+                            np.copysign(np.exp(np.minimum(t, 0.0)), v[idx]))
+        out[unsafe & (v == 0.0)] = 0.0
+    return out
+
+
+def _hermite_table(points, n_max):
+    """Rows u_0..u_{n_max} and their derivatives at ``points``."""
+    m = points.shape[0]
+    g = _LOG_PI4 - 0.5 * points * points
+    unsafe = g <= _EXP_SAFE
+    w = np.where(unsafe, 0.0, np.exp(np.maximum(g, _EXP_SAFE)))
+    lo = np.ones(m)                      # v of row n-1 (row 0 to start)
+    hi = _SQRT2 * points                 # v of row n
+    values = np.empty((n_max + 2, m))
+    values[0] = _unscale(lo, g, w, unsafe)
+    values[1] = _unscale(hi, g, w, unsafe)
+    for n in range(1, n_max + 1):
+        nxt = (np.sqrt(2.0 / (n + 1.0)) * points * hi
+               - np.sqrt(n / (n + 1.0)) * lo)
+        big = np.abs(nxt) > _RESCALE
+        if big.any():
+            nxt[big] *= _INV_RESCALE
+            hi[big] *= _INV_RESCALE
+            g = g + np.where(big, _LOG_RESCALE, 0.0)
+            unsafe = g <= _EXP_SAFE
+            w = np.where(unsafe, 0.0, np.exp(np.maximum(g, _EXP_SAFE)))
+        lo, hi = hi, nxt
+        values[n + 1] = _unscale(hi, g, w, unsafe)
+    derivs = np.empty((n_max + 1, m))
+    derivs[0] = -np.sqrt(0.5) * values[1]
+    for n in range(1, n_max + 1):
+        derivs[n] = (np.sqrt(0.5 * n) * values[n - 1]
+                     - np.sqrt(0.5 * (n + 1.0)) * values[n + 1])
+    return np.ascontiguousarray(values[: n_max + 1]), derivs
+
 
 def _recurrence_triplet(n: int, x):
     """Return (u_{n-1}, u_n, u_{n+1}) at x, with u_{-1} = 0."""
     x = np.asarray(x, dtype=float)
     pts = np.ascontiguousarray(np.atleast_1d(x), dtype=float)
-    values, _ = _kernels.hermite_table(pts, n + 1)
+    values, _ = _hermite_table(pts, n + 1)
     lo = values[n - 1] if n > 0 else np.zeros_like(pts)
     return lo, values[n], values[n + 1]
 
@@ -91,7 +142,7 @@ def tabulate(points: np.ndarray, n_max: int) -> BasisTable:
     if cells > MAX_TABLE_CELLS:
         raise NumericsError(
             f"basis table of {cells} cells exceeds cap {MAX_TABLE_CELLS}")
-    values, derivs = _kernels.hermite_table(points, n_max)
+    values, derivs = _hermite_table(points, n_max)
     for arr in (points, values, derivs):
         arr.setflags(write=False)
     return BasisTable(n_max=n_max, points=points, values=values, derivs=derivs)

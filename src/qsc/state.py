@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels
 from .errors import NumericsError
 from .hermite import BasisTable
 
@@ -22,6 +21,7 @@ __all__ = ["DensityProfile", "FockState", "Grid", "canonical_theta",
            "rotate"]
 
 NORM_TOL = 1e-10
+_TINY = np.finfo(float).tiny
 
 
 def canonical_theta(theta: float) -> float:
@@ -87,14 +87,23 @@ def make_state(coeffs, renormalize: bool = False) -> FockState:
     """Build a FockState, verifying (or restoring) unit norm.
 
     Without ``renormalize`` the squared norm must already be within 1e-10 of
-    one; with it, any nonzero vector is accepted and scaled.
+    one; with it, any finite nonzero vector is accepted and scaled.
     """
     c = np.ascontiguousarray(coeffs, dtype=complex)
     if c.ndim != 1 or c.shape[0] == 0:
         raise ValueError("coefficients must be a non-empty 1-d sequence")
-    norm = math.sqrt(float(np.sum(np.abs(c) ** 2)))
-    if norm == 0.0:
+    if not np.isfinite(c).all():
+        raise ValueError("coefficients must be finite")
+    if not c.any():
         raise ValueError("state vector is identically zero")
+    with np.errstate(over="ignore", under="ignore"):
+        sum_sq = float(np.sum(np.abs(c) ** 2))
+    if renormalize and not _TINY <= sum_sq < math.inf:
+        # the squares underflow or overflow: divide by the largest real or
+        # imaginary part first, which leaves every modulus below sqrt(2)
+        c = c / np.max(np.abs(c.view(float)))
+        sum_sq = float(np.sum(np.abs(c) ** 2))
+    norm = math.sqrt(sum_sq)
     if renormalize:
         c = c / norm
     elif abs(norm - 1.0) > NORM_TOL:
@@ -137,10 +146,6 @@ class DensityProfile:
         drho = np.gradient(rho, grid.dx)
         return cls(grid=grid, theta=canonical_theta(theta), rho=rho, drho=drho)
 
-    def mass(self) -> float:
-        """Trapezoid integral of rho over the grid."""
-        return float(_kernels.trapezoid(self.rho, self.grid.dx))
-
 
 def density_block(state: FockState, thetas, grid: Grid, table: BasisTable):
     """rho = |psi|^2, drho = 2 Re(conj(psi) psi') and |psi'|^2 at every angle
@@ -148,7 +153,9 @@ def density_block(state: FockState, thetas, grid: Grid, table: BasisTable):
 
     psi(x_j) = sum_n c_n exp(i n theta) u_n(x_j); the derivative uses the
     tabulated ladder derivatives, never finite differences.  The phase is
-    applied with the raw angles.
+    applied with the raw angles.  The real and imaginary rows of the phased
+    coefficients are stacked into one (2A x K) real matrix, so psi and psi'
+    are one GEMM each against the table rows.
     """
     k = state.coeffs.shape[0]
     if table.n_max < state.n_max:
@@ -158,8 +165,20 @@ def density_block(state: FockState, thetas, grid: Grid, table: BasisTable):
         raise NumericsError("basis table was built on a different grid")
     phases = np.exp(1j * np.multiply.outer(np.asarray(thetas, dtype=float),
                                            np.arange(k)))
-    return _kernels.density_terms(state.coeffs * phases,
-                                  table.values[:k], table.derivs[:k])
+    phased = state.coeffs * phases
+    a = phased.shape[0]
+    c = np.concatenate((phased.real, phased.imag))
+    p = c @ table.values[:k]
+    q = c @ table.derivs[:k]
+    pr, pi, qr, qi = p[:a], p[a:], q[:a], q[a:]
+    rho = pr * pr
+    rho += pi * pi
+    drho = pr * qr
+    drho += pi * qi
+    drho *= 2.0
+    dpsi_abs2 = qr * qr
+    dpsi_abs2 += qi * qi
+    return rho, drho, dpsi_abs2
 
 
 def eval_density(state: FockState, theta: float, grid: Grid,

@@ -29,6 +29,11 @@ __all__ = ["SweepResult", "analyze", "global_fs", "min_fs", "sweep"]
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
+# lattice sizes: the first and the largest gfs lattice, and the mfs scan
+GFS_START = 32
+GFS_MAX_RESOLUTION = 1024
+MFS_SCAN = 128
+
 
 @dataclass(frozen=True)
 class SweepResult:
@@ -74,11 +79,11 @@ def sweep(state, n_theta: int, numerics: Numerics = DEFAULT_NUMERICS,
 
 def _gfs(ev, numerics: Numerics):
     """Periodic-trapezoid average of cfs with resolution doubling."""
-    res = numerics.gfs_start
+    res = GFS_START
     values = [r.cfs for r in _reports_at(ev, _lattice(res))]
     estimate = float(np.mean(values))
     converged = False
-    while res < numerics.gfs_max_resolution:
+    while res < GFS_MAX_RESOLUTION:
         res *= 2
         values = [r.cfs for r in _reports_at(ev, _lattice(res))]
         refined = float(np.mean(values))
@@ -91,14 +96,18 @@ def _gfs(ev, numerics: Numerics):
 
 
 def _golden_min(f, lo: float, hi: float, tol: float):
-    """Golden-section minimization on [lo, hi]; returns the best point seen."""
+    """Golden-section minimization on [lo, hi]; returns the best point seen.
+    Stops once the bracket is within ``tol`` or no longer shrinks (it has
+    reached the float spacing, which a tiny ``tol`` would never undercut)."""
     h = hi - lo
     c = hi - _INV_PHI * h
     d = lo + _INV_PHI * h
     fc = f(c)
     fd = f(d)
     best_x, best_f = (c, fc) if fc <= fd else (d, fd)
-    while h > tol:
+    prev = math.inf
+    while tol < h < prev:
+        prev = h
         if fc < fd:
             hi, d, fd = d, c, fc
             h = hi - lo
@@ -120,7 +129,7 @@ def _mfs(ev, numerics: Numerics, extra_seeds=()):
     """Coarse periodic scan, then golden-section refinement around the best
     sample (ties break toward smaller theta).  ``extra_seeds`` adds lattice
     angles from other computations whose minima must not be missed."""
-    n = numerics.mfs_scan
+    n = MFS_SCAN
     thetas = _lattice(n)
     values = [r.cfs for r in _reports_at(ev, thetas)]
     k = int(np.argmin(values))

@@ -57,7 +57,7 @@ PUBLISHED_PHASE = math.pi / 3
 #     rho = (psi_0^2 + psi_m^2 + 2 cos(alpha) psi_0 psi_m) / 2.
 # psi_0 and psi_m come from numpy's Hermite polynomials and the integrals
 # from a plain uniform grid: nothing here goes through qsc.hermite,
-# qsc.state, qsc._kernels or qsc.functionals.  With rho' = 2 Re(psi* psi')
+# qsc.state or qsc.functionals.  With rho' = 2 Re(psi* psi')
 # the Fisher integrand is bounded by 4 |psi'|^2, its limit at a node.  Where
 # the real wavefunction at alpha = 0 or pi has nodes, the density near that
 # alpha dips almost to zero over a width that shrinks with sin(alpha);

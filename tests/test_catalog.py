@@ -4,16 +4,14 @@ import warnings
 import numpy as np
 import pytest
 
-from qsc import _kernels
 from qsc.catalog import (AnalyticGaussian, BoxSpec, box_cfs_momentum,
                          box_cfs_position, box_k_integral, box_state,
                          box_wavefunction, choose_squeezed_truncation,
                          gaussian_sigma_theta, parse_state_literal,
                          squeezed_vacuum_fock, superposition_state)
 from qsc.errors import NumericsError, ParseError
-from qsc.functionals import (FockEvaluator, Numerics, entropy_power,
-                             fisher_information, fs_complexity,
-                             shannon_entropy)
+from qsc.functionals import (FockEvaluator, Numerics, fs_complexity,
+                             integrate, report_from_profile)
 from qsc.state import DensityProfile, FockState, Grid
 from conftest import INV_SQRT2, fock
 
@@ -145,21 +143,19 @@ class TestBoxState:
         prof = FockEvaluator(box256[2]).profile(0.0)
         x = prof.grid.points
         exact = np.where(np.abs(x) <= 1.0, np.sin(math.pi * (x - 1.0)) ** 2, 0.0)
-        l1 = _kernels.trapezoid(np.abs(prof.rho - exact), prof.grid.dx)
+        l1 = integrate(np.abs(prof.rho - exact), prof.grid)
         assert l1 < 0.02
 
     def test_position_fisher_approaches_exact(self, box256):
         # truncation-limited: ~3% at 256 terms, tightening with n_fock
         for n in (1, 3):
-            fisher = fisher_information(FockEvaluator(box256[n]).profile(0.0))
+            fisher = fs_complexity(box256[n], 0.0).fisher
             assert fisher == pytest.approx(math.pi ** 2 * n * n, rel=0.04)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             finer = box_state(BoxSpec(n=1, n_fock=512))
-        err_256 = abs(fisher_information(FockEvaluator(box256[1]).profile(0.0))
-                      - math.pi ** 2)
-        err_512 = abs(fisher_information(FockEvaluator(finer).profile(0.0))
-                      - math.pi ** 2)
+        err_256 = abs(fs_complexity(box256[1], 0.0).fisher - math.pi ** 2)
+        err_512 = abs(fs_complexity(finer, 0.0).fisher - math.pi ** 2)
         assert err_512 < err_256
 
     def test_position_complexity_converges_to_closed_form(self, box256):
@@ -177,9 +173,8 @@ class TestBoxClosedForms:
         assert box_cfs_position(5) == pytest.approx(25 * base, rel=1e-12)
 
     def test_k_integral_frozen_value(self):
-        value, info = box_k_integral(1, full_output=True)
-        assert info["converged"] and info["tail_bound"] < 1e-8
-        assert value == pytest.approx(K1_VALUE, abs=1e-10)
+        # the panel loop returns only once the tail bound is below 1e-8
+        assert box_k_integral(1) == pytest.approx(K1_VALUE, abs=1e-10)
 
     def test_k_integral_stable_under_node_doubling(self):
         a = box_k_integral(2, points_per_panel=64)
@@ -205,14 +200,12 @@ class TestBoxClosedForms:
         target = Grid(extent=25.0, count=4097)
         ft = (np.exp(-1j * np.outer(target.points, xs)) @ psi) * fine.dx
         rho = np.abs(ft) ** 2 / (2.0 * math.pi)
-        rho /= _kernels.trapezoid(rho, target.dx)
-        prof = DensityProfile.from_samples(target, rho)
-        oracle_cfs = (fisher_information(prof)
-                      * entropy_power(shannon_entropy(prof)))
-        pipeline = fs_complexity(box256[n], math.pi / 2).cfs
-        assert pipeline == pytest.approx(oracle_cfs, rel=5e-3)
+        rho /= integrate(rho, target)
+        oracle = report_from_profile(DensityProfile.from_samples(target, rho))
+        pipeline = fs_complexity(box256[n], math.pi / 2)
+        assert pipeline.cfs == pytest.approx(oracle.cfs, rel=5e-3)
         # momentum-side Fisher information has the closed form 4<x^2>
-        fisher = fisher_information(FockEvaluator(box256[n]).profile(math.pi / 2))
+        fisher = pipeline.fisher
         exact = 4.0 / 3.0 * (1.0 - 6.0 / (math.pi ** 2 * n * n))
         assert fisher == pytest.approx(exact, rel=5e-3)
 

@@ -63,6 +63,37 @@ class TestMeasure:
         assert out == ""
         assert "not finite" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("gfs", "fock:1", "--gfs-rel-tol", "nan"),
+        ("gfs", "fock:1", "--gfs-rel-tol", "-1"),
+        ("measure", "fock:1", "--node-eps", "nan"),
+        ("mfs", "fock:1", "--mfs-theta-tol", "nan"),
+        ("mfs", "fock:1", "--mfs-theta-tol", "0"),
+        ("measure", "fock:1", "--grid-margin", "nan"),
+        ("measure", "fock:1", "--grid-points", "1"),
+        ("sweep", "fock:1", "--theta-samples", "2"),
+    ])
+    def test_bad_numerics_flag_is_a_parse_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "error" in err
+
+    @pytest.mark.parametrize("literal", ["super:1e300,1e300",
+                                         "super:1e-170,1e-170"])
+    def test_coefficient_scale_does_not_matter(self, capsys, literal):
+        # |c|^2 overflows or underflows; the renormalized state is (|0>+|1>)/sqrt(2)
+        code, out, _ = run_cli(capsys, "measure", literal, "--theta", "0.3")
+        assert code == 0
+        _, expected, _ = run_cli(capsys, "measure", "super:1,1", "--theta", "0.3")
+        assert out == expected
+
+    def test_non_finite_coefficient_is_named(self, capsys):
+        code, out, err = run_cli(capsys, "measure", "super:inf,1")
+        assert code == 2
+        assert out == ""
+        assert "'inf'" in err
+
     def test_unknown_flag_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["measure", "fock:1", "--frobnicate"])

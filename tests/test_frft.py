@@ -4,10 +4,10 @@ import warnings
 import numpy as np
 import pytest
 
-from qsc import _kernels
 from qsc.catalog import box_wavefunction, superposition_state
 from qsc.errors import NumericsError
 from qsc.frft import KernelTransform, equivalence_failures, kernel, transform
+from qsc.functionals import integrate
 from qsc.hermite import build_basis_table
 from qsc.state import Grid, default_grid, eval_density, make_state
 from conftest import INV_SQRT2, fock
@@ -24,7 +24,7 @@ def small_table(small_grid):
 
 
 def l1_distance(a, b, grid):
-    return _kernels.trapezoid(np.abs(np.asarray(a) - np.asarray(b)), grid.dx)
+    return integrate(np.abs(np.asarray(a) - np.asarray(b)), grid)
 
 
 class TestKernel:
@@ -72,7 +72,7 @@ class TestTransform:
         state = make_state([0.5, 0.5j, 0.5, -0.5], renormalize=True)
         psi = state.coeffs @ small_table.values[:4].astype(complex)
         out = transform(psi, 0.9, small_grid)
-        norm = _kernels.trapezoid(np.abs(out) ** 2, small_grid.dx)
+        norm = integrate(np.abs(out) ** 2, small_grid)
         assert norm == pytest.approx(1.0, abs=1e-6)
 
     def test_matches_phase_pipeline(self, small_grid, small_table):
@@ -133,8 +133,8 @@ class TestKernelTransform:
         kt = KernelTransform.build(1.1, grid)
         psi = (table.values[3] * 0.6 + table.values[5] * 0.8).astype(complex)
         out = kt.apply(psi)
-        assert _kernels.trapezoid(np.abs(out) ** 2, grid.dx) == pytest.approx(
-            _kernels.trapezoid(np.abs(psi) ** 2, grid.dx), abs=1e-6)
+        assert integrate(np.abs(out) ** 2, grid) == pytest.approx(
+            integrate(np.abs(psi) ** 2, grid), abs=1e-6)
 
 
 def test_equivalence_suite_is_clean():

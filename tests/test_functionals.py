@@ -6,10 +6,8 @@ import pytest
 from qsc.catalog import AnalyticGaussian, GaussianEvaluator
 from qsc.errors import NumericsError
 from qsc.functionals import (ComplexityReport, FockEvaluator, Numerics,
-                             cr_complexity, disequilibrium, entropy_power,
-                             fisher_information, fs_complexity, integrate,
-                             is_edge_dominated, lmc_complexity,
-                             report_from_profile, shannon_entropy, variance)
+                             _variance, entropy_power, fs_complexity,
+                             integrate, report_from_profile)
 from qsc.state import DensityProfile, Grid, default_grid, make_state
 from conftest import INV_SQRT2, fock
 
@@ -30,6 +28,23 @@ def uniform_profile(half_width=1.0, count=2001):
     # interior derivative of the flat density is identically zero
     return DensityProfile(grid=grid, theta=0.0, rho=rho,
                           drho=np.zeros(count))
+
+
+def measures(profile):
+    """Every per-profile measure: I, S, J, C_FS, C_LMC, C_CR, edge flag."""
+    return report_from_profile(profile, extensions=True)
+
+
+def diseq(profile):
+    # D = C_LMC / exp(S)
+    rep = measures(profile)
+    return rep.lmc / math.exp(rep.entropy)
+
+
+def variance(profile):
+    # V = C_CR / I
+    rep = measures(profile)
+    return rep.cr / rep.fisher
 
 
 def gaussian_profile(var, extent=40.0, count=8193):
@@ -58,17 +73,17 @@ class TestIntegrate:
 
 class TestFisher:
     def test_unit_gaussian(self):
-        assert fisher_information(gaussian_profile(1.0)) == pytest.approx(1.0, abs=1e-8)
+        assert measures(gaussian_profile(1.0)).fisher == pytest.approx(1.0, abs=1e-8)
 
     def test_vacuum(self):
         ev = FockEvaluator(fock(0))
-        assert fisher_information(ev.profile(0.0)) == pytest.approx(2.0, abs=1e-8)
+        assert measures(ev.profile(0.0)).fisher == pytest.approx(2.0, abs=1e-8)
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_fock_rows(self, n):
         # node-heavy densities; the integrand limit at each node is exercised
         ev = FockEvaluator(fock(n))
-        assert fisher_information(ev.profile(0.9)) == pytest.approx(
+        assert measures(ev.profile(0.9)).fisher == pytest.approx(
             4 * n + 2, rel=1e-6)
 
     def test_matches_momentum_operator_algebra(self):
@@ -82,27 +97,27 @@ class TestFisher:
         expected = 4.0 * (np.sum(c * c * (k + 0.5))
                           - np.sum(c[:-2] * c[2:] * np.sqrt((k[:-2] + 1) * (k[:-2] + 2))))
         ev = FockEvaluator(state)
-        assert fisher_information(ev.profile(0.0)) == pytest.approx(expected, rel=1e-7)
+        assert measures(ev.profile(0.0)).fisher == pytest.approx(expected, rel=1e-7)
 
     def test_degenerate_profile(self):
         grid = Grid(extent=1.0, count=64)
         prof = DensityProfile(grid=grid, theta=0.0, rho=np.zeros(64),
                               drho=np.zeros(64))
-        with pytest.raises(NumericsError):
-            fisher_information(prof)
+        with pytest.raises(NumericsError, match="degenerate profile"):
+            report_from_profile(prof)
 
 
 class TestEntropy:
     def test_uniform(self):
-        assert shannon_entropy(uniform_profile()) == pytest.approx(math.log(2), abs=1e-12)
+        assert measures(uniform_profile()).entropy == pytest.approx(math.log(2), abs=1e-12)
 
     def test_unit_gaussian(self):
-        assert shannon_entropy(gaussian_profile(1.0)) == pytest.approx(
+        assert measures(gaussian_profile(1.0)).entropy == pytest.approx(
             0.5 * math.log(2 * math.pi * math.e), abs=1e-8)
 
     def test_first_excited(self):
         ev = FockEvaluator(fock(1))
-        s = shannon_entropy(ev.profile(0.0))
+        s = measures(ev.profile(0.0)).entropy
         assert s == pytest.approx(S_FOCK1, abs=1e-7)
         assert s == pytest.approx(1.34272, abs=1e-4)
 
@@ -152,15 +167,15 @@ class TestComposite:
 
 class TestExtensionMeasures:
     def test_disequilibrium_uniform(self):
-        assert disequilibrium(uniform_profile()) == pytest.approx(0.5, abs=1e-12)
+        assert diseq(uniform_profile()) == pytest.approx(0.5, abs=1e-12)
 
     def test_disequilibrium_gaussian(self):
-        assert disequilibrium(gaussian_profile(1.0)) == pytest.approx(
+        assert diseq(gaussian_profile(1.0)) == pytest.approx(
             1.0 / (2 * math.sqrt(math.pi)), abs=1e-10)
 
     def test_disequilibrium_vacuum(self):
         ev = FockEvaluator(fock(0))
-        assert disequilibrium(ev.profile(0.0)) == pytest.approx(
+        assert diseq(ev.profile(0.0)) == pytest.approx(
             1.0 / math.sqrt(2 * math.pi), abs=1e-8)
 
     def test_variance_vacuum(self):
@@ -168,7 +183,10 @@ class TestExtensionMeasures:
         assert variance(ev.profile(0.0)) == pytest.approx(0.5, abs=1e-8)
 
     def test_variance_uniform(self):
-        assert variance(uniform_profile()) == pytest.approx(1.0 / 3.0, abs=1e-6)
+        # I = 0 for the flat density, so V cannot be read off C_CR = I V
+        prof = uniform_profile()
+        assert measures(prof).cr == 0.0
+        assert _variance(prof.rho, prof.grid) == pytest.approx(1.0 / 3.0, abs=1e-6)
 
     def test_variance_gaussian(self):
         assert variance(gaussian_profile(2.0)) == pytest.approx(2.0, abs=1e-8)
@@ -176,12 +194,12 @@ class TestExtensionMeasures:
     @pytest.mark.parametrize("var", [0.25, 1.0, 4.0])
     def test_lmc_gaussian_constant(self, var):
         # D * exp(S) = (2 sigma sqrt(pi))^-1 * sigma sqrt(2 pi e) = sqrt(e/2)
-        assert lmc_complexity(gaussian_profile(var)) == pytest.approx(
+        assert measures(gaussian_profile(var)).lmc == pytest.approx(
             math.sqrt(math.e / 2.0), abs=1e-6)
 
     @pytest.mark.parametrize("var", [0.25, 1.0, 4.0])
     def test_cr_gaussian_is_one(self, var):
-        assert cr_complexity(gaussian_profile(var)) == pytest.approx(1.0, abs=1e-6)
+        assert measures(gaussian_profile(var)).cr == pytest.approx(1.0, abs=1e-6)
 
     def test_cr_uniform_is_edge_dominated(self):
         # sampled discontinuous density: the grid-scale jump dominates the
@@ -191,14 +209,14 @@ class TestExtensionMeasures:
             grid = Grid(extent=2.0, count=count)
             rho = np.where(np.abs(grid.points) <= 1.0, 0.5, 0.0)
             prof = DensityProfile.from_samples(grid, rho)
-            assert is_edge_dominated(prof)
-            assert report_from_profile(prof, extensions=True).edge_dominated
-            values[count] = cr_complexity(prof)
+            rep = measures(prof)
+            assert rep.edge_dominated
+            values[count] = rep.cr
             assert math.isfinite(values[count])
         assert values[801] != pytest.approx(values[1601], rel=1e-2)
 
     def test_smooth_profile_not_edge_dominated(self):
-        assert not is_edge_dominated(gaussian_profile(1.0))
+        assert not measures(gaussian_profile(1.0)).edge_dominated
 
 
 class TestInvariants:
@@ -221,8 +239,10 @@ class TestInvariants:
                                   rho=prof.rho[::-1].copy(),
                                   drho=-prof.drho[::-1].copy(),
                                   dpsi_abs2=prof.dpsi_abs2[::-1].copy())
-        for fn in (fisher_information, shannon_entropy, disequilibrium, variance):
-            assert fn(mirrored) == pytest.approx(fn(prof), abs=1e-12)
+        base, flipped = measures(prof), measures(mirrored)
+        for name in ("fisher", "entropy", "lmc", "cr"):
+            assert getattr(flipped, name) == pytest.approx(
+                getattr(base, name), abs=1e-12), name
 
     @pytest.mark.parametrize("lam", [0.5, 2.0, 3.0])
     def test_scaling_laws(self, lam):

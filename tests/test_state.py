@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsc.errors import NumericsError
+from qsc.functionals import integrate
 from qsc.hermite import build_basis_table
 from qsc.state import (DensityProfile, Grid, canonical_theta, default_grid,
                        eval_density, make_state, rotate)
@@ -44,6 +45,16 @@ def test_make_state_requires_unit_norm():
 def test_make_state_rejects_zero_vector():
     with pytest.raises(ValueError, match="zero"):
         make_state([0.0, 0.0], renormalize=True)
+
+
+def test_make_state_scales_before_squaring():
+    # |c|^2 overflows or underflows, the renormalized coefficients do not
+    unit = make_state([1.0, 1.0j], renormalize=True).coeffs
+    for scale in (1e300, 1e-170):
+        coeffs = make_state([scale, scale * 1j], renormalize=True).coeffs
+        np.testing.assert_array_equal(coeffs, unit)
+    with pytest.raises(ValueError, match="finite"):
+        make_state([math.inf, 1.0], renormalize=True)
 
 
 def test_state_is_immutable():
@@ -100,7 +111,8 @@ def test_density_mass_is_one(theta):
     st_ = make_state([INV_SQRT2, 0.0, INV_SQRT2])
     grid = default_grid(2)
     table = build_basis_table(2, grid)
-    assert eval_density(st_, theta, grid, table).mass() == pytest.approx(1.0, abs=1e-8)
+    prof = eval_density(st_, theta, grid, table)
+    assert integrate(prof.rho, prof.grid) == pytest.approx(1.0, abs=1e-8)
 
 
 def test_excited_node_survives_rotation():
@@ -129,8 +141,8 @@ def test_norm_conservation_random_states():
         raw = rng.normal(size=13) + 1j * rng.normal(size=13)
         st_ = make_state(raw, renormalize=True)
         for theta in thetas:
-            assert eval_density(st_, theta, grid, table).mass() == pytest.approx(
-                1.0, abs=1e-8)
+            prof = eval_density(st_, theta, grid, table)
+            assert integrate(prof.rho, grid) == pytest.approx(1.0, abs=1e-8)
 
 
 def test_drho_matches_finite_differences():
@@ -158,7 +170,7 @@ def test_profile_from_samples():
     rho = np.where(np.abs(grid.points) <= 1.0, 0.5, 0.0)
     prof = DensityProfile.from_samples(grid, rho)
     # the sampled jump overshoots the exact mass by about half a cell
-    assert prof.mass() == pytest.approx(1.0, abs=5e-3)
+    assert integrate(prof.rho, grid) == pytest.approx(1.0, abs=5e-3)
     assert prof.dpsi_abs2 is None
     assert np.any(prof.drho != 0.0)
     with pytest.raises(ValueError):

@@ -150,9 +150,18 @@ def test_fock_rows_have_equal_global_minimum_single(phi1):
 
 
 def test_gfs_respects_custom_tolerance(phi1):
-    loose = Numerics(gfs_rel_tol=1e-3, gfs_start=8, gfs_max_resolution=64)
-    value = global_fs(phi1, loose)
-    assert value == pytest.approx(GFS_PHI1, rel=1e-3)
+    loose = analyze(phi1, Numerics(gfs_rel_tol=1e-3))
+    assert loose.converged
+    assert loose.resolution < analyze(phi1).resolution
+    assert loose.gfs == pytest.approx(GFS_PHI1, rel=1e-3)
+
+
+def test_golden_section_ends_below_float_spacing():
+    # a tolerance below the float spacing of the bracket must still end the
+    # search, with the value of the default tolerance
+    theta, value = min_fs(fock(1), Numerics(mfs_theta_tol=1e-300))
+    assert 0.0 <= theta < math.pi
+    assert value == pytest.approx(min_fs(fock(1))[1], rel=1e-12)
 
 
 def _random_state(terms: int, seed: int):
