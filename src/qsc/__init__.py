@@ -8,10 +8,9 @@ measure plus its two basis-independent companions: the angle average (global
 measure) and the angle minimum.
 """
 
-from .catalog import (AnalyticGaussian, BoxSpec, box_cfs_momentum,
-                      box_cfs_position, box_k_integral, box_state,
-                      box_wavefunction, choose_squeezed_truncation,
-                      gaussian_sigma_theta, parse_state_literal,
+from .catalog import (BoxSpec, box_cfs_momentum, box_cfs_position,
+                      box_k_integral, box_state, box_wavefunction,
+                      choose_squeezed_truncation, parse_state_literal,
                       squeezed_vacuum_fock, superposition_state)
 from .errors import NumericsError, ParseError, QscError
 from .frft import KernelTransform, kernel, transform
@@ -20,8 +19,9 @@ from .functionals import (ComplexityReport, FockEvaluator, Numerics,
                           report_from_profile)
 from .hermite import (BasisTable, build_basis_table, hermite_fn,
                       hermite_fn_derivative)
-from .state import (DensityProfile, FockState, Grid, canonical_theta,
-                    default_grid, eval_density, make_state, rotate)
+from .state import (AnalyticGaussian, DensityProfile, FockState, Grid,
+                    canonical_theta, default_grid, eval_density,
+                    gaussian_sigma_theta, make_state, rotate)
 from .sweep import SweepResult, analyze, global_fs, min_fs, sweep
 
 __version__ = "0.1.0"

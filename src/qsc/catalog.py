@@ -19,14 +19,12 @@ import numpy as np
 
 from . import hermite
 from .errors import NumericsError, ParseError
-from .functionals import DEFAULT_NUMERICS, Numerics, ProfileEvaluator
-from .state import DensityProfile, FockState, Grid, canonical_theta, make_state
+from .state import AnalyticGaussian, FockState, make_state
 
 __all__ = [
-    "AnalyticGaussian", "BoxSpec", "box_cfs_momentum", "box_cfs_position",
-    "box_k_integral", "box_state", "box_wavefunction",
-    "choose_squeezed_truncation", "gaussian_sigma_theta", "parse_state_literal",
-    "squeezed_vacuum_fock", "superposition_state",
+    "BoxSpec", "box_cfs_momentum", "box_cfs_position", "box_k_integral",
+    "box_state", "box_wavefunction", "choose_squeezed_truncation",
+    "parse_state_literal", "squeezed_vacuum_fock", "superposition_state",
 ]
 
 TRAILING_WARN = 1e-8
@@ -52,51 +50,6 @@ def superposition_state(m: int, a: float) -> FockState:
     if coeffs[m] == 0.0:
         return make_state(coeffs[:1])
     return make_state(coeffs)
-
-
-def gaussian_sigma_theta(sigma: float, theta: float) -> float:
-    """Variance of a Gaussian density after rotation to angle theta:
-    sigma_theta^2 = (sin^2 theta + sigma^4 cos^2 theta) / sigma^2."""
-    if sigma <= 0.0:
-        raise ValueError("sigma must be positive")
-    s, c = math.sin(theta), math.cos(theta)
-    return (s * s + sigma ** 4 * c * c) / (sigma * sigma)
-
-
-class GaussianEvaluator(ProfileEvaluator):
-    """Closed-form Gaussian densities fed through the standard functional
-    pipeline; exercises the quadrature path without any Fock machinery."""
-
-    def __init__(self, sigma: float, numerics: Numerics = DEFAULT_NUMERICS):
-        super().__init__(numerics)
-        self.sigma = sigma
-        widest = max(sigma, 1.0 / sigma)
-        self.grid = Grid(extent=(1.0 + numerics.grid_margin) * widest,
-                         count=numerics.grid_points)
-
-    def profile(self, theta: float) -> DensityProfile:
-        v = gaussian_sigma_theta(self.sigma, theta)
-        s = self.grid.points
-        rho = np.exp(-0.5 * s * s / v) / math.sqrt(2.0 * math.pi * v)
-        drho = -(s / v) * rho
-        # psi = sqrt(rho) up to a global phase, so |psi'|^2 = drho^2 / (4 rho)
-        dpsi_abs2 = (s * s) / (4.0 * v * v) * rho
-        return DensityProfile(grid=self.grid, theta=canonical_theta(theta),
-                              rho=rho, drho=drho, dpsi_abs2=dpsi_abs2)
-
-
-@dataclass(frozen=True)
-class AnalyticGaussian:
-    """A state whose density is Gaussian in every rotated quadrature."""
-
-    sigma: float
-
-    def __post_init__(self):
-        if self.sigma <= 0.0:
-            raise ValueError("sigma must be positive")
-
-    def complexity_evaluator(self, numerics: Numerics = DEFAULT_NUMERICS):
-        return GaussianEvaluator(self.sigma, numerics)
 
 
 def _squeezed_ratio(sigma: float) -> float:

@@ -32,13 +32,14 @@ import numpy as np
 
 from .errors import NumericsError
 from .hermite import build_basis_table
-from .state import (DensityProfile, FockState, Grid, canonical_theta,
-                    default_grid, density_block, eval_density)
+from .state import (AnalyticGaussian, DensityProfile, FockState, Grid,
+                    canonical_theta, default_grid, density_block, eval_density,
+                    gaussian_sigma_theta)
 
 __all__ = [
-    "ComplexityReport", "FockEvaluator", "Numerics", "ProfileEvaluator",
-    "entropy_power", "evaluator_for", "fs_complexity", "integrate",
-    "report_from_profile",
+    "ComplexityReport", "FockEvaluator", "GaussianEvaluator", "Numerics",
+    "ProfileEvaluator", "entropy_power", "evaluator_for", "fs_complexity",
+    "integrate", "report_from_profile",
 ]
 
 ENTROPY_POWER_GUARD = 350.0
@@ -198,30 +199,50 @@ def report_from_profile(profile: DensityProfile, node_eps: float = 1e-13,
 
 
 class ProfileEvaluator:
-    """Base for repeated per-theta evaluation of one state: subclasses supply
-    ``profile(theta)``; reports are memoized by the exact float angle."""
+    """One state evaluated at many angles.  Subclasses supply ``grid`` and
+    ``density_block(thetas)``: rho, drho and |psi'|^2 as (A x M) arrays,
+    one row per angle.  Reports are memoized by the exact float angle;
+    ``reports`` fills the missing angles of a lattice in blocks."""
 
     numerics: Numerics
+    grid: Grid
 
     def __init__(self, numerics: Numerics = DEFAULT_NUMERICS):
         self.numerics = numerics
-        self._cache: dict[tuple[float, bool], ComplexityReport] = {}
+        self._cache: dict[float, ComplexityReport] = {}
 
-    def profile(self, theta: float) -> DensityProfile:
+    def density_block(self, thetas):
         raise NotImplementedError
 
-    def fill(self, thetas, extensions: bool = False) -> None:
-        """Memoize the reports of all ``thetas``; here one angle at a time."""
-        for theta in thetas:
-            self.report(theta, extensions)
+    def profile(self, theta: float) -> DensityProfile:
+        """The one-row block at ``theta``; the stored angle is canonical."""
+        rho, drho, dpsi_abs2 = self.density_block([theta])
+        return DensityProfile(grid=self.grid, theta=canonical_theta(theta),
+                              rho=rho[0], drho=drho[0], dpsi_abs2=dpsi_abs2[0])
 
-    def report(self, theta: float, extensions: bool = False) -> ComplexityReport:
-        key = (theta, extensions)
-        hit = self._cache.get(key)
+    def reports(self, thetas) -> list[ComplexityReport]:
+        """Reports of all ``thetas`` in input order; the missing ones are
+        evaluated in blocks of ``block_rows`` rows."""
+        todo = [t for t in thetas if t not in self._cache]
+        rows = block_rows(self.grid.count)
+        for start in range(0, len(todo), rows):
+            block = todo[start:start + rows]
+            self._cache.update(zip(block, self._block_reports(block)))
+        return [self.report(t) for t in thetas]
+
+    def _block_reports(self, block):
+        # a function of its own, so one block's arrays are freed before the
+        # next block is evaluated
+        return _reports([canonical_theta(t) for t in block],
+                        *self.density_block(block), self.grid,
+                        self.numerics.node_eps, False)
+
+    def report(self, theta: float) -> ComplexityReport:
+        hit = self._cache.get(theta)
         if hit is None:
             hit = report_from_profile(self.profile(theta),
-                                      self.numerics.node_eps, extensions)
-            self._cache[key] = hit
+                                      self.numerics.node_eps)
+            self._cache[theta] = hit
         return hit
 
     def cfs(self, theta: float) -> float:
@@ -245,39 +266,50 @@ class FockEvaluator(ProfileEvaluator):
                                  numerics.grid_margin)
         self.table = build_basis_table(state.n_max, self.grid)
 
+    def density_block(self, thetas):
+        return density_block(self.state, thetas, self.grid, self.table)
+
     def profile(self, theta: float) -> DensityProfile:
+        # the same one-row block as the base class, through eval_density:
+        # the benchmark's tracer times single-angle density work at that name
         return eval_density(self.state, theta, self.grid, self.table)
 
-    def fill(self, thetas, extensions: bool = False) -> None:
-        """Memoize the reports of all ``thetas``, evaluating the missing
-        angles in blocks of ``block_rows`` rows."""
-        todo = [t for t in thetas if (t, extensions) not in self._cache]
-        rows = block_rows(self.grid.count)
-        for start in range(0, len(todo), rows):
-            block = todo[start:start + rows]
-            self._cache.update(zip([(t, extensions) for t in block],
-                                   self._block_reports(block, extensions)))
 
-    def _block_reports(self, block, extensions: bool):
-        # a function of its own, so one block's arrays are freed before the
-        # next block is evaluated
-        terms = density_block(self.state, block, self.grid, self.table)
-        return _reports([canonical_theta(t) for t in block], *terms,
-                        self.grid, self.numerics.node_eps, extensions)
+class GaussianEvaluator(ProfileEvaluator):
+    """Closed-form Gaussian densities fed through the standard functional
+    pipeline; exercises the quadrature path without any Fock machinery."""
+
+    def __init__(self, state: AnalyticGaussian,
+                 numerics: Numerics = DEFAULT_NUMERICS):
+        super().__init__(numerics)
+        self.sigma = state.sigma
+        widest = max(self.sigma, 1.0 / self.sigma)
+        self.grid = Grid(extent=(1.0 + numerics.grid_margin) * widest,
+                         count=numerics.grid_points)
+
+    def density_block(self, thetas):
+        # one variance per row from the scalar formula, broadcast along the grid
+        v = np.array([[gaussian_sigma_theta(self.sigma, t)] for t in thetas])
+        s = self.grid.points
+        rho = np.exp(-0.5 * s * s / v) / np.sqrt(2.0 * math.pi * v)
+        drho = -(s / v) * rho
+        # psi = sqrt(rho) up to a global phase, so |psi'|^2 = drho^2 / (4 rho)
+        dpsi_abs2 = (s * s) / (4.0 * v * v) * rho
+        return rho, drho, dpsi_abs2
 
 
 def evaluator_for(state, numerics: Numerics = DEFAULT_NUMERICS):
-    """Dispatch: FockStates get the Fock pipeline; anything exposing
-    ``complexity_evaluator`` (the analytic Gaussian family) supplies its own."""
-    maker = getattr(state, "complexity_evaluator", None)
-    if maker is not None:
-        return maker(numerics)
+    """The evaluator of a FockState or an AnalyticGaussian."""
     if isinstance(state, FockState):
         return FockEvaluator(state, numerics)
+    if isinstance(state, AnalyticGaussian):
+        return GaussianEvaluator(state, numerics)
     raise TypeError(f"cannot evaluate complexity of {type(state).__name__}")
 
 
 def fs_complexity(state, theta: float, numerics: Numerics = DEFAULT_NUMERICS,
                   extensions: bool = False) -> ComplexityReport:
     """Fisher-Shannon complexity report of a state at one angle."""
-    return evaluator_for(state, numerics).report(theta, extensions)
+    ev = evaluator_for(state, numerics)
+    return report_from_profile(ev.profile(theta), numerics.node_eps,
+                               extensions)

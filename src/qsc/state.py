@@ -16,9 +16,9 @@ import numpy as np
 from .errors import NumericsError
 from .hermite import BasisTable
 
-__all__ = ["DensityProfile", "FockState", "Grid", "canonical_theta",
-           "default_grid", "density_block", "eval_density", "make_state",
-           "rotate"]
+__all__ = ["AnalyticGaussian", "DensityProfile", "FockState", "Grid",
+           "canonical_theta", "default_grid", "density_block", "eval_density",
+           "gaussian_sigma_theta", "make_state", "rotate"]
 
 NORM_TOL = 1e-10
 _TINY = np.finfo(float).tiny
@@ -81,6 +81,27 @@ class FockState:
     def trailing_weight(self) -> float:
         """|c_N|^2 of the last kept coefficient, a truncation diagnostic."""
         return float(np.abs(self.coeffs[-1]) ** 2)
+
+
+def gaussian_sigma_theta(sigma: float, theta: float) -> float:
+    """Variance of a Gaussian density after rotation to angle theta:
+    sigma_theta^2 = (sin^2 theta + sigma^4 cos^2 theta) / sigma^2."""
+    if sigma <= 0.0:
+        raise ValueError("sigma must be positive")
+    s, c = math.sin(theta), math.cos(theta)
+    return (s * s + sigma ** 4 * c * c) / (sigma * sigma)
+
+
+@dataclass(frozen=True)
+class AnalyticGaussian:
+    """A state whose density is Gaussian in every rotated quadrature, of
+    variance ``gaussian_sigma_theta(sigma, theta)``."""
+
+    sigma: float
+
+    def __post_init__(self):
+        if self.sigma <= 0.0:
+            raise ValueError("sigma must be positive")
 
 
 def make_state(coeffs, renormalize: bool = False) -> FockState:

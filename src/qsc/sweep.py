@@ -56,22 +56,15 @@ def _lattice(n: int) -> list[float]:
     return [(k * math.pi) / n for k in range(n)]
 
 
-def _reports_at(ev, thetas, extensions: bool = False):
-    """Reports for all angles, in input order; the evaluator computes the
-    missing ones as a batch."""
-    ev.fill(thetas, extensions)
-    return [ev.report(t, extensions) for t in thetas]
-
-
-def sweep(state, n_theta: int, numerics: Numerics = DEFAULT_NUMERICS,
-          extensions: bool = False) -> SweepResult:
+def sweep(state, n_theta: int,
+          numerics: Numerics = DEFAULT_NUMERICS) -> SweepResult:
     """Evaluate the complexity report on the periodic lattice k pi / n_theta,
     k = 0..n_theta-1 (endpoint pi excluded)."""
     if n_theta < 4:
         raise ValueError("need at least 4 theta samples")
     ev = evaluator_for(state, numerics)
     thetas = _lattice(n_theta)
-    reports = _reports_at(ev, thetas, extensions)
+    reports = ev.reports(thetas)
     return SweepResult(thetas=np.array(thetas), reports=tuple(reports),
                        gfs=None, mfs=None, mfs_theta=None,
                        converged=True, resolution=n_theta)
@@ -80,12 +73,12 @@ def sweep(state, n_theta: int, numerics: Numerics = DEFAULT_NUMERICS,
 def _gfs(ev, numerics: Numerics):
     """Periodic-trapezoid average of cfs with resolution doubling."""
     res = GFS_START
-    values = [r.cfs for r in _reports_at(ev, _lattice(res))]
+    values = [r.cfs for r in ev.reports(_lattice(res))]
     estimate = float(np.mean(values))
     converged = False
     while res < GFS_MAX_RESOLUTION:
         res *= 2
-        values = [r.cfs for r in _reports_at(ev, _lattice(res))]
+        values = [r.cfs for r in ev.reports(_lattice(res))]
         refined = float(np.mean(values))
         if abs(refined - estimate) <= numerics.gfs_rel_tol * max(abs(refined), 1e-300):
             estimate = refined
@@ -131,7 +124,7 @@ def _mfs(ev, numerics: Numerics, extra_seeds=()):
     angles from other computations whose minima must not be missed."""
     n = MFS_SCAN
     thetas = _lattice(n)
-    values = [r.cfs for r in _reports_at(ev, thetas)]
+    values = [r.cfs for r in ev.reports(thetas)]
     k = int(np.argmin(values))
     seeds = [(thetas[k], math.pi / n)]
     for theta, spacing in extra_seeds:
@@ -166,7 +159,7 @@ def analyze(state, numerics: Numerics = DEFAULT_NUMERICS) -> SweepResult:
     ev = evaluator_for(state, numerics)
     gfs_value, converged, resolution = _gfs(ev, numerics)
     thetas = _lattice(resolution)
-    reports = _reports_at(ev, thetas)
+    reports = ev.reports(thetas)
     cfs_values = [r.cfs for r in reports]
     k_best = int(np.argmin(cfs_values))
     mfs_theta, mfs_value = _mfs(

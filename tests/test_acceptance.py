@@ -33,13 +33,12 @@ import warnings
 import numpy as np
 import pytest
 
-from qsc.catalog import (AnalyticGaussian, BoxSpec, box_cfs_momentum,
-                         box_cfs_position, box_state,
-                         choose_squeezed_truncation, squeezed_vacuum_fock,
-                         superposition_state)
+from qsc.catalog import (BoxSpec, box_cfs_momentum, box_cfs_position,
+                         box_state, choose_squeezed_truncation,
+                         squeezed_vacuum_fock, superposition_state)
 from qsc.frft import equivalence_failures
 from qsc.functionals import FockEvaluator, Numerics, fs_complexity
-from qsc.state import make_state, rotate
+from qsc.state import AnalyticGaussian, make_state, rotate
 from qsc.sweep import analyze
 from conftest import INV_SQRT2, fock
 

@@ -4,15 +4,15 @@ import warnings
 import numpy as np
 import pytest
 
-from qsc.catalog import (AnalyticGaussian, BoxSpec, box_cfs_momentum,
-                         box_cfs_position, box_k_integral, box_state,
-                         box_wavefunction, choose_squeezed_truncation,
-                         gaussian_sigma_theta, parse_state_literal,
+from qsc.catalog import (BoxSpec, box_cfs_momentum, box_cfs_position,
+                         box_k_integral, box_state, box_wavefunction,
+                         choose_squeezed_truncation, parse_state_literal,
                          squeezed_vacuum_fock, superposition_state)
 from qsc.errors import NumericsError, ParseError
-from qsc.functionals import (FockEvaluator, Numerics, fs_complexity,
+from qsc.functionals import (FockEvaluator, evaluator_for, fs_complexity,
                              integrate, report_from_profile)
-from qsc.state import DensityProfile, FockState, Grid
+from qsc.state import (AnalyticGaussian, DensityProfile, FockState, Grid,
+                       gaussian_sigma_theta)
 from conftest import INV_SQRT2, fock
 
 # self-converged reference, stable to 3e-12 under per-panel node doubling
@@ -57,7 +57,7 @@ class TestGaussianFamily:
             gaussian_sigma_theta(0.0, 0.1)
 
     def test_analytic_curve_is_flat(self):
-        ev = AnalyticGaussian(1.5).complexity_evaluator(Numerics())
+        ev = evaluator_for(AnalyticGaussian(1.5))
         for theta in (0.0, 0.3, math.pi / 2, 2.8):
             assert ev.cfs(theta) == pytest.approx(1.0, abs=1e-5)
 

@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from qsc.catalog import AnalyticGaussian, GaussianEvaluator
 from qsc.errors import NumericsError
 from qsc.functionals import (ComplexityReport, FockEvaluator, Numerics,
-                             _variance, entropy_power, fs_complexity,
-                             integrate, report_from_profile)
-from qsc.state import DensityProfile, Grid, default_grid, make_state
+                             _variance, entropy_power, evaluator_for,
+                             fs_complexity, integrate, report_from_profile)
+from qsc.state import (AnalyticGaussian, DensityProfile, Grid, default_grid,
+                       make_state)
 from conftest import INV_SQRT2, fock
 
 # frozen from 30-digit quadrature of the closed-form densities
@@ -18,8 +18,6 @@ CFS_PHI1_PLUS = 3.5726127575513167
 CFS_PHI1_MINUS = 3.8624534498035632
 CFS_PHI2_PLUS = 7.8354319875545696
 CFS_PHI2_MINUS = 14.164241649550173
-
-GAUSS = AnalyticGaussian(1.0).complexity_evaluator(Numerics())
 
 
 def uniform_profile(half_width=1.0, count=2001):
@@ -47,9 +45,9 @@ def variance(profile):
     return rep.cr / rep.fisher
 
 
-def gaussian_profile(var, extent=40.0, count=8193):
-    return GaussianEvaluator(math.sqrt(var),
-                             Numerics(grid_points=count)).profile(0.0)
+def gaussian_profile(var, count=8193):
+    return evaluator_for(AnalyticGaussian(math.sqrt(var)),
+                         Numerics(grid_points=count)).profile(0.0)
 
 
 class TestIntegrate:
@@ -228,7 +226,7 @@ class TestInvariants:
 
     @pytest.mark.parametrize("sigma", [0.25, 0.5, 1.0, 2.0, 4.0])
     def test_gaussian_baseline(self, sigma):
-        ev = AnalyticGaussian(sigma).complexity_evaluator(Numerics())
+        ev = evaluator_for(AnalyticGaussian(sigma))
         assert ev.cfs(0.0) == pytest.approx(1.0, abs=1e-6)
 
     def test_reflection_invariance(self):

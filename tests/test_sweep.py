@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 import qsc
-from qsc.catalog import AnalyticGaussian, superposition_state
+from qsc.catalog import superposition_state
 from qsc.functionals import FockEvaluator, Numerics, block_rows, fs_complexity
-from qsc.state import make_state, rotate
+from qsc.state import AnalyticGaussian, make_state, rotate
 from qsc.sweep import SweepResult, analyze, global_fs, min_fs, sweep
 from conftest import INV_SQRT2, fock
 
@@ -177,29 +177,26 @@ def _assert_reports_agree(block, single, names=("fisher", "entropy", "cfs")):
             getattr(single, name), rel=1e-13), name
 
 
-def test_block_reports_match_single_angle_reports():
-    # 257 terms, and a lattice that ends on a partial block
-    state = _random_state(257, 17)
+def _box_n2():
+    import warnings
+    from qsc.catalog import BoxSpec, box_state
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return box_state(BoxSpec(n=2, n_fock=256))
+
+
+@pytest.mark.parametrize("make", [lambda: _random_state(257, 17), _box_n2,
+                                  lambda: AnalyticGaussian(2.0)],
+                         ids=["super257", "box_n2", "analytic_gauss"])
+def test_block_reports_match_single_angle_reports(make):
+    # a lattice that ends on a partial block, for each state family
+    state = make()
     rows = block_rows(Numerics().grid_points)
     n_theta = 2 * rows + 3
     assert n_theta % rows != 0
     res = sweep(state, n_theta)
     for theta, report in zip(res.thetas, res.reports):
         _assert_reports_agree(report, fs_complexity(state, float(theta)))
-
-
-def test_block_extension_measures_match_measure():
-    import warnings
-    from qsc.catalog import BoxSpec, box_state
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        state = box_state(BoxSpec(n=2, n_fock=256))
-    res = sweep(state, 12, extensions=True)
-    for theta, report in zip(res.thetas, res.reports):
-        single = fs_complexity(state, float(theta), extensions=True)
-        _assert_reports_agree(report, single,
-                              ("fisher", "entropy", "cfs", "lmc", "cr"))
-        assert report.edge_dominated == single.edge_dominated
 
 
 def test_sweep_csv_is_the_same_for_any_blas_thread_count():
