@@ -333,7 +333,10 @@ def parse_state_literal(text: str):
             if sigma <= 0:
                 raise ParseError("gauss: sigma must be positive")
             if analytic:
-                return AnalyticGaussian(sigma)
+                try:
+                    return AnalyticGaussian(sigma)
+                except ValueError as exc:
+                    raise ParseError(f"gauss: {exc}") from None
             try:
                 if trunc is None:
                     trunc = choose_squeezed_truncation(sigma)
@@ -345,7 +348,7 @@ def parse_state_literal(text: str):
         if "n" not in fields:
             raise ParseError("box: needs n=")
         n = take_int("n")
-        trunc = take_int("N") if "N" in fields else 256
+        trunc = take_int("N") if "N" in fields else BoxSpec.n_fock
         if fields:
             raise ParseError(f"box: unknown fields {sorted(fields)}")
         try:

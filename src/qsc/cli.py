@@ -12,15 +12,12 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from .catalog import (BoxSpec, box_cfs_momentum, box_cfs_position, box_state,
                       parse_state_literal, superposition_state)
 from .errors import NumericsError, ParseError
 from .frft import equivalence_failures
-from .functionals import Numerics, fs_complexity
+from .functionals import DEFAULT_NUMERICS, Numerics, fs_complexity
 from .sweep import analyze, global_fs, min_fs, sweep
-from .state import make_state
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -49,15 +46,16 @@ def _numerics(args) -> Numerics:
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--grid-points", type=int, default=4096,
-                   help="grid resolution M (default 4096)")
-    p.add_argument("--grid-margin", type=float, default=6.0,
+    d = DEFAULT_NUMERICS
+    p.add_argument("--grid-points", type=int, default=d.grid_points,
+                   help="grid resolution M (default %(default)s)")
+    p.add_argument("--grid-margin", type=float, default=d.grid_margin,
                    help="grid extent beyond the classical turning point")
-    p.add_argument("--node-eps", type=float, default=1e-13,
+    p.add_argument("--node-eps", type=float, default=d.node_eps,
                    help="node threshold relative to max(rho)")
-    p.add_argument("--gfs-rel-tol", type=float, default=1e-5,
+    p.add_argument("--gfs-rel-tol", type=float, default=d.gfs_rel_tol,
                    help="relative tolerance of the global-measure refinement")
-    p.add_argument("--mfs-theta-tol", type=float, default=1e-6,
+    p.add_argument("--mfs-theta-tol", type=float, default=d.mfs_theta_tol,
                    help="angle tolerance of the minimum search")
 
 
@@ -169,12 +167,6 @@ def cmd_mfs(args) -> int:
 TABLE1 = (5.15, 11.7, 20.5, 31.3, 44.2, 59.0, 75.7, 94.3, 114.0, 137.0)
 
 
-def _fock(n: int):
-    coeffs = np.zeros(n + 1, dtype=complex)
-    coeffs[n] = 1.0
-    return make_state(coeffs)
-
-
 def _reference_rows(numerics: Numerics, sections=("table1", "phi", "global",
                                                   "minimum", "box")):
     rows = []
@@ -190,7 +182,8 @@ def _reference_rows(numerics: Numerics, sections=("table1", "phi", "global",
     if "table1" in sections:
         for n, ref in enumerate(TABLE1, start=1):
             add(f"table1:fock_{n}", ref,
-                fs_complexity(_fock(n), 0.0, numerics).cfs, 0.01, "rel")
+                fs_complexity(parse_state_literal(f"fock:{n}"), 0.0,
+                              numerics).cfs, 0.01, "rel")
     if "phi" in sections:
         phi1 = {s: superposition_state(2, s * INV_SQRT2) for s in (+1, -1)}
         phi2 = {s: superposition_state(4, s * INV_SQRT2) for s in (+1, -1)}
@@ -220,7 +213,7 @@ def _reference_rows(numerics: Numerics, sections=("table1", "phi", "global",
                     0.01, "abs")
     if "box" in sections:
         for n in range(1, 6):
-            state = box_state(BoxSpec(n=n, n_fock=256))
+            state = box_state(BoxSpec(n=n))
             add(f"box:position_n={n}", box_cfs_position(n),
                 fs_complexity(state, 0.0, numerics).cfs, 0.01, "rel")
     return rows
@@ -245,9 +238,16 @@ def cmd_table1(args) -> int:
 
 def cmd_box(args) -> int:
     numerics = _numerics(args)
+    if args.n_max < 1:
+        raise ParseError(f"--n-max must be >= 1, got {args.n_max}")
+    try:
+        specs = [BoxSpec(n=n, n_fock=args.n_fock)
+                 for n in range(1, args.n_max + 1)]
+    except ValueError as exc:
+        raise ParseError(f"--n-fock {args.n_fock}: {exc}") from None
     rows = []
-    for n in range(1, args.n_max + 1):
-        state = box_state(BoxSpec(n=n, n_fock=args.n_fock))
+    for n, spec in enumerate(specs, start=1):
+        state = box_state(spec)
         pos = fs_complexity(state, 0.0, numerics).cfs
         mom = fs_complexity(state, math.pi / 2.0, numerics).cfs
         pos_ref = box_cfs_position(n)
@@ -337,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("box", help="well eigenstates: pipeline vs formulas")
     p.add_argument("--n-max", type=int, default=5)
-    p.add_argument("--n-fock", type=int, default=256)
+    p.add_argument("--n-fock", type=int, default=BoxSpec.n_fock)
     p.add_argument("--json", action="store_true")
     _add_common(p)
     p.set_defaults(fn=cmd_box)
@@ -349,7 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_reproduce)
 
     p = sub.add_parser("selftest", help="kernel-oracle equivalence suite")
-    _add_common(p)
     p.set_defaults(fn=cmd_selftest)
 
     return parser

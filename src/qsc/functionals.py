@@ -49,6 +49,11 @@ ENTROPY_POWER_GUARD = 350.0
 # once the GEMMs have 16 rows, and every byte adds to the peak memory.
 BLOCK_BYTES = 2 ** 21
 
+# Largest deviation from 1 of the discrete mass that an evaluator accepts in
+# the densities it checks when it is built.  Grids that hold the state
+# measure below 1e-11; grids too coarse or too short, 2e-3 and more.
+MASS_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class Numerics:
@@ -214,6 +219,16 @@ class ProfileEvaluator:
     def density_block(self, thetas):
         raise NotImplementedError
 
+    def _check_mass(self, mass) -> None:
+        """Refuse a grid on which a discrete mass is not 1 within MASS_TOL."""
+        worst = float(np.max(np.abs(mass - 1.0)))
+        if not worst <= MASS_TOL:
+            raise NumericsError(
+                f"the grid of {self.grid.count} points on +-"
+                f"{self.grid.extent:.6g} cannot hold the state: its mass is "
+                f"off by {worst:.3g} (tolerance {MASS_TOL:g}); it needs more "
+                "points or another margin")
+
     def profile(self, theta: float) -> DensityProfile:
         """The one-row block at ``theta``; the stored angle is canonical."""
         rho, drho, dpsi_abs2 = self.density_block([theta])
@@ -257,7 +272,9 @@ def block_rows(grid_points: int) -> int:
 
 
 class FockEvaluator(ProfileEvaluator):
-    """Fock-pipeline evaluator: caches the grid and basis table of one state."""
+    """Fock-pipeline evaluator: caches the grid and basis table of one state.
+    The grid must hold the top basis row, whose norm does not depend on the
+    angle."""
 
     def __init__(self, state: FockState, numerics: Numerics = DEFAULT_NUMERICS):
         super().__init__(numerics)
@@ -265,6 +282,8 @@ class FockEvaluator(ProfileEvaluator):
         self.grid = default_grid(state.n_max, numerics.grid_points,
                                  numerics.grid_margin)
         self.table = build_basis_table(state.n_max, self.grid)
+        self._check_mass(integrate(np.square(self.table.values[-1]),
+                                   self.grid))
 
     def density_block(self, thetas):
         return density_block(self.state, thetas, self.grid, self.table)
@@ -277,7 +296,9 @@ class FockEvaluator(ProfileEvaluator):
 
 class GaussianEvaluator(ProfileEvaluator):
     """Closed-form Gaussian densities fed through the standard functional
-    pipeline; exercises the quadrature path without any Fock machinery."""
+    pipeline; exercises the quadrature path without any Fock machinery.
+    The grid must hold the narrowest and the widest density, at theta = 0
+    and pi/2."""
 
     def __init__(self, state: AnalyticGaussian,
                  numerics: Numerics = DEFAULT_NUMERICS):
@@ -286,6 +307,10 @@ class GaussianEvaluator(ProfileEvaluator):
         widest = max(self.sigma, 1.0 / self.sigma)
         self.grid = Grid(extent=(1.0 + numerics.grid_margin) * widest,
                          count=numerics.grid_points)
+        # a grid that cannot hold the state may overflow s^2 / v
+        with np.errstate(over="ignore", invalid="ignore"):
+            rho = self.density_block([0.0, 0.5 * math.pi])[0]
+        self._check_mass(integrate(rho, self.grid))
 
     def density_block(self, thetas):
         # one variance per row from the scalar formula, broadcast along the grid

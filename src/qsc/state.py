@@ -22,6 +22,10 @@ __all__ = ["AnalyticGaussian", "DensityProfile", "FockState", "Grid",
 
 NORM_TOL = 1e-10
 _TINY = np.finfo(float).tiny
+# Gaussian widths whose sigma^4 and sigma^-4 are normal floats, so the
+# rotated variance neither overflows nor loses its smaller term to underflow
+SIGMA_MIN = float(_TINY) ** 0.25
+SIGMA_MAX = 1.0 / SIGMA_MIN
 
 
 def canonical_theta(theta: float) -> float:
@@ -83,11 +87,16 @@ class FockState:
         return float(np.abs(self.coeffs[-1]) ** 2)
 
 
+def _check_sigma(sigma: float) -> None:
+    if not SIGMA_MIN <= sigma <= SIGMA_MAX:
+        raise ValueError(f"sigma must lie in [{SIGMA_MIN:.3g}, "
+                         f"{SIGMA_MAX:.3g}], got {sigma!r}")
+
+
 def gaussian_sigma_theta(sigma: float, theta: float) -> float:
     """Variance of a Gaussian density after rotation to angle theta:
     sigma_theta^2 = (sin^2 theta + sigma^4 cos^2 theta) / sigma^2."""
-    if sigma <= 0.0:
-        raise ValueError("sigma must be positive")
+    _check_sigma(sigma)
     s, c = math.sin(theta), math.cos(theta)
     return (s * s + sigma ** 4 * c * c) / (sigma * sigma)
 
@@ -100,8 +109,7 @@ class AnalyticGaussian:
     sigma: float
 
     def __post_init__(self):
-        if self.sigma <= 0.0:
-            raise ValueError("sigma must be positive")
+        _check_sigma(self.sigma)
 
 
 def make_state(coeffs, renormalize: bool = False) -> FockState:

@@ -62,8 +62,12 @@ class TestGaussianFamily:
             assert ev.cfs(theta) == pytest.approx(1.0, abs=1e-5)
 
     def test_sigma_validation(self):
-        with pytest.raises(ValueError):
-            AnalyticGaussian(-1.0)
+        # beyond about 1e77 (or below 1e-77) sigma^4 leaves the float range
+        for sigma in (-1.0, 0.0, 1e150, 1e-150, math.nan):
+            with pytest.raises(ValueError):
+                AnalyticGaussian(sigma)
+            with pytest.raises(ValueError):
+                gaussian_sigma_theta(sigma, 0.1)
 
 
 class TestSqueezedVacuum:

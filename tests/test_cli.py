@@ -6,7 +6,8 @@ import warnings
 
 import pytest
 
-from qsc.cli import main
+from qsc.cli import _numerics, build_parser, main
+from qsc.functionals import Numerics
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
@@ -78,6 +79,25 @@ class TestMeasure:
         assert code == 2
         assert out == ""
         assert "error" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("measure", "fock:1", "--grid-points", "2"),
+        ("mfs", "gauss:sigma=100,analytic"),
+        ("gfs", "gauss:sigma=30,analytic"),
+        ("measure", "gauss:sigma=2,analytic", "--grid-margin", "2"),
+    ])
+    def test_grid_that_cannot_hold_the_state_is_refused(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert "cannot hold the state" in err
+
+    @pytest.mark.parametrize("sigma", ["1e200", "1e150", "1e-150"])
+    def test_analytic_width_beyond_float_range_is_refused(self, capsys, sigma):
+        code, out, err = run_cli(capsys, "measure", f"gauss:sigma={sigma},analytic")
+        assert code == 2
+        assert out == ""
+        assert "sigma must lie in" in err
 
     @pytest.mark.parametrize("literal", ["super:1e300,1e300",
                                          "super:1e-170,1e-170"])
@@ -181,6 +201,14 @@ class TestReferenceCommands:
             assert row["momentum_pipeline"] > 1.0
             assert math.isfinite(row["momentum_formula"])
 
+    @pytest.mark.parametrize("flags", [("--n-fock", "3"), ("--n-max", "0"),
+                                       ("--n-max", "-1")])
+    def test_box_bad_flag_is_a_parse_error(self, capsys, flags):
+        code, out, err = run_cli(capsys, "box", *flags)
+        assert code == 2
+        assert out == ""
+        assert "error" in err
+
     def test_reproduce_reports_known_discrepancies(self, capsys):
         # the built-in reference table contains values that are inconsistent
         # with the defining integrals (see README); those rows, and only
@@ -213,6 +241,19 @@ def test_selftest_passes(capsys):
     code, out, _ = run_cli(capsys, "selftest")
     assert code == 0
     assert "selftest ok" in out
+
+
+@pytest.mark.parametrize("flag", [("--grid-points", "1"),
+                                  ("--gfs-rel-tol", "nan")])
+def test_selftest_takes_no_numerics_flags(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["selftest", *flag])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_flag_defaults_are_the_numerics_defaults():
+    assert _numerics(build_parser().parse_args(["gfs", "fock:1"])) == Numerics()
 
 
 def test_module_entry_point():
