@@ -32,10 +32,14 @@ TRAILING_WARN = 1e-8
 # at most SQUEEZED_CAP terms
 SQUEEZED_DEFICIT = 1e-12
 SQUEEZED_CAP = 4096
-# box projection: largest accepted squared-norm deficit, and the fewest
-# Gauss-Legendre nodes (4 per kept basis function when that is more)
+# box projection: largest accepted squared-norm deficit, and the largest
+# change of any coefficient between projections on m and 2m Gauss-Legendre
+# nodes at which the node count stops doubling.  The count starts at the
+# next power of two above the integrand's top wavenumber plus 16 nodes
+# (_box_start_nodes) and is capped by hermite.MAX_TABLE_CELLS, checked
+# before any nodes are computed.
 BOX_NORM_TOL = 5e-3
-BOX_MIN_NODES = 2048
+_BOX_NODE_AGREE = 1e-12
 
 
 def superposition_state(m: int, a: float) -> FockState:
@@ -135,23 +139,62 @@ class BoxSpec:
             raise ValueError("truncation must be at least 4n")
 
 
+def _box_start_nodes(spec: BoxSpec) -> int:
+    """First Gauss-Legendre node count of the box projection: the next power
+    of two at or above sqrt(2 n_fock + 1) + pi n / 2 + 16.  The first two
+    terms bound the wavenumber of sin(pi n (x - 1) / 2) u_k(x) on [-1, 1]."""
+    # a truncation past the cell cap fails the cap at every node count; the
+    # clamp only keeps the float formula finite for it
+    n_fock = min(spec.n_fock, hermite.MAX_TABLE_CELLS)
+    n = min(spec.n, n_fock)
+    need = math.sqrt(2.0 * n_fock + 1.0) + 0.5 * math.pi * n + 16.0
+    return 1 << math.ceil(math.log2(need))
+
+
+def _box_coefficients(spec: BoxSpec, m: int) -> np.ndarray:
+    """Oscillator-basis coefficients of the well eigenstate from m
+    Gauss-Legendre nodes, with the opposite-parity half pinned to zero.
+    Refuses, before computing any node, a count whose basis table would
+    exceed hermite.MAX_TABLE_CELLS."""
+    cells = (spec.n_fock + 2) * m
+    if cells > hermite.MAX_TABLE_CELLS:
+        raise NumericsError(
+            f"box projection on {m} nodes needs a basis table of {cells} "
+            f"cells, over the cap {hermite.MAX_TABLE_CELLS}; lower n_fock")
+    nodes, weights = np.polynomial.legendre.leggauss(m)
+    table = hermite.tabulate(nodes, spec.n_fock)
+    coeffs = table.values @ (weights * box_wavefunction(spec.n, nodes))
+    k = np.arange(spec.n_fock + 1)
+    coeffs[(k + spec.n) % 2 == 0] = 0.0      # parity (-1)^(n+1) is exact
+    return coeffs
+
+
 def box_state(spec: BoxSpec) -> FockState:
     """Project the well eigenstate onto the truncated oscillator basis.
 
-    Coefficients come from Gauss-Legendre quadrature over [-1, 1]; the
-    opposite-parity half is exactly zero and is pinned so.  Raises when the
-    captured norm falls short of 1 - BOX_NORM_TOL (the remedy is a larger
-    truncation).  The kinked well edges make |c_k|^2 decay like k**-5/2, so
-    the squared-norm deficit shrinks only like n_fock**-3/2: about 4e-5 for
-    n = 1 and 1.2e-3 for n = 5 at the default truncation of 256.
+    Coefficients come from Gauss-Legendre quadrature over [-1, 1].  The
+    integrand sin(pi n (x - 1) / 2) u_k(x) is entire there, with wavenumber
+    at most about sqrt(2 n_fock + 1) + pi n / 2, so a few dozen nodes
+    resolve it: the count starts at the next power of two above that bound
+    plus 16 and doubles until the projections on m and 2m nodes agree
+    within 1e-12 in every coefficient; the 2m result is kept.  A count whose
+    basis table of (n_fock + 2) * m cells would exceed
+    hermite.MAX_TABLE_CELLS raises NumericsError before its nodes are
+    computed, which also caps the doubling.  The opposite-parity half is
+    exactly zero and is pinned so.  Raises when the captured norm falls
+    short of 1 - BOX_NORM_TOL (the remedy is a larger truncation).  The
+    kinked well edges make |c_k|^2 decay like k**-5/2, so the squared-norm
+    deficit shrinks only like n_fock**-3/2: about 4e-5 for n = 1 and 1.2e-3
+    for n = 5 at the default truncation of 256.
     """
-    nodes, weights = np.polynomial.legendre.leggauss(
-        max(BOX_MIN_NODES, 4 * spec.n_fock))
-    table = hermite.tabulate(nodes, spec.n_fock)
-    psi = box_wavefunction(spec.n, nodes)
-    coeffs = table.values @ (weights * psi)
-    k = np.arange(spec.n_fock + 1)
-    coeffs[(k + spec.n) % 2 == 0] = 0.0      # parity (-1)^(n+1) is exact
+    m = _box_start_nodes(spec)
+    coarse = _box_coefficients(spec, m)
+    while True:
+        m *= 2
+        coeffs = _box_coefficients(spec, m)
+        if np.max(np.abs(coeffs - coarse)) <= _BOX_NODE_AGREE:
+            break
+        coarse = coeffs
     coeffs[np.abs(coeffs) < 1e-14] = 0.0
     captured = float(np.sum(coeffs * coeffs))
     deficit = 1.0 - captured

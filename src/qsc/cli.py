@@ -16,7 +16,8 @@ from .catalog import (BoxSpec, box_cfs_momentum, box_cfs_position, box_state,
                       parse_state_literal, superposition_state)
 from .errors import NumericsError, ParseError
 from .frft import equivalence_failures
-from .functionals import DEFAULT_NUMERICS, Numerics, fs_complexity
+from .functionals import (DEFAULT_NUMERICS, Numerics, evaluator_for,
+                          fs_complexity, report_from_profile)
 from .sweep import analyze, global_fs, min_fs, sweep
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -247,9 +248,10 @@ def cmd_box(args) -> int:
         raise ParseError(f"--n-fock {args.n_fock}: {exc}") from None
     rows = []
     for n, spec in enumerate(specs, start=1):
-        state = box_state(spec)
-        pos = fs_complexity(state, 0.0, numerics).cfs
-        mom = fs_complexity(state, math.pi / 2.0, numerics).cfs
+        ev = evaluator_for(box_state(spec), numerics)
+        pos, mom = (
+            report_from_profile(ev.profile(theta), numerics.node_eps).cfs
+            for theta in (0.0, math.pi / 2.0))
         pos_ref = box_cfs_position(n)
         mom_ref = box_cfs_momentum(n)
         rows.append({"n": n,

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from qsc import catalog, hermite
 from qsc.catalog import (BoxSpec, box_cfs_momentum, box_cfs_position,
                          box_k_integral, box_state, box_wavefunction,
                          choose_squeezed_truncation, parse_state_literal,
@@ -17,6 +18,18 @@ from conftest import INV_SQRT2, fock
 
 # self-converged reference, stable to 3e-12 under per-panel node doubling
 K1_VALUE = 1.0931587117811188
+
+
+@pytest.fixture(scope="module")
+def legendre_rule():
+    """Dense Gauss-Legendre rules, each eigensolve paid once per module."""
+    rules = {}
+
+    def rule(m):
+        if m not in rules:
+            rules[m] = np.polynomial.legendre.leggauss(m)
+        return rules[m]
+    return rule
 
 
 @pytest.fixture(scope="module")
@@ -142,6 +155,35 @@ class TestBoxState:
     def test_warns_on_heavy_trailing_weight(self):
         with pytest.warns(RuntimeWarning, match="trailing weight"):
             box_state(BoxSpec(n=1, n_fock=128))
+
+    # n = 6 at 128 terms is left out: its captured norm is below the gate
+    @pytest.mark.parametrize("n,n_fock", [
+        (n, n_fock) for n in (1, 3, 6) for n_fock in (128, 256, 384, 1024)
+        if (n, n_fock) != (6, 128)])
+    def test_node_rule_matches_dense_quadrature(self, legendre_rule, n, n_fock):
+        x, w = legendre_rule(4096 if n_fock == 1024 else 2048)
+        ref = hermite.tabulate(x, n_fock).values @ (w * box_wavefunction(n, x))
+        k = np.arange(n_fock + 1)
+        ref[(k + n) % 2 == 0] = 0.0
+        ref /= np.linalg.norm(ref)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            state = box_state(BoxSpec(n=n, n_fock=n_fock))
+        np.testing.assert_allclose(state.coeffs, ref, rtol=0.0, atol=1e-12)
+
+    def test_node_doubling_escalates_to_the_cap(self, monkeypatch):
+        spec = BoxSpec(n=3, n_fock=256)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            default = box_state(spec).coeffs
+            monkeypatch.setattr(catalog, "_box_start_nodes", lambda spec: 8)
+            escalated = box_state(spec).coeffs
+            np.testing.assert_allclose(escalated, default, rtol=0.0, atol=1e-12)
+            # 8, 16 and 32 nodes do not agree, and the cap refuses 64
+            monkeypatch.setattr(hermite, "MAX_TABLE_CELLS",
+                                (spec.n_fock + 2) * 32)
+            with pytest.raises(NumericsError, match="over the cap"):
+                box_state(spec)
 
     def test_position_density_fidelity(self, box256):
         prof = FockEvaluator(box256[2]).profile(0.0)

@@ -44,6 +44,17 @@ class TestMeasure:
         assert code == 3
         assert "numerics" in err
 
+    @pytest.mark.parametrize("literal", [
+        "box:n=1,N=100000000",     # its first node count is over the cell cap
+        "box:n=1,N=3000",          # projects quickly; the grid cannot hold it
+        "box:n=1,N=" + "9" * 400,  # beyond float range
+    ], ids=["N=1e8", "N=3000", "N=400_digits"])
+    def test_box_truncation_past_the_caps_is_refused(self, capsys, literal):
+        code, out, err = run_cli(capsys, "measure", literal, "--theta", "0")
+        assert code == 3
+        assert out == ""
+        assert "numerics" in err
+
     @pytest.mark.parametrize("argv", [
         ("measure", "fock:1", "--theta", "nan"),
         ("measure", "fock:1", "--theta", "inf"),
