@@ -31,10 +31,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericsError
-from .hermite import build_basis_table
+from .hermite import build_basis_table, hermite_fn
 from .state import (AnalyticGaussian, DensityProfile, FockState, Grid,
                     canonical_theta, default_grid, density_block, eval_density,
-                    gaussian_sigma_theta)
+                    gaussian_sigma_theta, mirror_axis)
 
 __all__ = [
     "ComplexityReport", "FockEvaluator", "GaussianEvaluator", "Numerics",
@@ -207,10 +207,13 @@ class ProfileEvaluator:
     """One state evaluated at many angles.  Subclasses supply ``grid`` and
     ``density_block(thetas)``: rho, drho and |psi'|^2 as (A x M) arrays,
     one row per angle.  Reports are memoized by the exact float angle;
-    ``reports`` fills the missing angles of a lattice in blocks."""
+    ``reports`` fills the missing angles of a lattice in blocks.
+    ``mirror_axis`` is an angle a with cfs(a + t) = cfs(a - t) for all t,
+    read from the state, or None when the state shows no such axis."""
 
     numerics: Numerics
     grid: Grid
+    mirror_axis: float | None = None
 
     def __init__(self, numerics: Numerics = DEFAULT_NUMERICS):
         self.numerics = numerics
@@ -274,16 +277,19 @@ def block_rows(grid_points: int) -> int:
 class FockEvaluator(ProfileEvaluator):
     """Fock-pipeline evaluator: caches the grid and basis table of one state.
     The grid must hold the top basis row, whose norm does not depend on the
-    angle."""
+    angle.  The mirror axis comes from the coefficients (``mirror_axis``)."""
 
     def __init__(self, state: FockState, numerics: Numerics = DEFAULT_NUMERICS):
         super().__init__(numerics)
         self.state = state
         self.grid = default_grid(state.n_max, numerics.grid_points,
                                  numerics.grid_margin)
+        # the top row alone, from a two-row recurrence: a grid that cannot
+        # hold the state is refused before the whole table is built
+        self._check_mass(integrate(
+            np.square(hermite_fn(state.n_max, self.grid.points)), self.grid))
         self.table = build_basis_table(state.n_max, self.grid)
-        self._check_mass(integrate(np.square(self.table.values[-1]),
-                                   self.grid))
+        self.mirror_axis = mirror_axis(state)
 
     def density_block(self, thetas):
         return density_block(self.state, thetas, self.grid, self.table)
@@ -298,7 +304,9 @@ class GaussianEvaluator(ProfileEvaluator):
     """Closed-form Gaussian densities fed through the standard functional
     pipeline; exercises the quadrature path without any Fock machinery.
     The grid must hold the narrowest and the widest density, at theta = 0
-    and pi/2."""
+    and pi/2.  The variance is even in theta, so the mirror axis is 0."""
+
+    mirror_axis = 0.0
 
     def __init__(self, state: AnalyticGaussian,
                  numerics: Numerics = DEFAULT_NUMERICS):

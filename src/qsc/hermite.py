@@ -25,6 +25,7 @@ every integrand built from them vanishes there as well.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,9 +47,10 @@ _EXP_SAFE = -690.0       # exp(g) is a normal float above this
 _LOG_TINY = -745.0       # exp below this underflows to zero
 
 
-def _unscale(v, g, w, unsafe):
-    out = v * w
-    if unsafe.any():
+def _unscale(v, g, w, unsafe, out=None):
+    # unsafe: the points where w underflows, or None when there are none
+    out = np.multiply(v, w, out=out)
+    if unsafe is not None:
         idx = unsafe & (v != 0.0)
         t = g[idx] + np.log(np.abs(v[idx]))
         out[idx] = np.where(t < _LOG_TINY, 0.0,
@@ -57,44 +59,63 @@ def _unscale(v, g, w, unsafe):
     return out
 
 
-def _hermite_table(points, n_max):
-    """Rows u_0..u_{n_max} and their derivatives at ``points``."""
+def _scaled_rows(points, count):
+    """Rows u_0..u_{count-1} at ``points``, each yielded as the arguments
+    (v, g, w, unsafe) of ``_unscale``.  Only two rows are held, and a rescale
+    updates the previous v, g, w and unsafe in place, so unscale each row
+    before asking for the next."""
     m = points.shape[0]
     g = _LOG_PI4 - 0.5 * points * points
     unsafe = g <= _EXP_SAFE
     w = np.where(unsafe, 0.0, np.exp(np.maximum(g, _EXP_SAFE)))
+    flags = unsafe if unsafe.any() else None
     lo = np.ones(m)                      # v of row n-1 (row 0 to start)
     hi = _SQRT2 * points                 # v of row n
-    values = np.empty((n_max + 2, m))
-    values[0] = _unscale(lo, g, w, unsafe)
-    values[1] = _unscale(hi, g, w, unsafe)
-    for n in range(1, n_max + 1):
-        nxt = (np.sqrt(2.0 / (n + 1.0)) * points * hi
-               - np.sqrt(n / (n + 1.0)) * lo)
-        big = np.abs(nxt) > _RESCALE
-        if big.any():
+    yield lo, g, w, flags
+    if count > 1:
+        yield hi, g, w, flags
+    for n in range(1, count - 1):
+        # sqrt(2/(n+1)) x v_n - sqrt(n/(n+1)) v_{n-1}, in place
+        nxt = math.sqrt(2.0 / (n + 1.0)) * points
+        nxt *= hi
+        nxt -= math.sqrt(n / (n + 1.0)) * lo
+        if (np.maximum.reduce(nxt) > _RESCALE
+                or np.minimum.reduce(nxt) < -_RESCALE):
+            big = np.flatnonzero(np.abs(nxt) > _RESCALE)
             nxt[big] *= _INV_RESCALE
             hi[big] *= _INV_RESCALE
-            g = g + np.where(big, _LOG_RESCALE, 0.0)
-            unsafe = g <= _EXP_SAFE
-            w = np.where(unsafe, 0.0, np.exp(np.maximum(g, _EXP_SAFE)))
+            g[big] += _LOG_RESCALE
+            unsafe[big] = g[big] <= _EXP_SAFE
+            w[big] = np.where(unsafe[big], 0.0,
+                              np.exp(np.maximum(g[big], _EXP_SAFE)))
+            # a rescale only raises g, so unsafe points can only go away
+            flags = unsafe if flags is not None and unsafe.any() else None
         lo, hi = hi, nxt
-        values[n + 1] = _unscale(hi, g, w, unsafe)
-    derivs = np.empty((n_max + 1, m))
-    derivs[0] = -np.sqrt(0.5) * values[1]
+        yield hi, g, w, flags
+
+
+def _hermite_table(points, n_max):
+    """Rows u_0..u_{n_max} and their derivatives at ``points``."""
+    values = np.empty((n_max + 2, points.shape[0]))
+    for n, row in enumerate(_scaled_rows(points, n_max + 2)):
+        _unscale(*row, out=values[n])
+    derivs = np.empty((n_max + 1, points.shape[0]))
+    derivs[0] = -math.sqrt(0.5) * values[1]
     for n in range(1, n_max + 1):
-        derivs[n] = (np.sqrt(0.5 * n) * values[n - 1]
-                     - np.sqrt(0.5 * (n + 1.0)) * values[n + 1])
+        np.multiply(math.sqrt(0.5 * n), values[n - 1], out=derivs[n])
+        derivs[n] -= math.sqrt(0.5 * (n + 1.0)) * values[n + 1]
     return np.ascontiguousarray(values[: n_max + 1]), derivs
 
 
 def _recurrence_triplet(n: int, x):
-    """Return (u_{n-1}, u_n, u_{n+1}) at x, with u_{-1} = 0."""
+    """Return (u_{n-1}, u_n, u_{n+1}) at x, with u_{-1} = 0.  No table is
+    built: the recurrence holds two rows and only the last three are kept."""
     x = np.asarray(x, dtype=float)
     pts = np.ascontiguousarray(np.atleast_1d(x), dtype=float)
-    values, _ = _hermite_table(pts, n + 1)
-    lo = values[n - 1] if n > 0 else np.zeros_like(pts)
-    return lo, values[n], values[n + 1]
+    rows = [_unscale(*row) for k, row in enumerate(_scaled_rows(pts, n + 2))
+            if k >= n - 1]
+    lo = rows[0] if n > 0 else np.zeros_like(pts)
+    return lo, rows[-2], rows[-1]
 
 
 def hermite_fn(n: int, x):

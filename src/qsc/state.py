@@ -18,9 +18,12 @@ from .hermite import BasisTable
 
 __all__ = ["AnalyticGaussian", "DensityProfile", "FockState", "Grid",
            "canonical_theta", "default_grid", "density_block", "eval_density",
-           "gaussian_sigma_theta", "make_state", "rotate"]
+           "gaussian_sigma_theta", "make_state", "mirror_axis", "rotate"]
 
 NORM_TOL = 1e-10
+# Largest imaginary residual, relative to the largest coefficient, that
+# ``mirror_axis`` forgives: the rounding of the phases, no more
+MIRROR_TOL = 1e-12
 _TINY = np.finfo(float).tiny
 # Gaussian widths whose sigma^4 and sigma^-4 are normal floats, so the
 # rotated variance neither overflows nor loses its smaller term to underflow
@@ -149,6 +152,47 @@ def rotate(state: FockState, theta: float) -> FockState:
     c = state.coeffs * np.exp(1j * n * theta)
     c.setflags(write=False)
     return FockState(coeffs=c)
+
+
+def mirror_axis(state: FockState) -> float | None:
+    """An angle a in [0, pi/2) about which the complexity curve is even,
+    cfs(a + t) = cfs(a - t), or None when the coefficients show none.
+
+    When c_n = r_n exp(i(phi + n beta)) with real r_n, the state rotated by
+    -beta + t is, up to a global phase, the complex conjugate of the state
+    rotated by -beta - t, and conjugation leaves every density as it is; so
+    a = -beta, reduced mod pi/2 (the curve is pi-periodic).  The two
+    largest coefficients fix beta mod pi up to a multiple of pi/d, d their
+    index gap; each candidate, beta = 0 first (a real state has axis 0
+    exactly), is kept when every c_n exp(-i(phi + n beta)) is real within
+    MIRROR_TOL of the largest |c_n|.
+    """
+    c = state.coeffs
+    mag = np.abs(c)
+    n0 = int(np.argmax(mag))
+    tol = MIRROR_TOL * mag[n0]
+    unit = c[n0] / mag[n0]
+    n = np.arange(c.shape[0]) - n0
+
+    def fits(beta: float) -> bool:
+        w = c * np.conj(unit) * np.exp(-1j * beta * n)
+        return bool(np.max(np.abs(w.imag)) <= tol)
+
+    if fits(0.0):
+        return 0.0
+    others = mag.copy()
+    others[n0] = -1.0
+    n1 = int(np.argmax(others))
+    d = n1 - n0
+    base = float(np.angle(c[n1] * np.conj(c[n0])))
+    for j in range(abs(d)):
+        beta = (base + j * math.pi) / d
+        if fits(beta):
+            axis = math.fmod(-beta, 0.5 * math.pi)
+            if axis < 0.0:
+                axis += 0.5 * math.pi
+            return 0.0 if axis in (0.0, 0.5 * math.pi) else axis
+    return None
 
 
 @dataclass(frozen=True)

@@ -3,21 +3,32 @@
 The complexity curve cfs(theta) is continuous and pi-periodic but not
 smooth: it has a cusp wherever the rotated wavefunction gains a real node
 (for (|0> + |2>)/sqrt(2) at theta = pi/2).  The global measure uses the
-periodic trapezoid rule on the lattice theta_k = k pi / n (the plain lattice
-mean), refined by doubling until successive estimates agree; across such
-cusps the rule converges only as O(h^2), not spectrally.  The minimum measure
-scans a coarse periodic lattice and then runs a derivative-free
-golden-section refinement inside the bracketing interval: the curve can
-carry several local minima, so scan-then-bracket is the robust choice.
-Lattice angles are evaluated in blocks by the evaluator (one matrix product
-per block); every aggregation walks the results in fixed index order,
-keeping outputs deterministic.
+periodic trapezoid rule on an n-point lattice (the plain lattice mean),
+refined by doubling until successive estimates agree; across such cusps the
+rule converges only as O(h^2), not spectrally.  The minimum measure scans a
+coarse periodic lattice and then runs a derivative-free golden-section
+refinement inside the bracketing interval: the curve can carry several local
+minima, so scan-then-bracket is the robust choice.
+
+Most states have a mirror axis a, read from the state by its evaluator
+(``mirror_axis``): cfs(a + t) = cfs(a - t).  That holds whenever
+c_n = r_n exp(i(phi + n beta)) with real r_n, a = -beta: every ``fock:``,
+``gauss:`` and ``box:`` state, every real superposition and every rotation
+of one.  The global measure, the minimum scan and ``analyze`` then use the
+lattice a + k pi / n, evaluate only k = 0..n/2 and take value n - k for
+k > n/2; a real state has a = 0, hence the plain lattice k pi / n.  A
+state without an axis is evaluated on the whole lattice k pi / n.  Minima
+of a mirrored curve come in mirror pairs, and the reported arg-min may be
+either angle of its pair.  ``sweep`` always evaluates the full lattice
+k pi / n.  Lattice angles are evaluated in blocks by the evaluator (one
+matrix product per block); every aggregation walks the results in fixed
+index order, keeping outputs deterministic.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -38,8 +49,10 @@ MFS_SCAN = 128
 @dataclass(frozen=True)
 class SweepResult:
     """Angle lattice, per-angle reports, and (when computed) the global and
-    minimum measures.  ``resolution`` is the lattice size actually used;
-    ``converged`` reports whether the global refinement met its tolerance."""
+    minimum measures.  ``thetas`` holds the raw lattice angles (from the
+    mirror axis in ``analyze``), each report its canonical angle.
+    ``resolution`` is the lattice size actually used; ``converged`` reports
+    whether the global refinement met its tolerance."""
 
     thetas: np.ndarray
     reports: tuple[ComplexityReport, ...]
@@ -50,10 +63,22 @@ class SweepResult:
     resolution: int
 
 
-def _lattice(n: int) -> list[float]:
-    # k * pi / n written so coarser power-of-two lattices reuse the exact
-    # same floats as their refinements (cache hits in the evaluator)
-    return [(k * math.pi) / n for k in range(n)]
+def _lattice(n: int, axis: float = 0.0) -> list[float]:
+    # axis + k * pi / n written so coarser power-of-two lattices reuse the
+    # exact same floats as their refinements (cache hits in the evaluator)
+    return [axis + (k * math.pi) / n for k in range(n)]
+
+
+def _lattice_values(ev, n: int):
+    """The lattice of ``n`` angles (n even) about the evaluator's mirror
+    axis, and cfs on it.  With an axis only k = 0..n/2 are evaluated; value
+    n - k stands for k."""
+    axis = ev.mirror_axis
+    thetas = _lattice(n, axis or 0.0)
+    if axis is None:
+        return thetas, [r.cfs for r in ev.reports(thetas)]
+    half = [r.cfs for r in ev.reports(thetas[: n // 2 + 1])]
+    return thetas, half + half[-2:0:-1]
 
 
 def sweep(state, n_theta: int,
@@ -73,13 +98,11 @@ def sweep(state, n_theta: int,
 def _gfs(ev, numerics: Numerics):
     """Periodic-trapezoid average of cfs with resolution doubling."""
     res = GFS_START
-    values = [r.cfs for r in ev.reports(_lattice(res))]
-    estimate = float(np.mean(values))
+    estimate = float(np.mean(_lattice_values(ev, res)[1]))
     converged = False
     while res < GFS_MAX_RESOLUTION:
         res *= 2
-        values = [r.cfs for r in ev.reports(_lattice(res))]
-        refined = float(np.mean(values))
+        refined = float(np.mean(_lattice_values(ev, res)[1]))
         if abs(refined - estimate) <= numerics.gfs_rel_tol * max(abs(refined), 1e-300):
             estimate = refined
             converged = True
@@ -123,8 +146,7 @@ def _mfs(ev, numerics: Numerics, extra_seeds=()):
     sample (ties break toward smaller theta).  ``extra_seeds`` adds lattice
     angles from other computations whose minima must not be missed."""
     n = MFS_SCAN
-    thetas = _lattice(n)
-    values = [r.cfs for r in ev.reports(thetas)]
+    thetas, values = _lattice_values(ev, n)
     k = int(np.argmin(values))
     seeds = [(thetas[k], math.pi / n)]
     for theta, spacing in extra_seeds:
@@ -154,12 +176,22 @@ def analyze(state, numerics: Numerics = DEFAULT_NUMERICS) -> SweepResult:
 
     One evaluator (hence one report cache) backs all three computations; the
     minimum search additionally seeds from any lattice sample that undercuts
-    the scan, so mfs <= min(reports) always holds.
+    the scan, so mfs <= min(reports) always holds.  The lattice is the gfs
+    lattice: about the state's mirror axis when it has one, its mirrored
+    half built from the evaluated half with the angles replaced.
     """
     ev = evaluator_for(state, numerics)
     gfs_value, converged, resolution = _gfs(ev, numerics)
-    thetas = _lattice(resolution)
-    reports = ev.reports(thetas)
+    axis = ev.mirror_axis
+    thetas = _lattice(resolution, axis or 0.0)
+    if axis is None:
+        reports = ev.reports(thetas)
+    else:
+        half = resolution // 2
+        reports = ev.reports(thetas[: half + 1])
+        reports += [replace(reports[resolution - k],
+                            theta=canonical_theta(thetas[k]))
+                    for k in range(half + 1, resolution)]
     cfs_values = [r.cfs for r in reports]
     k_best = int(np.argmin(cfs_values))
     mfs_theta, mfs_value = _mfs(

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qsc import functionals
 from qsc.errors import NumericsError
 from qsc.functionals import (ComplexityReport, FockEvaluator, Numerics,
                              _variance, entropy_power, evaluator_for,
@@ -262,3 +263,13 @@ class TestInvariants:
         coarse = fs_complexity(fock(n), 0.0, Numerics(grid_points=4096)).cfs
         fine = fs_complexity(fock(n), 0.0, Numerics(grid_points=8192)).cfs
         assert fine == pytest.approx(coarse, rel=1e-6)
+
+
+def test_grid_refusal_comes_before_the_basis_table(monkeypatch):
+    # the top basis row alone decides; the whole table is never built
+    def no_table(*args, **kwargs):
+        raise AssertionError("basis table built before the mass check")
+
+    monkeypatch.setattr(functionals, "build_basis_table", no_table)
+    with pytest.raises(NumericsError, match="cannot hold the state"):
+        FockEvaluator(fock(60), Numerics(grid_points=64))

@@ -98,6 +98,14 @@ def test_table_parity_exact():
         assert np.array_equal(table.values[n], sign * table.values[n][::-1])
 
 
+def test_top_row_without_the_table_is_the_table_row():
+    # the grid mass check reads the top row from the two-row recurrence;
+    # it must be the table's row bit for bit
+    grid = default_grid(300, grid_points=1001)
+    table = build_basis_table(300, grid)
+    assert np.array_equal(hermite_fn(300, grid.points), table.values[300])
+
+
 def test_table_matches_pointwise_recurrence():
     grid = Grid(extent=9.0, count=129)
     table = build_basis_table(25, grid)

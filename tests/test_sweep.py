@@ -1,5 +1,6 @@
 import math
 import os
+import warnings
 import subprocess
 import sys
 from pathlib import Path
@@ -8,10 +9,11 @@ import numpy as np
 import pytest
 
 import qsc
-from qsc.catalog import superposition_state
-from qsc.functionals import FockEvaluator, Numerics, block_rows, fs_complexity
+from qsc.catalog import parse_state_literal, superposition_state
+from qsc.functionals import (DEFAULT_NUMERICS, FockEvaluator, Numerics,
+                             block_rows, evaluator_for, fs_complexity)
 from qsc.state import AnalyticGaussian, make_state, rotate
-from qsc.sweep import SweepResult, analyze, global_fs, min_fs, sweep
+from qsc.sweep import SweepResult, _gfs, analyze, global_fs, min_fs, sweep
 from conftest import INV_SQRT2, fock
 
 # pinned by the pointwise-validated complexity curve (30-digit quadrature
@@ -235,3 +237,92 @@ def test_box_curve_small_angle_structure():
     small = [r.cfs for t, r in zip(res.thetas, res.reports) if t < 0.2]
     rest = [r.cfs for t, r in zip(res.thetas, res.reports) if t >= 0.2]
     assert max(small) - min(small) > max(rest) - min(rest)
+
+
+def _literal(text):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)   # box trailing weight
+        return parse_state_literal(text)
+
+
+def _real_state(terms: int, seed: int):
+    rng = np.random.default_rng(seed)
+    return make_state(rng.normal(size=terms), renormalize=True)
+
+
+def _rotated_real_state(terms: int, seed: int):
+    rng = np.random.default_rng(seed)
+    state = make_state(rng.normal(size=terms), renormalize=True)
+    return rotate(state, float(rng.uniform(0.0, math.pi)))
+
+
+MIRRORED = {
+    "super_101": lambda: _literal("super:1,0,1"),
+    "super_1_2i_3": lambda: _literal("super:1,2i,3"),
+    "box_n3": lambda: _literal("box:n=3"),
+    "gauss_fock": lambda: _literal("gauss:sigma=3"),
+    "gauss_analytic": lambda: _literal("gauss:sigma=3,analytic"),
+    "real64": lambda: _real_state(64, 11),
+    "real64_rotated": lambda: _rotated_real_state(64, 11),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MIRRORED))
+def test_mirror_axis_is_a_symmetry_of_the_curve(name):
+    ev = evaluator_for(MIRRORED[name]())
+    axis = ev.mirror_axis
+    assert axis is not None and 0.0 <= axis < math.pi / 2
+    for t in np.linspace(0.0, math.pi / 2, 9)[1:-1]:
+        # both sides evaluated directly, not through the mirror
+        assert ev.cfs(axis + t) == pytest.approx(ev.cfs(axis - t), rel=1e-10)
+
+
+def test_real_states_keep_the_plain_lattice():
+    assert evaluator_for(_real_state(64, 11)).mirror_axis == 0.0
+    axis = evaluator_for(_rotated_real_state(64, 11)).mirror_axis
+    assert axis > 0.0
+
+
+def test_a_state_without_mirror_axis():
+    assert evaluator_for(_literal("super:1,1+1i,1")).mirror_axis is None
+
+
+def test_gfs_evaluates_half_the_lattice():
+    ev = evaluator_for(_rotated_real_state(6, 3))
+    _, _, resolution = _gfs(ev, DEFAULT_NUMERICS)
+    # the coarser lattices reuse the angles of the finest one
+    assert len(ev._cache) == resolution // 2 + 1
+
+
+def test_pre_rotation_leaves_gfs_and_mfs_unchanged_to_rounding():
+    rng = np.random.default_rng(23)
+    state = make_state(rng.normal(size=64), renormalize=True)
+    moved = rotate(state, float(rng.uniform(0.0, math.pi)))
+    base, turned = analyze(state), analyze(moved)
+    assert turned.resolution == base.resolution
+    assert turned.gfs == pytest.approx(base.gfs, rel=1e-12)
+    assert turned.mfs == pytest.approx(base.mfs, rel=1e-12)
+    assert min_fs(moved)[1] == pytest.approx(min_fs(state)[1], rel=1e-12)
+
+
+def test_gfs_without_axis_is_the_full_lattice_mean():
+    state = _literal("super:1,1+1i,1")
+    res = analyze(state)
+    n = res.resolution
+    lattice = [(k * math.pi) / n for k in range(n)]
+    ev = evaluator_for(state)
+    assert res.gfs == pytest.approx(
+        float(np.mean([r.cfs for r in ev.reports(lattice)])), rel=1e-13)
+
+
+def test_analyze_reports_match_a_direct_full_lattice():
+    state = _rotated_real_state(6, 3)
+    res = analyze(state)
+    assert res.thetas[0] == evaluator_for(state).mirror_axis > 0.0
+    direct = evaluator_for(state).reports(list(res.thetas))
+    assert len(direct) == len(res.reports) == res.resolution
+    for mirrored, report in zip(res.reports, direct):
+        assert mirrored.theta == report.theta
+        for name in ("fisher", "entropy", "entropy_power", "cfs"):
+            assert getattr(mirrored, name) == pytest.approx(
+                getattr(report, name), rel=1e-12), name
