@@ -133,7 +133,7 @@ def cmd_sweep(args) -> int:
     numerics = _numerics(args)
     try:
         result = sweep(state, args.theta_samples, numerics)
-    except ValueError as exc:       # too few samples
+    except ValueError as exc:       # too few or too many samples
         raise ParseError(str(exc)) from None
     csv = _sweep_csv(result)
     if args.out:

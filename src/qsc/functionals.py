@@ -18,6 +18,13 @@ The Fisher integrand (rho')^2 / rho is finite at simple nodes of the
 wavefunction but numerically 0/0 there; points where rho falls below
 ``node_eps * max(rho)`` are replaced by the analytic limit 4 |psi'|^2.
 
+An angle lattice is filled in blocks of rows.  One fill allocates one
+workspace, sized for a block, and every block of it writes its GEMM
+products, density rows, temporaries and masks into that workspace, which
+is dropped when the fill returns.  A single angle runs the same code on a
+one-row workspace of its own, so a profile never shares memory with a
+later fill.
+
 LMC and Cramer-Rao composites are extensions beyond the core measure set
 (standard definitions C_LMC = D * exp(S), C_CR = V * I) and are tagged as
 such in every user-facing output.
@@ -33,8 +40,9 @@ import numpy as np
 from .errors import NumericsError
 from .hermite import build_basis_table, hermite_fn
 from .state import (AnalyticGaussian, DensityProfile, FockState, Grid,
-                    canonical_theta, default_grid, density_block, eval_density,
-                    gaussian_sigma_theta, mirror_axis)
+                    _Scratch, _Workspace, canonical_theta, default_grid,
+                    density_block, eval_density, gaussian_sigma_theta,
+                    mirror_axis)
 
 __all__ = [
     "ComplexityReport", "FockEvaluator", "GaussianEvaluator", "Numerics",
@@ -44,9 +52,11 @@ __all__ = [
 
 ENTROPY_POWER_GUARD = 350.0
 
-# Byte budget of one lattice block's working set, on top of the basis table:
-# 8 angles at the default 4096 grid points.  Larger blocks gain little speed
-# once the GEMMs have 16 rows, and every byte adds to the peak memory.
+# Bytes of the float workspace that one lattice fill holds, on top of the
+# basis table and reused by every block of the fill: 8 rows of grid points
+# per angle, so 8 angles at the default 4096 points.  Larger blocks gain
+# little speed once the GEMMs have 16 rows, and every byte adds to the peak
+# memory.
 BLOCK_BYTES = 2 ** 21
 
 # Largest deviation from 1 of the discrete mass that an evaluator accepts in
@@ -114,27 +124,34 @@ def _dpsi_abs2(profile: DensityProfile) -> np.ndarray:
     return np.zeros_like(profile.rho)
 
 
-# The functions below take one profile (arrays of M points) or a block of
-# profiles (A x M arrays, one row per angle) and reduce along the last axis.
+# The functions below take a block of profiles (A x M arrays, one row per
+# angle) and reduce along the last axis.  ``_fisher_terms`` and ``_entropy``
+# keep their temporaries in the scratch row and masks of ``ws``, a
+# ``_Scratch`` of at least A rows.
 
-def _fisher_terms(rho, drho, dpsi_abs2, grid: Grid, node_eps):
+def _fisher_terms(rho, drho, dpsi_abs2, grid: Grid, node_eps, ws: _Scratch):
     """Fisher integrand (rho')^2 / rho and its integral.  At or below
     ``node_eps * max(rho)`` of each row, where the quotient is numerically
-    0/0, the integrand takes its node limit 4 |psi'|^2."""
+    0/0, the integrand takes its node limit 4 |psi'|^2.  The integrand is
+    the scratch row of ``ws``."""
     peak = rho.max(axis=-1, initial=0.0)
     if np.any(peak <= 0.0):
         raise NumericsError("degenerate profile: density has no mass")
-    node = rho <= node_eps * peak[..., None]
-    integrand = np.square(drho)
-    np.divide(integrand, rho, out=integrand, where=~node)
-    integrand[node] = 4.0 * dpsi_abs2[node]
+    a = rho.shape[0]
+    node = np.less_equal(rho, node_eps * peak[..., None], out=ws.mask[:a])
+    integrand = np.square(drho, out=ws.scratch[:a])
+    np.divide(integrand, rho, out=integrand,
+              where=np.logical_not(node, out=ws.keep[:a]))
+    np.multiply(4.0, dpsi_abs2, out=integrand, where=node)
     return integrand, integrate(integrand, grid)
 
 
-def _entropy(rho, grid: Grid):
+def _entropy(rho, grid: Grid, ws: _Scratch):
     """S = -integral of rho log rho (nats), with 0 log 0 = 0."""
-    pos = rho > 0.0
-    out = np.zeros_like(rho)
+    a = rho.shape[0]
+    pos = np.greater(rho, 0.0, out=ws.mask[:a])
+    out = ws.scratch[:a]
+    out.fill(0.0)
     np.log(rho, out=out, where=pos)
     np.multiply(out, rho, out=out, where=pos)
     return integrate(np.negative(out, out=out, where=pos), grid)
@@ -166,13 +183,14 @@ def entropy_power(entropy: float) -> float:
 
 
 def _reports(thetas, rho, drho, dpsi_abs2, grid: Grid, node_eps: float,
-             extensions: bool) -> list[ComplexityReport]:
+             extensions: bool, ws: _Scratch) -> list[ComplexityReport]:
     """Reports of a block of profiles, (A x M) arrays with one row per angle
-    of ``thetas`` (canonical angles).  The extensions are the disequilibrium
-    D = integral of rho^2 and the variance V, combined as C_LMC = D exp(S)
-    and C_CR = I V, and the ``edge_dominated`` flag."""
-    entropy = _entropy(rho, grid)
-    integrand, fisher = _fisher_terms(rho, drho, dpsi_abs2, grid, node_eps)
+    of ``thetas`` (canonical angles), with the temporaries in ``ws``.  The
+    extensions are the disequilibrium D = integral of rho^2 and the variance
+    V, combined as C_LMC = D exp(S) and C_CR = I V, and the
+    ``edge_dominated`` flag."""
+    entropy = _entropy(rho, grid, ws)
+    integrand, fisher = _fisher_terms(rho, drho, dpsi_abs2, grid, node_eps, ws)
     if extensions:
         diseq = integrate(rho * rho, grid)
         var = _variance(rho, grid)
@@ -195,19 +213,21 @@ def _reports(thetas, rho, drho, dpsi_abs2, grid: Grid, node_eps: float,
 def report_from_profile(profile: DensityProfile, node_eps: float = 1e-13,
                         extensions: bool = False) -> ComplexityReport:
     """Assemble the full per-angle report from one density profile: the
-    block computation with a single row.  With ``extensions`` it carries
-    every per-profile measure: I, S, J, C_FS, C_LMC, C_CR and the
-    edge-dominance flag."""
+    block computation with a single row, on temporaries of its own.  With
+    ``extensions`` it carries every per-profile measure: I, S, J, C_FS,
+    C_LMC, C_CR and the edge-dominance flag."""
     return _reports([profile.theta], profile.rho[None], profile.drho[None],
                     _dpsi_abs2(profile)[None], profile.grid, node_eps,
-                    extensions)[0]
+                    extensions, _Scratch(1, profile.grid.count))[0]
 
 
 class ProfileEvaluator:
     """One state evaluated at many angles.  Subclasses supply ``grid`` and
-    ``density_block(thetas)``: rho, drho and |psi'|^2 as (A x M) arrays,
-    one row per angle.  Reports are memoized by the exact float angle;
-    ``reports`` fills the missing angles of a lattice in blocks.
+    ``density_block(thetas, ws)``: rho, drho and |psi'|^2 as (A x M) views
+    into the workspace ``ws``, one row per angle.  Reports are memoized by
+    the exact float angle; ``reports`` fills the missing angles of a lattice
+    in blocks, all written into one workspace that lives as long as the
+    call.
     ``mirror_axis`` is an angle a with cfs(a + t) = cfs(a - t) for all t,
     read from the state, or None when the state shows no such axis."""
 
@@ -219,7 +239,7 @@ class ProfileEvaluator:
         self.numerics = numerics
         self._cache: dict[float, ComplexityReport] = {}
 
-    def density_block(self, thetas):
+    def density_block(self, thetas, ws: _Workspace):
         raise NotImplementedError
 
     def _check_mass(self, mass) -> None:
@@ -233,27 +253,30 @@ class ProfileEvaluator:
                 "points or another margin")
 
     def profile(self, theta: float) -> DensityProfile:
-        """The one-row block at ``theta``; the stored angle is canonical."""
-        rho, drho, dpsi_abs2 = self.density_block([theta])
+        """The one-row block at ``theta``, in a workspace of its own; the
+        stored angle is canonical."""
+        rho, drho, dpsi_abs2 = self.density_block(
+            [theta], _Workspace(1, self.grid.count))
         return DensityProfile(grid=self.grid, theta=canonical_theta(theta),
                               rho=rho[0], drho=drho[0], dpsi_abs2=dpsi_abs2[0])
 
     def reports(self, thetas) -> list[ComplexityReport]:
         """Reports of all ``thetas`` in input order; the missing ones are
-        evaluated in blocks of ``block_rows`` rows."""
+        evaluated in blocks of ``block_rows`` rows, every block in the same
+        workspace."""
         todo = [t for t in thetas if t not in self._cache]
-        rows = block_rows(self.grid.count)
-        for start in range(0, len(todo), rows):
-            block = todo[start:start + rows]
-            self._cache.update(zip(block, self._block_reports(block)))
+        if todo:
+            rows = block_rows(self.grid.count)
+            ws = _Workspace(min(rows, len(todo)), self.grid.count)
+            for start in range(0, len(todo), rows):
+                block = todo[start:start + rows]
+                self._cache.update(zip(block, self._block_reports(block, ws)))
         return [self.report(t) for t in thetas]
 
-    def _block_reports(self, block):
-        # a function of its own, so one block's arrays are freed before the
-        # next block is evaluated
+    def _block_reports(self, block, ws: _Workspace):
         return _reports([canonical_theta(t) for t in block],
-                        *self.density_block(block), self.grid,
-                        self.numerics.node_eps, False)
+                        *self.density_block(block, ws), self.grid,
+                        self.numerics.node_eps, False, ws)
 
     def report(self, theta: float) -> ComplexityReport:
         hit = self._cache.get(theta)
@@ -268,9 +291,11 @@ class ProfileEvaluator:
 
 
 def block_rows(grid_points: int) -> int:
-    """Angles per lattice block: BLOCK_BYTES over the working set of one
-    angle, which peaks at about 8 float rows of ``grid_points`` points (the
-    two GEMM products of 2 rows each, the density terms and a temporary)."""
+    """Angles per lattice block: BLOCK_BYTES over the workspace rows of one
+    angle, 8 float rows of ``grid_points`` points (the two GEMM products of
+    2 rows each, rho, drho, |psi'|^2 and one scratch row).  One lattice fill
+    holds one workspace of this many angles and reuses it for every
+    block."""
     return max(1, BLOCK_BYTES // (64 * grid_points))
 
 
@@ -291,8 +316,8 @@ class FockEvaluator(ProfileEvaluator):
         self.table = build_basis_table(state.n_max, self.grid)
         self.mirror_axis = mirror_axis(state)
 
-    def density_block(self, thetas):
-        return density_block(self.state, thetas, self.grid, self.table)
+    def density_block(self, thetas, ws: _Workspace):
+        return density_block(self.state, thetas, self.grid, self.table, ws)
 
     def profile(self, theta: float) -> DensityProfile:
         # the same one-row block as the base class, through eval_density:
@@ -317,17 +342,24 @@ class GaussianEvaluator(ProfileEvaluator):
                          count=numerics.grid_points)
         # a grid that cannot hold the state may overflow s^2 / v
         with np.errstate(over="ignore", invalid="ignore"):
-            rho = self.density_block([0.0, 0.5 * math.pi])[0]
+            rho = self.density_block([0.0, 0.5 * math.pi],
+                                     _Workspace(2, self.grid.count))[0]
         self._check_mass(integrate(rho, self.grid))
 
-    def density_block(self, thetas):
+    def density_block(self, thetas, ws: _Workspace):
         # one variance per row from the scalar formula, broadcast along the grid
         v = np.array([[gaussian_sigma_theta(self.sigma, t)] for t in thetas])
+        a = v.shape[0]
         s = self.grid.points
-        rho = np.exp(-0.5 * s * s / v) / np.sqrt(2.0 * math.pi * v)
-        drho = -(s / v) * rho
+        rho = np.divide(-0.5 * s * s, v, out=ws.rho[:a])
+        np.exp(rho, out=rho)
+        rho /= np.sqrt(2.0 * math.pi * v)
+        drho = np.divide(s, v, out=ws.drho[:a])
+        np.negative(drho, out=drho)
+        drho *= rho
         # psi = sqrt(rho) up to a global phase, so |psi'|^2 = drho^2 / (4 rho)
-        dpsi_abs2 = (s * s) / (4.0 * v * v) * rho
+        dpsi_abs2 = np.divide(s * s, 4.0 * v * v, out=ws.dpsi_abs2[:a])
+        dpsi_abs2 *= rho
         return rho, drho, dpsi_abs2
 
 

@@ -145,7 +145,7 @@ class BasisTable:
     """Eigenfunction values and derivatives tabulated on a set of points.
 
     Rows run n = 0..n_max; columns follow ``points``.  Immutable after
-    construction and safe to share across concurrent workers.
+    construction.
     """
 
     n_max: int

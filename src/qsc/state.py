@@ -220,9 +220,46 @@ class DensityProfile:
         return cls(grid=grid, theta=canonical_theta(theta), rho=rho, drho=drho)
 
 
-def density_block(state: FockState, thetas, grid: Grid, table: BasisTable):
+class _Scratch:
+    """The temporaries of the functionals for up to ``rows`` angles on
+    ``points`` grid points: a float ``scratch`` row and the boolean rows
+    ``mask`` and ``keep``, one each per angle.  A block of a <= rows angles
+    uses the first a rows.  ``report_from_profile`` takes one of these
+    alone: the profile it reads already holds a one-row workspace.  A
+    second whole one per angle let glibc give both back to the kernel and
+    fault them in again at every step in a process that had filled no
+    lattice yet, which doubled the cost of a single-angle evaluation of a
+    short state."""
+
+    def __init__(self, rows: int, points: int):
+        self.scratch = np.empty((rows, points))
+        masks = np.empty((2 * rows, points), dtype=bool)
+        self.mask, self.keep = masks[:rows], masks[rows:]
+
+
+class _Workspace(_Scratch):
+    """A ``_Scratch`` and the rows that ``density_block`` writes, for up to
+    ``rows`` angles: the GEMM products ``p`` (psi) and ``q`` (psi'), real
+    rows over imaginary rows, then ``rho``, ``drho`` and ``dpsi_abs2``; 7
+    float rows per angle in one buffer, 8 with the scratch row, which the
+    density products also use.  A block of a <= rows angles uses the first
+    a rows of each (2a of ``p`` and ``q``).  Every block overwrites the one
+    before, so arrays that must outlive a block need a workspace of their
+    own."""
+
+    def __init__(self, rows: int, points: int):
+        super().__init__(rows, points)
+        floats = np.empty((7 * rows, points))
+        self.p, self.q = floats[:2 * rows], floats[2 * rows:4 * rows]
+        self.rho = floats[4 * rows:5 * rows]
+        self.drho = floats[5 * rows:6 * rows]
+        self.dpsi_abs2 = floats[6 * rows:]
+
+
+def density_block(state: FockState, thetas, grid: Grid, table: BasisTable,
+                  ws: _Workspace):
     """rho = |psi|^2, drho = 2 Re(conj(psi) psi') and |psi'|^2 at every angle
-    of ``thetas``, as (len(thetas) x M) arrays, one row per angle.
+    of ``thetas``, as (len(thetas) x M) views into ``ws``, one row per angle.
 
     psi(x_j) = sum_n c_n exp(i n theta) u_n(x_j); the derivative uses the
     tabulated ladder derivatives, never finite differences.  The phase is
@@ -241,23 +278,25 @@ def density_block(state: FockState, thetas, grid: Grid, table: BasisTable):
     phased = state.coeffs * phases
     a = phased.shape[0]
     c = np.concatenate((phased.real, phased.imag))
-    p = c @ table.values[:k]
-    q = c @ table.derivs[:k]
+    p = np.matmul(c, table.values[:k], out=ws.p[:2 * a])
+    q = np.matmul(c, table.derivs[:k], out=ws.q[:2 * a])
     pr, pi, qr, qi = p[:a], p[a:], q[:a], q[a:]
-    rho = pr * pr
-    rho += pi * pi
-    drho = pr * qr
-    drho += pi * qi
+    tmp = ws.scratch[:a]
+    rho = np.multiply(pr, pr, out=ws.rho[:a])
+    rho += np.multiply(pi, pi, out=tmp)
+    drho = np.multiply(pr, qr, out=ws.drho[:a])
+    drho += np.multiply(pi, qi, out=tmp)
     drho *= 2.0
-    dpsi_abs2 = qr * qr
-    dpsi_abs2 += qi * qi
+    dpsi_abs2 = np.multiply(qr, qr, out=ws.dpsi_abs2[:a])
+    dpsi_abs2 += np.multiply(qi, qi, out=tmp)
     return rho, drho, dpsi_abs2
 
 
 def eval_density(state: FockState, theta: float, grid: Grid,
                  table: BasisTable) -> DensityProfile:
-    """The density profile at one angle: a one-row ``density_block``.  The
-    stored angle is canonicalized to [0, pi)."""
-    rho, drho, dpsi_abs2 = density_block(state, [theta], grid, table)
+    """The density profile at one angle: a one-row ``density_block`` in a
+    workspace of its own.  The stored angle is canonicalized to [0, pi)."""
+    rho, drho, dpsi_abs2 = density_block(state, [theta], grid, table,
+                                         _Workspace(1, grid.count))
     return DensityProfile(grid=grid, theta=canonical_theta(theta),
                           rho=rho[0], drho=drho[0], dpsi_abs2=dpsi_abs2[0])

@@ -34,6 +34,7 @@ import numpy as np
 
 from .functionals import (ComplexityReport, DEFAULT_NUMERICS, Numerics,
                           evaluator_for)
+from .hermite import MAX_TABLE_CELLS
 from .state import canonical_theta
 
 __all__ = ["SweepResult", "analyze", "global_fs", "min_fs", "sweep"]
@@ -84,9 +85,15 @@ def _lattice_values(ev, n: int):
 def sweep(state, n_theta: int,
           numerics: Numerics = DEFAULT_NUMERICS) -> SweepResult:
     """Evaluate the complexity report on the periodic lattice k pi / n_theta,
-    k = 0..n_theta-1 (endpoint pi excluded)."""
+    k = 0..n_theta-1 (endpoint pi excluded).  The lattice may hold at most
+    MAX_TABLE_CELLS grid values, n_theta * grid_points: 32768 angles at the
+    default grid."""
     if n_theta < 4:
         raise ValueError("need at least 4 theta samples")
+    if n_theta * numerics.grid_points > MAX_TABLE_CELLS:
+        raise ValueError(
+            f"{n_theta} theta samples of {numerics.grid_points} grid points "
+            f"exceed the cap of {MAX_TABLE_CELLS} values")
     ev = evaluator_for(state, numerics)
     thetas = _lattice(n_theta)
     reports = ev.reports(thetas)

@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 import subprocess
@@ -160,6 +161,24 @@ class TestSweep:
         row = out.split("\n")[2]          # a nonzero-theta row
         theta_txt = row.split(",")[0]
         assert theta_txt == format(math.pi / 4, ".12g")
+
+    @pytest.mark.parametrize("argv", [
+        ("--theta-samples", "100000000"),
+        ("--theta-samples", "32769"),
+        ("--theta-samples", "16385", "--grid-points", "8192"),
+    ], ids=["1e8", "cap+1", "cap+1_at_8192_points"])
+    def test_lattice_past_the_cap_is_refused_at_once(self, capsys,
+                                                     monkeypatch, argv):
+        # the cap is checked before the lattice or the evaluator is built
+        def unreachable(*args, **kwargs):
+            raise AssertionError("built past the cap")
+        module = importlib.import_module("qsc.sweep")
+        monkeypatch.setattr(module, "_lattice", unreachable)
+        monkeypatch.setattr(module, "evaluator_for", unreachable)
+        code, out, err = run_cli(capsys, "sweep", "fock:1", *argv)
+        assert code == 2
+        assert out == ""
+        assert "exceed the cap" in err
 
     def test_svg_emission(self, capsys, tmp_path):
         svg_path = tmp_path / "curve.svg"

@@ -12,7 +12,7 @@ import qsc
 from qsc.catalog import parse_state_literal, superposition_state
 from qsc.functionals import (DEFAULT_NUMERICS, FockEvaluator, Numerics,
                              block_rows, evaluator_for, fs_complexity)
-from qsc.state import AnalyticGaussian, make_state, rotate
+from qsc.state import AnalyticGaussian, _Workspace, make_state, rotate
 from qsc.sweep import SweepResult, _gfs, analyze, global_fs, min_fs, sweep
 from conftest import INV_SQRT2, fock
 
@@ -199,6 +199,48 @@ def test_block_reports_match_single_angle_reports(make):
     res = sweep(state, n_theta)
     for theta, report in zip(res.thetas, res.reports):
         _assert_reports_agree(report, fs_complexity(state, float(theta)))
+
+
+@pytest.fixture
+def workspaces(monkeypatch):
+    """The (rows, points) of every workspace built while the test runs."""
+    built = []
+    init = _Workspace.__init__
+
+    def counting_init(self, rows, points):
+        built.append((rows, points))
+        init(self, rows, points)
+    monkeypatch.setattr(_Workspace, "__init__", counting_init)
+    return built
+
+
+@pytest.mark.parametrize("make", [lambda: _random_state(9, 4),
+                                  lambda: AnalyticGaussian(2.0)],
+                         ids=["super9", "analytic_gauss"])
+def test_one_workspace_per_lattice_fill(make, workspaces):
+    ev = evaluator_for(make())
+    workspaces.clear()          # the Gaussian's own mass check
+    points = ev.grid.count
+    rows = block_rows(points)
+    lattice = [k * math.pi / (2 * rows + 3) for k in range(2 * rows + 3)]
+    ev.reports(lattice)
+    assert workspaces == [(rows, points)]
+    ev.reports(lattice)                     # every angle memoized
+    ev.reports(lattice[:5])
+    assert workspaces == [(rows, points)]
+    ev.reports(lattice + [0.1, 0.2, 0.3])   # three missing angles
+    assert workspaces == [(rows, points), (3, points)]
+
+
+def test_profile_outlives_later_lattice_fills():
+    ev = evaluator_for(_random_state(9, 4))
+    prof = ev.profile(0.3)
+    before = [prof.rho.copy(), prof.drho.copy(), prof.dpsi_abs2.copy()]
+    rows = block_rows(ev.grid.count)
+    ev.reports([0.3] + [k * math.pi / (2 * rows + 3)
+                        for k in range(2 * rows + 3)])
+    for kept, now in zip(before, (prof.rho, prof.drho, prof.dpsi_abs2)):
+        np.testing.assert_array_equal(now, kept)
 
 
 def test_sweep_csv_is_the_same_for_any_blas_thread_count():
