@@ -13,7 +13,7 @@ from .catalog import (BoxSpec, box_cfs_momentum, box_cfs_position,
                       choose_squeezed_truncation, parse_state_literal,
                       squeezed_vacuum_fock, superposition_state)
 from .errors import NumericsError, ParseError, QscError
-from .frft import KernelTransform, kernel, transform
+from .frft import kernel, transform
 from .functionals import (ComplexityReport, FockEvaluator, Numerics,
                           entropy_power, fs_complexity, integrate,
                           report_from_profile)
@@ -29,7 +29,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AnalyticGaussian", "BasisTable", "BoxSpec", "ComplexityReport",
     "DensityProfile", "FockEvaluator", "FockState", "Grid",
-    "KernelTransform", "Numerics", "NumericsError",
+    "Numerics", "NumericsError",
     "ParseError", "QscError", "SweepResult", "analyze", "box_cfs_momentum",
     "box_cfs_position", "box_k_integral", "box_state", "box_wavefunction",
     "build_basis_table", "canonical_theta", "choose_squeezed_truncation",

@@ -11,6 +11,7 @@ tolerances than everything else in the package.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -56,13 +57,19 @@ def superposition_state(m: int, a: float) -> FockState:
     return make_state(coeffs)
 
 
-def _squeezed_ratio(sigma: float) -> float:
-    # -tanh(r) with exp(-2r) = 2 sigma^2; squeezing below machine noise is
-    # snapped to zero so sigma = 1/sqrt(2) yields the ground state exactly
+def _squeezed_coefficients(sigma: float):
+    """c_0, c_2, c_4, ... of the squeezed vacuum of position variance
+    sigma^2, without end: c_0 = 1/sqrt(cosh r) and c_{2k+2}/c_{2k} =
+    -tanh(r) sqrt((2k+1)/(2k+2)) with exp(-2r) = 2 sigma^2."""
+    # q = -tanh(r); squeezing below machine noise is snapped to zero so
+    # sigma = 1/sqrt(2) yields the ground state exactly
     num = 2.0 * sigma * sigma - 1.0
-    if abs(num) < 1e-14:
-        return 0.0
-    return num / (2.0 * sigma * sigma + 1.0)
+    q = 0.0 if abs(num) < 1e-14 else num / (2.0 * sigma * sigma + 1.0)
+    u = math.sqrt(2.0) * sigma
+    c = math.sqrt(2.0 * u / (1.0 + u * u))   # 1/sqrt(cosh r)
+    for k in itertools.count():
+        yield c
+        c *= q * math.sqrt((2 * k + 1) / (2 * k + 2))
 
 
 def choose_squeezed_truncation(sigma: float) -> int:
@@ -70,41 +77,29 @@ def choose_squeezed_truncation(sigma: float) -> int:
     SQUEEZED_DEFICIT for the squeezed vacuum of position variance sigma^2."""
     if sigma <= 0.0:
         raise ValueError("sigma must be positive")
-    q = _squeezed_ratio(sigma)
-    u = math.sqrt(2.0) * sigma
-    c = math.sqrt(2.0 * u / (1.0 + u * u))   # 1/sqrt(cosh r)
-    total = c * c
-    k = 0
-    while 1.0 - total > SQUEEZED_DEFICIT:
-        c *= q * math.sqrt((2 * k + 1) / (2 * k + 2))
+    total = 0.0
+    for k, c in enumerate(_squeezed_coefficients(sigma)):
         total += c * c
-        k += 1
         if 2 * k > SQUEEZED_CAP:
             raise NumericsError(
                 f"no adequate truncation below {SQUEEZED_CAP}")
-    return max(2, 2 * k)
+        if 1.0 - total <= SQUEEZED_DEFICIT:
+            return max(2, 2 * k)
 
 
 def squeezed_vacuum_fock(sigma: float, n_max: int) -> FockState:
     """Squeezed vacuum whose position density is the Gaussian of variance
-    sigma^2, expanded over |0>, |2>, ..., |n_max>.
-
-    c_{2k+2}/c_{2k} = -tanh(r) sqrt((2k+1)/(2k+2)) with exp(-2r) = 2 sigma^2;
-    the sign is fixed so the angle-zero density reproduces the target
-    Gaussian exactly.
+    sigma^2, expanded over |0>, |2>, ..., |n_max>.  The sign of the
+    coefficient ratio (``_squeezed_coefficients``) is fixed so the
+    angle-zero density reproduces the target Gaussian exactly.
     """
     if sigma <= 0.0:
         raise ValueError("sigma must be positive")
     if n_max < 2 or n_max % 2:
         raise ValueError("n_max must be even and >= 2")
-    q = _squeezed_ratio(sigma)
-    u = math.sqrt(2.0) * sigma
     coeffs = np.zeros(n_max + 1, dtype=complex)
-    c = math.sqrt(2.0 * u / (1.0 + u * u))
-    coeffs[0] = c
-    for k in range(n_max // 2):
-        c *= q * math.sqrt((2 * k + 1) / (2 * k + 2))
-        coeffs[2 * k + 2] = c
+    coeffs[::2] = list(itertools.islice(_squeezed_coefficients(sigma),
+                                        n_max // 2 + 1))
     captured = float(np.sum(np.abs(coeffs) ** 2))
     if 1.0 - captured > 1e-10:
         raise NumericsError(

@@ -2,8 +2,12 @@
 
 The production path rotates states by Fock-basis phases; this module applies
 the explicit rotation kernel to grid-sampled wavefunctions instead, which
-makes it a genuinely independent cross-check.  Dense O(M^2) application is
-fine here: it is a test oracle, not a production path.
+makes it a genuinely independent cross-check: it uses no basis table and no
+Fock phases.  ``transform`` rotates one wavefunction or a block of them, one
+per column.  It builds each block of kernel rows once per call and applies
+it to every column as one matrix product, so the O(M^2) exponentials of
+the dense kernel are paid once for all columns.  Dense application is fine
+here: it is a test oracle, not a production path.
 
 Convention: the kernel is fixed so the oscillator eigenfunctions are its
 eigenvectors with eigenvalue exp(+i n alpha), the same phase rule the Fock
@@ -18,17 +22,20 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericsError
-from .state import Grid
+from .functionals import integrate
+from .hermite import build_basis_table
+from .state import Grid, default_grid, eval_density, make_state
 
-__all__ = ["DEGENERATE_SIN", "KernelTransform", "kernel", "transform"]
+__all__ = ["DEGENERATE_SIN", "kernel", "transform"]
 
 DEGENERATE_SIN = 1e-8
 EDGE_MASS_WARN = 1e-10
+# kernel rows built at a time: 256 x 1024 complex values are 4 MiB
+_KERNEL_ROWS = 256
 
 
 def _check_alpha(alpha: float) -> tuple[float, float]:
@@ -52,102 +59,80 @@ def kernel(alpha: float, u, v):
     return out if out.ndim else complex(out)
 
 
-def transform(psi, alpha: float, grid: Grid, block: int = 256) -> np.ndarray:
-    """Discretized kernel application (K psi) * dx on the same grid.
+def transform(psi, alpha: float, grid: Grid) -> np.ndarray:
+    """Discretized kernel application (K psi) * dx on the same grid, to one
+    wavefunction (M,) or to a block (M, S) of them, one per column.
 
-    Warns when the input carries significant mass in the outermost grid
+    Warns when any column carries significant mass in the outermost grid
     cells, where the discretization aliases.
     """
     sa, cot = _check_alpha(alpha)
-    psi = np.ascontiguousarray(psi, dtype=complex)
-    if psi.shape[0] != grid.count:
+    psi = np.asarray(psi, dtype=complex)
+    if psi.shape[:1] != (grid.count,):
         raise ValueError("sample count does not match grid")
-    prob = np.abs(psi) ** 2
-    edge = float(np.sum(prob[:3]) + np.sum(prob[-3:])) * grid.dx
+    block = psi.reshape(grid.count, -1)
+    prob = np.abs(block[:3]) ** 2 + np.abs(block[-3:]) ** 2
+    edge = float(np.max(np.sum(prob, axis=0))) * grid.dx
     if edge > EDGE_MASS_WARN:
         warnings.warn(f"edge mass {edge:.2e} will alias under the kernel",
                       RuntimeWarning)
     pts = grid.points
     pref = np.sqrt((1.0 + 1j * cot) / (2.0 * math.pi)) * grid.dx
-    chirp = np.exp(-0.5j * cot * pts * pts)
-    weighted = chirp * psi
-    out = np.empty(grid.count, dtype=complex)
-    for lo in range(0, grid.count, block):
-        hi = min(lo + block, grid.count)
-        osc = np.exp(1j * np.outer(pts[lo:hi], pts) / sa)
-        out[lo:hi] = osc @ weighted
+    chirp = np.exp(-0.5j * cot * pts * pts)[:, None]
+    weighted = chirp * block
+    out = np.empty_like(weighted)
+    for lo in range(0, grid.count, _KERNEL_ROWS):
+        rows = slice(lo, lo + _KERNEL_ROWS)
+        out[rows] = np.exp(1j * np.outer(pts[rows], pts) / sa) @ weighted
     out *= pref * chirp
-    return out
+    return out.reshape(psi.shape)
 
 
-@dataclass(frozen=True)
-class KernelTransform:
-    """Explicit kernel matrix K[j][k] = kernel(alpha, u_j, v_k) on one grid;
-    approximately unitary on band-limited inputs."""
-
-    alpha: float
-    grid: Grid
-    matrix: np.ndarray
-
-    @classmethod
-    def build(cls, alpha: float, grid: Grid) -> "KernelTransform":
-        mat = kernel(alpha, grid.points[:, None], grid.points[None, :])
-        mat.setflags(write=False)
-        return cls(alpha=alpha, grid=grid, matrix=mat)
-
-    def apply(self, psi) -> np.ndarray:
-        return (self.matrix @ np.asarray(psi, dtype=complex)) * self.grid.dx
-
-
-def equivalence_failures(n_states: int = 20, seed: int = 2024, n_max: int = 12,
-                         grid_points: int = 1024,
-                         alphas=(0.2, 0.7, 1.1, 2.4), l1_tol: float = 1e-5,
-                         comp_tol: float = 1e-4,
-                         unit_tol: float = 1e-6) -> list[str]:
+def equivalence_failures() -> list[str]:
     """Cross-validate the kernel against the Fock phase pipeline.
 
-    Draws seeded random states, rotates their sampled wavefunctions through
-    the kernel, and compares the resulting densities with the phase-rule
-    densities in L1.  Also checks output-norm conservation and kernel
-    composition (densities only; the composed kernel differs by a global
-    phase).  Returns a list of human-readable failures, empty on success.
+    Rotates 20 seeded random states (13 coefficients on 1024 points) through
+    the kernel, all of them in one call per angle, and compares the
+    densities with the phase-rule densities in L1.  Also checks output-norm
+    conservation and, on the first three states, kernel composition
+    (densities only; the composed kernel differs by a global phase).
+    Returns human-readable failures in state order, empty on success.
     """
-    from .functionals import integrate
-    from .hermite import build_basis_table
-    from .state import default_grid, eval_density, make_state
-
-    rng = np.random.default_rng(seed)
-    grid = default_grid(n_max, grid_points)
+    n_max, alphas = 12, (0.2, 0.7, 1.1, 2.4)
+    l1_tol, comp_tol, unit_tol = 1e-5, 1e-4, 1e-6
+    rng = np.random.default_rng(2024)
+    grid = default_grid(n_max, 1024)
     table = build_basis_table(n_max, grid)
+    states = [make_state(rng.normal(size=n_max + 1)
+                         + 1j * rng.normal(size=n_max + 1), renormalize=True)
+              for _ in range(20)]
+    psi0 = (np.array([s.coeffs for s in states]) @ table.values).T
+
+    def rho(psi):                   # one row per state
+        return np.abs(psi.T) ** 2
+
+    rotated = {alpha: rho(transform(psi0, alpha, grid)) for alpha in alphas}
+    a, b = 0.4, 0.9
+    head = psi0[:, :3]
+    comp = integrate(np.abs(rho(transform(transform(head, a, grid), b, grid))
+                            - rho(transform(head, a + b, grid))), grid)
+
     failures: list[str] = []
-
-    def l1(a, b):
-        return integrate(np.abs(a - b), grid)
-
-    for idx in range(n_states):
-        raw = rng.normal(size=n_max + 1) + 1j * rng.normal(size=n_max + 1)
-        state = make_state(raw, renormalize=True)
-        psi0 = state.coeffs @ table.values.astype(complex)
+    for idx, state in enumerate(states):
         for alpha in alphas:
-            phi = transform(psi0, alpha, grid)
-            norm = integrate(np.abs(phi) ** 2, grid)
+            norm = integrate(rotated[alpha][idx], grid)
             if abs(norm - 1.0) > unit_tol:
                 failures.append(
                     f"state {idx} alpha {alpha}: output norm off by "
                     f"{abs(norm - 1.0):.2e}")
-            dist = l1(np.abs(phi) ** 2,
-                      eval_density(state, alpha, grid, table).rho)
+            dist = integrate(np.abs(rotated[alpha][idx] - eval_density(
+                state, alpha, grid, table).rho), grid)
             if dist > l1_tol:
                 failures.append(
                     f"state {idx} alpha {alpha}: oracle/pipeline L1 distance "
                     f"{dist:.2e} > {l1_tol}")
-        if idx < 3:
-            a, b = 0.4, 0.9
-            two_step = transform(transform(psi0, a, grid), b, grid)
-            one_step = transform(psi0, a + b, grid)
-            dist = l1(np.abs(two_step) ** 2, np.abs(one_step) ** 2)
-            if dist > comp_tol:
-                failures.append(
-                    f"state {idx}: composition {a}+{b} L1 distance "
-                    f"{dist:.2e} > {comp_tol}")
+        if idx < comp.shape[0] and comp[idx] > comp_tol:
+            failures.append(
+                f"state {idx}: composition {a}+{b} L1 distance "
+                f"{comp[idx]:.2e} > {comp_tol}")
     return failures

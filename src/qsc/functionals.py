@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericsError
-from .hermite import build_basis_table, hermite_fn
+from .hermite import MAX_TABLE_CELLS, build_basis_table, hermite_fn
 from .state import (AnalyticGaussian, DensityProfile, FockState, Grid,
                     _Scratch, _Workspace, canonical_theta, default_grid,
                     density_block, eval_density, gaussian_sigma_theta,
@@ -242,6 +242,15 @@ class ProfileEvaluator:
     def density_block(self, thetas, ws: _Workspace):
         raise NotImplementedError
 
+    @staticmethod
+    def _check_cells(rows: int, numerics: Numerics) -> None:
+        """Refuse, before the grid exists, a largest array of ``rows`` grid
+        rows over hermite.MAX_TABLE_CELLS."""
+        if rows * numerics.grid_points > MAX_TABLE_CELLS:
+            raise NumericsError(
+                f"{rows} rows of {numerics.grid_points} grid points exceed "
+                f"the cap of {MAX_TABLE_CELLS} cells; use fewer points")
+
     def _check_mass(self, mass) -> None:
         """Refuse a grid on which a discrete mass is not 1 within MASS_TOL."""
         worst = float(np.max(np.abs(mass - 1.0)))
@@ -307,6 +316,7 @@ class FockEvaluator(ProfileEvaluator):
     def __init__(self, state: FockState, numerics: Numerics = DEFAULT_NUMERICS):
         super().__init__(numerics)
         self.state = state
+        self._check_cells(state.n_max + 2, numerics)     # the basis table
         self.grid = default_grid(state.n_max, numerics.grid_points,
                                  numerics.grid_margin)
         # the top row alone, from a two-row recurrence: a grid that cannot
@@ -337,6 +347,7 @@ class GaussianEvaluator(ProfileEvaluator):
                  numerics: Numerics = DEFAULT_NUMERICS):
         super().__init__(numerics)
         self.sigma = state.sigma
+        self._check_cells(14, numerics)     # the two-angle workspace below
         widest = max(self.sigma, 1.0 / self.sigma)
         self.grid = Grid(extent=(1.0 + numerics.grid_margin) * widest,
                          count=numerics.grid_points)

@@ -104,6 +104,21 @@ class TestMeasure:
         assert out == ""
         assert "cannot hold the state" in err
 
+    @pytest.mark.parametrize("literal", ["fock:1", "gauss:sigma=2,analytic"])
+    def test_grid_past_the_cell_cap_is_refused_before_it_exists(
+            self, capsys, monkeypatch, literal):
+        # the largest array is checked before the grid or any table is built
+        def unreachable(*args, **kwargs):
+            raise AssertionError("grid built past the cap")
+        module = importlib.import_module("qsc.functionals")
+        monkeypatch.setattr(module, "Grid", unreachable)
+        monkeypatch.setattr(module, "default_grid", unreachable)
+        code, out, err = run_cli(capsys, "measure", literal,
+                                 "--grid-points", "100000000")
+        assert code == 3
+        assert out == ""
+        assert "exceed the cap" in err
+
     @pytest.mark.parametrize("sigma", ["1e200", "1e150", "1e-150"])
     def test_analytic_width_beyond_float_range_is_refused(self, capsys, sigma):
         code, out, err = run_cli(capsys, "measure", f"gauss:sigma={sigma},analytic")

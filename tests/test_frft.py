@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from qsc.catalog import box_wavefunction, superposition_state
 from qsc.errors import NumericsError
-from qsc.frft import KernelTransform, equivalence_failures, kernel, transform
+from qsc.frft import equivalence_failures, kernel, transform
 from qsc.functionals import integrate
 from qsc.hermite import build_basis_table
 from qsc.state import Grid, default_grid, eval_density, make_state
@@ -108,6 +109,18 @@ class TestTransform:
         with pytest.warns(RuntimeWarning, match="edge mass"):
             transform(psi, 0.7, grid)
 
+    @pytest.mark.parametrize("column", [0, 1])
+    def test_edge_mass_warning_from_one_column_of_a_block(self, column):
+        grid = Grid(extent=2.0, count=256)
+        narrow = np.exp(-8.0 * grid.points ** 2).astype(complex)
+        block = np.stack((narrow, narrow), axis=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            transform(block, 0.7, grid)
+        block[:, column] = np.exp(-grid.points ** 2 / 32)
+        with pytest.warns(RuntimeWarning, match="edge mass"):
+            transform(block, 0.7, grid)
+
     def test_degenerate_angle_rejected(self, small_grid):
         with pytest.raises(NumericsError):
             transform(np.ones(small_grid.count, complex), math.pi, small_grid)
@@ -116,26 +129,50 @@ class TestTransform:
         with pytest.raises(ValueError):
             transform(np.ones(7, complex), 0.5, small_grid)
 
+    @pytest.mark.parametrize("shape", [(), (7, 2)])
+    def test_block_sample_count_checked(self, small_grid, shape):
+        with pytest.raises(ValueError):
+            transform(np.ones(shape, complex), 0.5, small_grid)
 
-class TestKernelTransform:
-    def test_matrix_agrees_with_blocked_apply(self):
+    def test_block_matches_dense_kernel_and_single_columns(self):
+        # the kernel matrix built point by point, applied to both columns
         grid = default_grid(4, grid_points=256)
         table = build_basis_table(4, grid)
-        psi = table.values[1].astype(complex)
-        kt = KernelTransform.build(0.8, grid)
-        np.testing.assert_allclose(kt.apply(psi), transform(psi, 0.8, grid),
-                                   atol=1e-12)
-        assert kt.matrix.shape == (256, 256)
+        psi = np.stack((table.values[1],
+                        0.6 * table.values[0] + 0.8j * table.values[3]),
+                       axis=1).astype(complex)
+        out = transform(psi, 0.8, grid)
+        u = grid.points
+        dense = kernel(0.8, u[:, None], u[None, :]) @ psi * grid.dx
+        np.testing.assert_allclose(out, dense, rtol=0, atol=1e-12)
+        for j in range(2):
+            alone = transform(psi[:, j], 0.8, grid)
+            np.testing.assert_allclose(out[:, j], alone, rtol=0, atol=1e-13)
 
     def test_near_unitary_on_band_limited_input(self):
         grid = default_grid(6, grid_points=512)
         table = build_basis_table(6, grid)
-        kt = KernelTransform.build(1.1, grid)
         psi = (table.values[3] * 0.6 + table.values[5] * 0.8).astype(complex)
-        out = kt.apply(psi)
+        out = transform(psi, 1.1, grid)
         assert integrate(np.abs(out) ** 2, grid) == pytest.approx(
             integrate(np.abs(psi) ** 2, grid), abs=1e-6)
 
 
 def test_equivalence_suite_is_clean():
     assert equivalence_failures() == []
+
+
+def test_equivalence_suite_can_fail(monkeypatch):
+    # a pipeline off by 0.05 rad must fail the L1 check for every state
+    # at every angle, listed state by state
+    def shifted(state, theta, grid, table):
+        return eval_density(state, theta + 0.05, grid, table)
+
+    monkeypatch.setattr("qsc.frft.eval_density", shifted)
+    failures = equivalence_failures()
+    pattern = re.compile(r"state (\d+) alpha ([\d.]+): oracle/pipeline L1 "
+                         r"distance \d\.\d\de[+-]\d\d > 1e-05")
+    found = [pattern.fullmatch(line) for line in failures]
+    assert all(found), failures
+    assert [(int(m[1]), float(m[2])) for m in found] == [
+        (idx, alpha) for idx in range(20) for alpha in (0.2, 0.7, 1.1, 2.4)]
