@@ -119,17 +119,14 @@ def box_wavefunction(n: int, x):
 
 @dataclass(frozen=True)
 class BoxSpec:
-    """Well eigenstate n with its oscillator-basis truncation."""
+    """Eigenstate n of the well [-1, 1] and its oscillator-basis truncation."""
 
     n: int
     n_fock: int = 256
-    half_width: float = 1.0
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be >= 1")
-        if self.half_width != 1.0:
-            raise ValueError("only the unit half-width well is supported")
         if self.n_fock < 4 * self.n:
             raise ValueError("truncation must be at least 4n")
 
@@ -151,11 +148,7 @@ def _box_coefficients(spec: BoxSpec, m: int) -> np.ndarray:
     Gauss-Legendre nodes, with the opposite-parity half pinned to zero.
     Refuses, before computing any node, a count whose basis table would
     exceed hermite.MAX_TABLE_CELLS."""
-    cells = (spec.n_fock + 2) * m
-    if cells > hermite.MAX_TABLE_CELLS:
-        raise NumericsError(
-            f"box projection on {m} nodes needs a basis table of {cells} "
-            f"cells, over the cap {hermite.MAX_TABLE_CELLS}; lower n_fock")
+    hermite.check_cells(spec.n_fock + 2, m)
     nodes, weights = np.polynomial.legendre.leggauss(m)
     table = hermite.tabulate(nodes, spec.n_fock)
     coeffs = table.values @ (weights * box_wavefunction(spec.n, nodes))
@@ -289,9 +282,12 @@ def box_cfs_momentum(n: int) -> float:
 # state literals (shared with the CLI)
 # ---------------------------------------------------------------------------
 
-def _parse_complex(token: str) -> complex:
-    # a trailing i is the imaginary unit (1+2i); the i of inf stays
+def _parse_complex(token: str, k: int) -> complex:
+    # coefficient k of a super: literal; a trailing i is the imaginary unit
+    # (1+2i), the i of inf stays
     token = token.strip()
+    if not token:
+        raise ParseError(f"super: the coefficient of |{k}> is empty")
     try:
         value = complex(token[:-1] + "j" if token.endswith("i") else token)
     except ValueError:
@@ -308,7 +304,8 @@ def parse_state_literal(text: str):
     Superposition coefficients are renormalized, so shortened decimals like
     0.70710678 are accepted.  A bare ``gauss:`` literal takes the Fock route
     with an automatically chosen truncation; ``analytic`` selects the
-    closed-form Gaussian family instead.
+    closed-form Gaussian family instead.  An empty coefficient and a field
+    given twice are parse errors.
     """
     kind, sep, body = text.partition(":")
     if not sep:
@@ -326,11 +323,11 @@ def parse_state_literal(text: str):
         coeffs[n] = 1.0
         return make_state(coeffs)
     if kind == "super":
-        items = [s for s in body.split(",") if s.strip()]
-        if not items:
+        if not body:
             raise ParseError("super: needs at least one coefficient")
         try:
-            return make_state([_parse_complex(s) for s in items], renormalize=True)
+            return make_state([_parse_complex(s, k) for k, s in
+                               enumerate(body.split(","))], renormalize=True)
         except ValueError as exc:
             raise ParseError(str(exc)) from None
     if kind in ("gauss", "box"):
@@ -341,12 +338,17 @@ def parse_state_literal(text: str):
             if not part:
                 continue
             if part.lower() == "analytic":
+                if analytic:
+                    raise ParseError(f"{kind}: analytic given twice")
                 analytic = True
                 continue
             key, sep, val = part.partition("=")
             if not sep:
                 raise ParseError(f"expected key=value, got {part!r}")
-            fields[key.strip()] = val.strip()
+            key = key.strip()
+            if key in fields:
+                raise ParseError(f"{kind}: {key} given twice")
+            fields[key] = val.strip()
 
         def take_int(key):
             try:

@@ -8,6 +8,7 @@ output paths, 1 for a failed reproduction/selftest run.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -17,7 +18,7 @@ from .catalog import (BoxSpec, box_cfs_momentum, box_cfs_position, box_state,
 from .errors import NumericsError, ParseError
 from .frft import equivalence_failures
 from .functionals import (DEFAULT_NUMERICS, Numerics, evaluator_for,
-                          fs_complexity, report_from_profile)
+                          fs_complexity)
 from .sweep import analyze, global_fs, min_fs, sweep
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -39,7 +40,7 @@ def _print_json(payload) -> None:
 def _numerics(args) -> Numerics:
     try:
         return Numerics(grid_points=args.grid_points,
-                        grid_margin=args.grid_margin, node_eps=args.node_eps,
+                        grid_margin=args.grid_margin,
                         gfs_rel_tol=args.gfs_rel_tol,
                         mfs_theta_tol=args.mfs_theta_tol)
     except ValueError as exc:
@@ -52,8 +53,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="grid resolution M (default %(default)s)")
     p.add_argument("--grid-margin", type=float, default=d.grid_margin,
                    help="grid extent beyond the classical turning point")
-    p.add_argument("--node-eps", type=float, default=d.node_eps,
-                   help="node threshold relative to max(rho)")
     p.add_argument("--gfs-rel-tol", type=float, default=d.gfs_rel_tol,
                    help="relative tolerance of the global-measure refinement")
     p.add_argument("--mfs-theta-tol", type=float, default=d.mfs_theta_tol,
@@ -136,15 +135,15 @@ def cmd_sweep(args) -> int:
     except ValueError as exc:       # too few or too many samples
         raise ParseError(str(exc)) from None
     csv = _sweep_csv(result)
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
-            fh.write(csv)
-    else:
-        sys.stdout.write(csv)
-    if args.svg:
-        values = [r.cfs for r in result.reports]
-        with open(args.svg, "w") as fh:
-            fh.write(_sweep_svg(list(result.thetas), values))
+    # every output path is opened before any output is written
+    with contextlib.ExitStack() as stack:
+        out = (stack.enter_context(open(args.out, "w", newline=""))
+               if args.out else sys.stdout)
+        svg = stack.enter_context(open(args.svg, "w")) if args.svg else None
+        out.write(csv)
+        if svg is not None:
+            values = [r.cfs for r in result.reports]
+            svg.write(_sweep_svg(list(result.thetas), values))
     return 0
 
 
@@ -189,16 +188,15 @@ def _reference_rows(numerics: Numerics, sections=("table1", "phi", "global",
         phi1 = {s: superposition_state(2, s * INV_SQRT2) for s in (+1, -1)}
         phi2 = {s: superposition_state(4, s * INV_SQRT2) for s in (+1, -1)}
         for sign, tag in ((+1, "plus"), (-1, "minus")):
-            at0 = fs_complexity(phi1[sign], 0.0, numerics).cfs
-            at90 = fs_complexity(phi1[sign], math.pi / 2.0, numerics).cfs
+            ev = evaluator_for(phi1[sign], numerics)
             ref0, ref90 = (2.32, 2.95) if sign > 0 else (2.95, 2.32)
-            add(f"phi1_{tag}:theta=0", ref0, at0, 0.01, "abs")
-            add(f"phi1_{tag}:theta=pi/2", ref90, at90, 0.01, "abs")
+            add(f"phi1_{tag}:theta=0", ref0, ev.cfs(0.0), 0.01, "abs")
+            add(f"phi1_{tag}:theta=pi/2", ref90, ev.cfs(math.pi / 2.0),
+                0.01, "abs")
+            ev = evaluator_for(phi2[sign], numerics)
             ref2 = 6.79763 if sign > 0 else 9.26409
-            add(f"phi2_{tag}:theta=0", ref2,
-                fs_complexity(phi2[sign], 0.0, numerics).cfs, 1e-3, "abs")
-            add(f"phi2_{tag}:theta=pi/2", ref2,
-                fs_complexity(phi2[sign], math.pi / 2.0, numerics).cfs,
+            add(f"phi2_{tag}:theta=0", ref2, ev.cfs(0.0), 1e-3, "abs")
+            add(f"phi2_{tag}:theta=pi/2", ref2, ev.cfs(math.pi / 2.0),
                 1e-3, "abs")
         if "global" in sections:
             for sign, tag in ((+1, "plus"), (-1, "minus")):
@@ -249,9 +247,7 @@ def cmd_box(args) -> int:
     rows = []
     for n, spec in enumerate(specs, start=1):
         ev = evaluator_for(box_state(spec), numerics)
-        pos, mom = (
-            report_from_profile(ev.profile(theta), numerics.node_eps).cfs
-            for theta in (0.0, math.pi / 2.0))
+        pos, mom = ev.cfs(0.0), ev.cfs(math.pi / 2.0)
         pos_ref = box_cfs_position(n)
         mom_ref = box_cfs_momentum(n)
         rows.append({"n": n,

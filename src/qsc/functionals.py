@@ -15,8 +15,9 @@ share of grid cells carries most of the Fisher integral, so the value depends
 on resolution.
 
 The Fisher integrand (rho')^2 / rho is finite at simple nodes of the
-wavefunction but numerically 0/0 there; points where rho falls below
-``node_eps * max(rho)`` are replaced by the analytic limit 4 |psi'|^2.
+wavefunction but numerically 0/0 there; points where rho falls to
+``NODE_EPS * max(rho)`` (1e-13, fixed) or below are replaced by the
+analytic limit 4 |psi'|^2.
 
 An angle lattice is filled in blocks of rows.  One fill allocates one
 workspace, sized for a block, and every block of it writes its GEMM
@@ -38,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericsError
-from .hermite import MAX_TABLE_CELLS, build_basis_table, hermite_fn
+from .hermite import build_basis_table, check_cells, hermite_fn
 from .state import (AnalyticGaussian, DensityProfile, FockState, Grid,
                     _Scratch, _Workspace, canonical_theta, default_grid,
                     density_block, eval_density, gaussian_sigma_theta,
@@ -51,6 +52,9 @@ __all__ = [
 ]
 
 ENTROPY_POWER_GUARD = 350.0
+
+# Node threshold of the Fisher integrand, relative to max(rho) of each row.
+NODE_EPS = 1e-13
 
 # Bytes of the float workspace that one lattice fill holds, on top of the
 # basis table and reused by every block of the fill: 8 rows of grid points
@@ -72,14 +76,13 @@ class Numerics:
 
     grid_points: int = 4096
     grid_margin: float = 6.0
-    node_eps: float = 1e-13        # relative to max(rho)
     gfs_rel_tol: float = 1e-5
     mfs_theta_tol: float = 1e-6
 
     def __post_init__(self):
         if self.grid_points < 2:
             raise ValueError(f"grid_points must be >= 2, got {self.grid_points}")
-        for name in ("grid_margin", "node_eps", "gfs_rel_tol", "mfs_theta_tol"):
+        for name in ("grid_margin", "gfs_rel_tol", "mfs_theta_tol"):
             value = getattr(self, name)
             tol = name.endswith("_tol")        # tolerances must be positive
             if not math.isfinite(value) or value < 0.0 or (tol and value == 0.0):
@@ -129,16 +132,16 @@ def _dpsi_abs2(profile: DensityProfile) -> np.ndarray:
 # keep their temporaries in the scratch row and masks of ``ws``, a
 # ``_Scratch`` of at least A rows.
 
-def _fisher_terms(rho, drho, dpsi_abs2, grid: Grid, node_eps, ws: _Scratch):
+def _fisher_terms(rho, drho, dpsi_abs2, grid: Grid, ws: _Scratch):
     """Fisher integrand (rho')^2 / rho and its integral.  At or below
-    ``node_eps * max(rho)`` of each row, where the quotient is numerically
+    ``NODE_EPS * max(rho)`` of each row, where the quotient is numerically
     0/0, the integrand takes its node limit 4 |psi'|^2.  The integrand is
     the scratch row of ``ws``."""
     peak = rho.max(axis=-1, initial=0.0)
     if np.any(peak <= 0.0):
         raise NumericsError("degenerate profile: density has no mass")
     a = rho.shape[0]
-    node = np.less_equal(rho, node_eps * peak[..., None], out=ws.mask[:a])
+    node = np.less_equal(rho, NODE_EPS * peak[..., None], out=ws.mask[:a])
     integrand = np.square(drho, out=ws.scratch[:a])
     np.divide(integrand, rho, out=integrand,
               where=np.logical_not(node, out=ws.keep[:a]))
@@ -182,15 +185,15 @@ def entropy_power(entropy: float) -> float:
     return math.exp(2.0 * entropy) / (2.0 * math.pi * math.e)
 
 
-def _reports(thetas, rho, drho, dpsi_abs2, grid: Grid, node_eps: float,
-             extensions: bool, ws: _Scratch) -> list[ComplexityReport]:
+def _reports(thetas, rho, drho, dpsi_abs2, grid: Grid, extensions: bool,
+             ws: _Scratch) -> list[ComplexityReport]:
     """Reports of a block of profiles, (A x M) arrays with one row per angle
     of ``thetas`` (canonical angles), with the temporaries in ``ws``.  The
     extensions are the disequilibrium D = integral of rho^2 and the variance
     V, combined as C_LMC = D exp(S) and C_CR = I V, and the
     ``edge_dominated`` flag."""
     entropy = _entropy(rho, grid, ws)
-    integrand, fisher = _fisher_terms(rho, drho, dpsi_abs2, grid, node_eps, ws)
+    integrand, fisher = _fisher_terms(rho, drho, dpsi_abs2, grid, ws)
     if extensions:
         diseq = integrate(rho * rho, grid)
         var = _variance(rho, grid)
@@ -210,15 +213,15 @@ def _reports(thetas, rho, drho, dpsi_abs2, grid: Grid, node_eps: float,
     return reports
 
 
-def report_from_profile(profile: DensityProfile, node_eps: float = 1e-13,
+def report_from_profile(profile: DensityProfile,
                         extensions: bool = False) -> ComplexityReport:
     """Assemble the full per-angle report from one density profile: the
     block computation with a single row, on temporaries of its own.  With
     ``extensions`` it carries every per-profile measure: I, S, J, C_FS,
     C_LMC, C_CR and the edge-dominance flag."""
     return _reports([profile.theta], profile.rho[None], profile.drho[None],
-                    _dpsi_abs2(profile)[None], profile.grid, node_eps,
-                    extensions, _Scratch(1, profile.grid.count))[0]
+                    _dpsi_abs2(profile)[None], profile.grid, extensions,
+                    _Scratch(1, profile.grid.count))[0]
 
 
 class ProfileEvaluator:
@@ -241,15 +244,6 @@ class ProfileEvaluator:
 
     def density_block(self, thetas, ws: _Workspace):
         raise NotImplementedError
-
-    @staticmethod
-    def _check_cells(rows: int, numerics: Numerics) -> None:
-        """Refuse, before the grid exists, a largest array of ``rows`` grid
-        rows over hermite.MAX_TABLE_CELLS."""
-        if rows * numerics.grid_points > MAX_TABLE_CELLS:
-            raise NumericsError(
-                f"{rows} rows of {numerics.grid_points} grid points exceed "
-                f"the cap of {MAX_TABLE_CELLS} cells; use fewer points")
 
     def _check_mass(self, mass) -> None:
         """Refuse a grid on which a discrete mass is not 1 within MASS_TOL."""
@@ -284,14 +278,12 @@ class ProfileEvaluator:
 
     def _block_reports(self, block, ws: _Workspace):
         return _reports([canonical_theta(t) for t in block],
-                        *self.density_block(block, ws), self.grid,
-                        self.numerics.node_eps, False, ws)
+                        *self.density_block(block, ws), self.grid, False, ws)
 
     def report(self, theta: float) -> ComplexityReport:
         hit = self._cache.get(theta)
         if hit is None:
-            hit = report_from_profile(self.profile(theta),
-                                      self.numerics.node_eps)
+            hit = report_from_profile(self.profile(theta))
             self._cache[theta] = hit
         return hit
 
@@ -316,7 +308,7 @@ class FockEvaluator(ProfileEvaluator):
     def __init__(self, state: FockState, numerics: Numerics = DEFAULT_NUMERICS):
         super().__init__(numerics)
         self.state = state
-        self._check_cells(state.n_max + 2, numerics)     # the basis table
+        check_cells(state.n_max + 2, numerics.grid_points)   # the basis table
         self.grid = default_grid(state.n_max, numerics.grid_points,
                                  numerics.grid_margin)
         # the top row alone, from a two-row recurrence: a grid that cannot
@@ -347,7 +339,7 @@ class GaussianEvaluator(ProfileEvaluator):
                  numerics: Numerics = DEFAULT_NUMERICS):
         super().__init__(numerics)
         self.sigma = state.sigma
-        self._check_cells(14, numerics)     # the two-angle workspace below
+        check_cells(14, numerics.grid_points)   # the two-angle workspace below
         widest = max(self.sigma, 1.0 / self.sigma)
         self.grid = Grid(extent=(1.0 + numerics.grid_margin) * widest,
                          count=numerics.grid_points)
@@ -387,5 +379,4 @@ def fs_complexity(state, theta: float, numerics: Numerics = DEFAULT_NUMERICS,
                   extensions: bool = False) -> ComplexityReport:
     """Fisher-Shannon complexity report of a state at one angle."""
     ev = evaluator_for(state, numerics)
-    return report_from_profile(ev.profile(theta), numerics.node_eps,
-                               extensions)
+    return report_from_profile(ev.profile(theta), extensions)

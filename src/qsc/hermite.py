@@ -33,7 +33,7 @@ import numpy as np
 from .errors import NumericsError
 
 __all__ = ["BasisTable", "MAX_TABLE_CELLS", "build_basis_table",
-           "hermite_fn", "hermite_fn_derivative"]
+           "check_cells", "hermite_fn", "hermite_fn_derivative"]
 
 # guards accidental huge allocations, not a tuning knob
 MAX_TABLE_CELLS = 1 << 27
@@ -45,6 +45,16 @@ _INV_RESCALE = 2.0 ** -512
 _LOG_RESCALE = 512.0 * np.log(2.0)
 _EXP_SAFE = -690.0       # exp(g) is a normal float above this
 _LOG_TINY = -745.0       # exp below this underflows to zero
+
+
+def check_cells(rows: int, points: int) -> None:
+    """Refuse an array of ``rows`` rows of ``points`` points past
+    MAX_TABLE_CELLS, before anything of that size is allocated."""
+    cells = rows * points
+    if cells > MAX_TABLE_CELLS:
+        raise NumericsError(
+            f"{rows} rows of {points} points exceed the cap of {MAX_TABLE_CELLS}"
+            f" cells: {cells} cells is {cells - MAX_TABLE_CELLS} over the cap")
 
 
 def _unscale(v, g, w, unsafe, out=None):
@@ -159,10 +169,7 @@ def tabulate(points: np.ndarray, n_max: int) -> BasisTable:
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     points = np.ascontiguousarray(points, dtype=float)
-    cells = (n_max + 2) * points.shape[0]
-    if cells > MAX_TABLE_CELLS:
-        raise NumericsError(
-            f"basis table of {cells} cells exceeds cap {MAX_TABLE_CELLS}")
+    check_cells(n_max + 2, points.shape[0])
     values, derivs = _hermite_table(points, n_max)
     for arr in (points, values, derivs):
         arr.setflags(write=False)

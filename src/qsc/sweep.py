@@ -70,16 +70,23 @@ def _lattice(n: int, axis: float = 0.0) -> list[float]:
     return [axis + (k * math.pi) / n for k in range(n)]
 
 
-def _lattice_values(ev, n: int):
+def _lattice_reports(ev, n: int):
     """The lattice of ``n`` angles (n even) about the evaluator's mirror
-    axis, and cfs on it.  With an axis only k = 0..n/2 are evaluated; value
-    n - k stands for k."""
+    axis, the reports on it, and how many of them were evaluated.  With an
+    axis only k = 0..n/2 are evaluated, and report n - k, with its own
+    angle, stands for each later k."""
     axis = ev.mirror_axis
     thetas = _lattice(n, axis or 0.0)
     if axis is None:
-        return thetas, [r.cfs for r in ev.reports(thetas)]
-    half = [r.cfs for r in ev.reports(thetas[: n // 2 + 1])]
-    return thetas, half + half[-2:0:-1]
+        return thetas, ev.reports(thetas), n
+    half = ev.reports(thetas[: n // 2 + 1])
+    return thetas, half + half[-2:0:-1], len(half)
+
+
+def _lattice_values(ev, n: int):
+    """The lattice of ``n`` angles about the mirror axis, and cfs on it."""
+    thetas, reports, _ = _lattice_reports(ev, n)
+    return thetas, [r.cfs for r in reports]
 
 
 def sweep(state, n_theta: int,
@@ -102,15 +109,17 @@ def sweep(state, n_theta: int,
                        converged=True, resolution=n_theta)
 
 
-def _gfs(ev, numerics: Numerics):
-    """Periodic-trapezoid average of cfs with resolution doubling."""
+def _gfs(ev):
+    """Periodic-trapezoid average of cfs with resolution doubling, to the
+    evaluator's ``gfs_rel_tol``."""
+    tol = ev.numerics.gfs_rel_tol
     res = GFS_START
     estimate = float(np.mean(_lattice_values(ev, res)[1]))
     converged = False
     while res < GFS_MAX_RESOLUTION:
         res *= 2
         refined = float(np.mean(_lattice_values(ev, res)[1]))
-        if abs(refined - estimate) <= numerics.gfs_rel_tol * max(abs(refined), 1e-300):
+        if abs(refined - estimate) <= tol * max(abs(refined), 1e-300):
             estimate = refined
             converged = True
             break
@@ -148,10 +157,11 @@ def _golden_min(f, lo: float, hi: float, tol: float):
     return best_x, best_f
 
 
-def _mfs(ev, numerics: Numerics, extra_seeds=()):
-    """Coarse periodic scan, then golden-section refinement around the best
-    sample (ties break toward smaller theta).  ``extra_seeds`` adds lattice
-    angles from other computations whose minima must not be missed."""
+def _mfs(ev, extra_seeds=()):
+    """Coarse periodic scan, then golden-section refinement to the
+    evaluator's ``mfs_theta_tol`` around the best sample (ties break toward
+    smaller theta).  ``extra_seeds`` adds lattice angles from other
+    computations whose minima must not be missed."""
     n = MFS_SCAN
     thetas, values = _lattice_values(ev, n)
     k = int(np.argmin(values))
@@ -161,7 +171,7 @@ def _mfs(ev, numerics: Numerics, extra_seeds=()):
     best_x, best_f = thetas[k], values[k]
     for center, spacing in seeds:
         x, fx = _golden_min(ev.cfs, center - spacing, center + spacing,
-                            numerics.mfs_theta_tol)
+                            ev.numerics.mfs_theta_tol)
         if fx < best_f:
             best_x, best_f = x, fx
     return canonical_theta(best_x), best_f
@@ -169,13 +179,13 @@ def _mfs(ev, numerics: Numerics, extra_seeds=()):
 
 def global_fs(state, numerics: Numerics = DEFAULT_NUMERICS) -> float:
     """Global Fisher-Shannon measure: the angle average of cfs."""
-    value, _, _ = _gfs(evaluator_for(state, numerics), numerics)
+    value, _, _ = _gfs(evaluator_for(state, numerics))
     return value
 
 
 def min_fs(state, numerics: Numerics = DEFAULT_NUMERICS) -> tuple[float, float]:
     """Minimum Fisher-Shannon measure and its canonical arg-min angle."""
-    return _mfs(evaluator_for(state, numerics), numerics)
+    return _mfs(evaluator_for(state, numerics))
 
 
 def analyze(state, numerics: Numerics = DEFAULT_NUMERICS) -> SweepResult:
@@ -188,21 +198,14 @@ def analyze(state, numerics: Numerics = DEFAULT_NUMERICS) -> SweepResult:
     half built from the evaluated half with the angles replaced.
     """
     ev = evaluator_for(state, numerics)
-    gfs_value, converged, resolution = _gfs(ev, numerics)
-    axis = ev.mirror_axis
-    thetas = _lattice(resolution, axis or 0.0)
-    if axis is None:
-        reports = ev.reports(thetas)
-    else:
-        half = resolution // 2
-        reports = ev.reports(thetas[: half + 1])
-        reports += [replace(reports[resolution - k],
-                            theta=canonical_theta(thetas[k]))
-                    for k in range(half + 1, resolution)]
+    gfs_value, converged, resolution = _gfs(ev)
+    thetas, reports, done = _lattice_reports(ev, resolution)
+    reports[done:] = [replace(r, theta=canonical_theta(t))
+                      for r, t in zip(reports[done:], thetas[done:])]
     cfs_values = [r.cfs for r in reports]
     k_best = int(np.argmin(cfs_values))
     mfs_theta, mfs_value = _mfs(
-        ev, numerics, extra_seeds=[(thetas[k_best], math.pi / resolution)])
+        ev, extra_seeds=[(thetas[k_best], math.pi / resolution)])
     if cfs_values[k_best] < mfs_value:
         mfs_theta, mfs_value = canonical_theta(thetas[k_best]), cfs_values[k_best]
     return SweepResult(thetas=np.array(thetas), reports=tuple(reports),

@@ -131,8 +131,6 @@ class TestBoxState:
             BoxSpec(n=0)
         with pytest.raises(ValueError):
             BoxSpec(n=5, n_fock=16)
-        with pytest.raises(ValueError):
-            BoxSpec(n=1, half_width=2.0)
 
     def test_parity_exact_zeros(self):
         with warnings.catch_warnings():

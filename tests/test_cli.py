@@ -1,4 +1,6 @@
+import contextlib
 import importlib
+import io
 import json
 import math
 import subprocess
@@ -6,6 +8,8 @@ import sys
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsc.cli import _numerics, build_parser, main
 from qsc.functionals import Numerics
@@ -79,7 +83,7 @@ class TestMeasure:
     @pytest.mark.parametrize("argv", [
         ("gfs", "fock:1", "--gfs-rel-tol", "nan"),
         ("gfs", "fock:1", "--gfs-rel-tol", "-1"),
-        ("measure", "fock:1", "--node-eps", "nan"),
+        ("measure", "fock:1", "--grid-margin", "-1"),
         ("mfs", "fock:1", "--mfs-theta-tol", "nan"),
         ("mfs", "fock:1", "--mfs-theta-tol", "0"),
         ("measure", "fock:1", "--grid-margin", "nan"),
@@ -146,6 +150,30 @@ class TestMeasure:
             main(["measure", "fock:1", "--frobnicate"])
         assert exc.value.code == 2
 
+    def test_node_threshold_is_not_a_flag(self, capsys):
+        # the node threshold is the constant functionals.NODE_EPS
+        with pytest.raises(SystemExit) as exc:
+            main(["measure", "fock:1", "--node-eps", "nan"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("literal,k", [("super:,1", 0), ("super:1,,2", 1),
+                                           ("super:1,0,", 2)])
+    def test_empty_coefficient_is_named(self, capsys, literal, k):
+        # an empty field never shifts the later coefficients
+        code, out, err = run_cli(capsys, "measure", literal)
+        assert code == 2
+        assert out == ""
+        assert f"the coefficient of |{k}> is empty" in err
+
+    @pytest.mark.parametrize("literal", ["box:n=1,n=3", "gauss:sigma=1,sigma=2",
+                                         "gauss:sigma=2,analytic,analytic"])
+    def test_repeated_field_is_a_parse_error(self, capsys, literal):
+        code, out, err = run_cli(capsys, "measure", literal)
+        assert code == 2
+        assert out == ""
+        assert "given twice" in err
+
 
 class TestSweep:
     def test_csv_format(self, capsys, tmp_path):
@@ -209,6 +237,14 @@ class TestSweep:
         target = tmp_path / "missing-dir" / "out.csv"
         code, _, err = run_cli(capsys, "sweep", "fock:1", "--out", str(target))
         assert code == 4
+        assert "io error" in err
+
+    def test_unwritable_svg_path_writes_no_csv(self, capsys, tmp_path):
+        target = tmp_path / "missing-dir" / "curve.svg"
+        code, out, err = run_cli(capsys, "sweep", "fock:1", "--theta-samples",
+                                 "4", "--svg", str(target))
+        assert code == 4
+        assert out == ""
         assert "io error" in err
 
 
@@ -307,3 +343,101 @@ def test_module_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["cfs"] == pytest.approx(1.0, abs=1e-6)
+
+
+# Fuzzed command lines.  Each field is either plausible or wild: random
+# text, empty, non-finite or huge.  A truncation (Fock index, N=) is at most
+# 64 and the grid at most 1024 points, so no large table or grid is built.
+_WILD = st.one_of(
+    st.floats().map(repr),
+    st.sampled_from(["", "x", "nan", "-inf", "1e400", "1e-400", "9" * 40]))
+_WILD_TRUNCATION = st.one_of(
+    st.integers(-3, 64).map(str),
+    st.sampled_from(["", "x", "1.5", "nan", "inf", "1e400"]))
+
+
+def _field(low, high, wild=_WILD):
+    plausible = (st.integers(low, high) if isinstance(low, int)
+                 else st.floats(low, high))
+    return st.one_of(plausible.map(str), wild)
+
+
+def _truncation(low, high):
+    return _field(low, high, _WILD_TRUNCATION)
+
+
+# extra fields: empty, unknown, repeated or malformed
+_EXTRA = st.lists(st.sampled_from(
+    ["", " ", "analytic", "sigma=1", "n=1", "N=8", "x=1", "junk"]), max_size=2)
+_COEFFICIENT = st.one_of(
+    _field(-2.0, 2.0),
+    st.sampled_from(["1+1i", "2i", "-1-0.5i", "i", "1e300i", "nani"]))
+
+
+@st.composite
+def _gauss_literal(draw):
+    route = draw(st.sampled_from(["auto", "N", "analytic"]))
+    if route == "auto":
+        # the automatic truncation stays at or below 64 here
+        parts = [f"sigma={draw(st.floats(0.35, 1.5))}"]
+    elif route == "N":
+        parts = [f"sigma={draw(_field(0.6, 1.2))}",
+                 f"N={draw(_truncation(2, 64))}"]
+    else:
+        parts = [f"sigma={draw(_field(0.1, 10.0))}", "analytic"]
+    parts += draw(_EXTRA)
+    return "gauss:" + ",".join(draw(st.permutations(parts)))
+
+
+@st.composite
+def _box_literal(draw):
+    # N= is always given: the default truncation is 256
+    parts = [f"n={draw(_truncation(1, 4))}", f"N={draw(_truncation(16, 64))}"]
+    parts += draw(_EXTRA)
+    return "box:" + ",".join(draw(st.permutations(parts)))
+
+
+_LITERAL = st.one_of(
+    _truncation(0, 64).map("fock:{}".format),
+    st.lists(_COEFFICIENT, max_size=8).map(lambda c: "super:" + ",".join(c)),
+    _gauss_literal(), _box_literal(),
+    st.text(max_size=6).filter(lambda t: ":" not in t))
+
+
+@st.composite
+def _command_line(draw):
+    command = draw(st.sampled_from(["measure", "gfs", "mfs"]))
+    argv = [command, draw(_LITERAL)]
+    flags = {"--grid-points": _field(
+                 64, 1024, st.one_of(st.integers(-2, 63).map(str),
+                                     st.sampled_from(["", "x", "1e3"]))),
+             "--grid-margin": _field(0.0, 12.0),
+             "--gfs-rel-tol": _field(1e-8, 1e-1),
+             "--mfs-theta-tol": _field(1e-9, 1e-2)}
+    if command == "measure":
+        flags["--theta"] = _field(-10.0, 10.0)
+    for flag, values in flags.items():
+        if draw(st.booleans()):
+            argv.append(f"{flag}={draw(values)}")
+    return argv
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-strict JSON constant {name}")
+
+
+@settings(max_examples=200, deadline=None)
+@given(_command_line())
+def test_fuzzed_command_lines_exit_with_a_documented_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:       # argparse refusing a flag value
+            code = exc.code
+    assert code in (0, 2, 3, 4), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        json.loads(out.getvalue(), parse_constant=_reject_constant)
+    else:
+        assert out.getvalue() == "", argv

@@ -10,7 +10,7 @@ import pytest
 
 import qsc
 from qsc.catalog import parse_state_literal, superposition_state
-from qsc.functionals import (DEFAULT_NUMERICS, FockEvaluator, Numerics,
+from qsc.functionals import (FockEvaluator, Numerics,
                              block_rows, evaluator_for, fs_complexity)
 from qsc.state import AnalyticGaussian, _Workspace, make_state, rotate
 from qsc.sweep import SweepResult, _gfs, analyze, global_fs, min_fs, sweep
@@ -331,7 +331,7 @@ def test_a_state_without_mirror_axis():
 
 def test_gfs_evaluates_half_the_lattice():
     ev = evaluator_for(_rotated_real_state(6, 3))
-    _, _, resolution = _gfs(ev, DEFAULT_NUMERICS)
+    _, _, resolution = _gfs(ev)
     # the coarser lattices reuse the angles of the finest one
     assert len(ev._cache) == resolution // 2 + 1
 
