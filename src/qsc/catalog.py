@@ -20,6 +20,7 @@ import numpy as np
 
 from . import hermite
 from .errors import NumericsError, ParseError
+from .functionals import DEFAULT_NUMERICS
 from .state import AnalyticGaussian, FockState, make_state
 
 __all__ = [
@@ -297,7 +298,8 @@ def _parse_complex(token: str, k: int) -> complex:
     return value
 
 
-def parse_state_literal(text: str):
+def parse_state_literal(text: str,
+                        grid_points: int = DEFAULT_NUMERICS.grid_points):
     """Parse ``fock:n``, ``super:c0,c1,...``, ``gauss:sigma=S[,N=..|,analytic]``
     or ``box:n=N[,N=..]`` into a state object.
 
@@ -305,7 +307,10 @@ def parse_state_literal(text: str):
     0.70710678 are accepted.  A bare ``gauss:`` literal takes the Fock route
     with an automatically chosen truncation; ``analytic`` selects the
     closed-form Gaussian family instead.  An empty coefficient and a field
-    given twice are parse errors.
+    given twice are parse errors.  A ``fock:`` or ``gauss:`` truncation N
+    whose basis table of (N + 2) rows of ``grid_points`` would pass
+    hermite.MAX_TABLE_CELLS raises NumericsError before any coefficient
+    exists.
     """
     kind, sep, body = text.partition(":")
     if not sep:
@@ -319,6 +324,7 @@ def parse_state_literal(text: str):
             raise ParseError(f"bad Fock index {body!r}") from None
         if n < 0:
             raise ParseError("Fock index must be >= 0")
+        hermite.check_cells(n + 2, grid_points)
         coeffs = np.zeros(n + 1, dtype=complex)
         coeffs[n] = 1.0
         return make_state(coeffs)
@@ -377,6 +383,8 @@ def parse_state_literal(text: str):
                     return AnalyticGaussian(sigma)
                 except ValueError as exc:
                     raise ParseError(f"gauss: {exc}") from None
+            if trunc is not None:
+                hermite.check_cells(trunc + 2, grid_points)
             try:
                 if trunc is None:
                     trunc = choose_squeezed_truncation(sigma)

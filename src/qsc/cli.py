@@ -62,8 +62,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 def cmd_measure(args) -> int:
     if not math.isfinite(args.theta):
         raise ParseError(f"--theta must be finite, got {args.theta!r}")
-    state = parse_state_literal(args.state)
-    report = fs_complexity(state, args.theta, _numerics(args), extensions=True)
+    numerics = _numerics(args)
+    state = parse_state_literal(args.state, numerics.grid_points)
+    report = fs_complexity(state, args.theta, numerics, extensions=True)
     payload = {
         "theta": report.theta,
         "fisher": report.fisher,
@@ -128,8 +129,8 @@ def _sweep_svg(thetas, values) -> str:
 
 
 def cmd_sweep(args) -> int:
-    state = parse_state_literal(args.state)
     numerics = _numerics(args)
+    state = parse_state_literal(args.state, numerics.grid_points)
     try:
         result = sweep(state, args.theta_samples, numerics)
     except ValueError as exc:       # too few or too many samples
@@ -148,16 +149,18 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_gfs(args) -> int:
-    state = parse_state_literal(args.state)
-    result = analyze(state, _numerics(args))
+    numerics = _numerics(args)
+    state = parse_state_literal(args.state, numerics.grid_points)
+    result = analyze(state, numerics)
     _print_json({"gfs": result.gfs, "converged": result.converged,
                  "resolution": result.resolution})
     return 0
 
 
 def cmd_mfs(args) -> int:
-    state = parse_state_literal(args.state)
-    theta_star, value = min_fs(state, _numerics(args))
+    numerics = _numerics(args)
+    state = parse_state_literal(args.state, numerics.grid_points)
+    theta_star, value = min_fs(state, numerics)
     _print_json({"mfs": value, "theta_star": theta_star})
     return 0
 

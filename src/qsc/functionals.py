@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericsError
-from .hermite import build_basis_table, check_cells, hermite_fn
+from .hermite import build_basis_table, check_cells
 from .state import (AnalyticGaussian, DensityProfile, FockState, Grid,
                     _Scratch, _Workspace, canonical_theta, default_grid,
                     density_block, eval_density, gaussian_sigma_theta,
@@ -311,11 +311,8 @@ class FockEvaluator(ProfileEvaluator):
         check_cells(state.n_max + 2, numerics.grid_points)   # the basis table
         self.grid = default_grid(state.n_max, numerics.grid_points,
                                  numerics.grid_margin)
-        # the top row alone, from a two-row recurrence: a grid that cannot
-        # hold the state is refused before the whole table is built
-        self._check_mass(integrate(
-            np.square(hermite_fn(state.n_max, self.grid.points)), self.grid))
         self.table = build_basis_table(state.n_max, self.grid)
+        self._check_mass(integrate(np.square(self.table.values[-1]), self.grid))
         self.mirror_axis = mirror_axis(state)
 
     def density_block(self, thetas, ws: _Workspace):

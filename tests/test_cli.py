@@ -7,12 +7,14 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsc.cli import _numerics, build_parser, main
 from qsc.functionals import Numerics
+from qsc.hermite import MAX_TABLE_CELLS
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
@@ -21,6 +23,25 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@contextlib.contextmanager
+def allocations_capped():
+    """numpy's array constructors raise AssertionError, inside the block,
+    for an array of more than MAX_TABLE_CELLS elements."""
+    def capped(allocate):
+        def checked(shape, *args, **kwargs):
+            dims = shape if isinstance(shape, (tuple, list)) else (shape,)
+            if math.prod(int(d) for d in dims) > MAX_TABLE_CELLS:
+                raise AssertionError(f"np.{allocate.__name__}({shape!r}) "
+                                     "past the cell cap")
+            return allocate(shape, *args, **kwargs)
+        return checked
+
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("empty", "zeros", "ones", "full"):
+            patch.setattr(np, name, capped(getattr(np, name)))
+        yield
 
 
 class TestMeasure:
@@ -59,6 +80,21 @@ class TestMeasure:
         assert code == 3
         assert out == ""
         assert "numerics" in err
+
+    @pytest.mark.parametrize("literal", [
+        "fock:999999999999999999999999999999",
+        "fock:1000000000",
+        "gauss:sigma=1,N=1000000000",
+        "gauss:sigma=1,N=" + "9" * 400,
+    ], ids=["fock:30_digits", "fock:1e9", "gauss:N=1e9", "gauss:N=400_digits"])
+    def test_truncation_past_the_cell_cap_is_refused_before_it_exists(
+            self, capsys, literal):
+        # the basis table of N + 2 rows is checked before any coefficient
+        with allocations_capped():
+            code, out, err = run_cli(capsys, "measure", literal)
+        assert code == 3
+        assert out == ""
+        assert "exceed the cap" in err
 
     @pytest.mark.parametrize("argv", [
         ("measure", "fock:1", "--theta", "nan"),
@@ -346,14 +382,17 @@ def test_module_entry_point():
 
 
 # Fuzzed command lines.  Each field is either plausible or wild: random
-# text, empty, non-finite or huge.  A truncation (Fock index, N=) is at most
-# 64 and the grid at most 1024 points, so no large table or grid is built.
+# text, empty, non-finite or huge.  A truncation (Fock index, N=) is either
+# at most 64 or so large that its basis table passes the cell cap on any
+# grid of 2 points or more, and the grid has at most 1024 points, so no
+# large table or grid is built; allocations_capped fails a run that tries.
 _WILD = st.one_of(
     st.floats().map(repr),
     st.sampled_from(["", "x", "nan", "-inf", "1e400", "1e-400", "9" * 40]))
 _WILD_TRUNCATION = st.one_of(
     st.integers(-3, 64).map(str),
-    st.sampled_from(["", "x", "1.5", "nan", "inf", "1e400"]))
+    st.integers(MAX_TABLE_CELLS // 2 - 1, 10 ** 40).map(str),
+    st.sampled_from(["", "x", "1.5", "nan", "inf", "1e400", "9" * 400]))
 
 
 def _field(low, high, wild=_WILD):
@@ -430,7 +469,8 @@ def _reject_constant(name):
 @given(_command_line())
 def test_fuzzed_command_lines_exit_with_a_documented_code(argv):
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with (contextlib.redirect_stdout(out), contextlib.redirect_stderr(err),
+          allocations_capped()):
         try:
             code = main(argv)
         except SystemExit as exc:       # argparse refusing a flag value

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qsc import functionals
+from qsc import hermite
 from qsc.errors import NumericsError
 from qsc.functionals import (ComplexityReport, FockEvaluator, Numerics,
                              _variance, entropy_power, evaluator_for,
@@ -265,11 +265,24 @@ class TestInvariants:
         assert fine == pytest.approx(coarse, rel=1e-6)
 
 
-def test_grid_refusal_comes_before_the_basis_table(monkeypatch):
-    # the top basis row alone decides; the whole table is never built
-    def no_table(*args, **kwargs):
-        raise AssertionError("basis table built before the mass check")
-
-    monkeypatch.setattr(functionals, "build_basis_table", no_table)
+def test_grid_refusal_comes_before_the_basis_table():
+    # the top row of the basis table decides, before the evaluator exists
     with pytest.raises(NumericsError, match="cannot hold the state"):
         FockEvaluator(fock(60), Numerics(grid_points=64))
+
+
+def test_one_evaluator_runs_the_hermite_recurrence_once(monkeypatch):
+    # the grid check reads the table it builds; no second recurrence, on a
+    # grid that holds the state or on one that is refused
+    counts = []
+    recurrence = hermite._scaled_rows
+
+    def counted(points, count):
+        counts.append(count)
+        return recurrence(points, count)
+
+    monkeypatch.setattr(hermite, "_scaled_rows", counted)
+    FockEvaluator(fock(60))
+    with pytest.raises(NumericsError, match="cannot hold the state"):
+        FockEvaluator(fock(60), Numerics(grid_points=64))
+    assert counts == [62, 62]

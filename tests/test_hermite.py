@@ -99,8 +99,8 @@ def test_table_parity_exact():
 
 
 def test_top_row_without_the_table_is_the_table_row():
-    # the grid mass check reads the top row from the two-row recurrence;
-    # it must be the table's row bit for bit
+    # hermite_fn holds two rows of the recurrence, the table all of them:
+    # the top row must come out the same bit for bit either way
     grid = default_grid(300, grid_points=1001)
     table = build_basis_table(300, grid)
     assert np.array_equal(hermite_fn(300, grid.points), table.values[300])
