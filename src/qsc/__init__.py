@@ -17,8 +17,7 @@ from .frft import kernel, transform
 from .functionals import (ComplexityReport, FockEvaluator, Numerics,
                           entropy_power, fs_complexity, integrate,
                           report_from_profile)
-from .hermite import (BasisTable, build_basis_table, hermite_fn,
-                      hermite_fn_derivative)
+from .hermite import BasisTable, build_basis_table
 from .state import (AnalyticGaussian, DensityProfile, FockState, Grid,
                     canonical_theta, default_grid, eval_density,
                     gaussian_sigma_theta, make_state, rotate)
@@ -34,8 +33,8 @@ __all__ = [
     "box_cfs_position", "box_k_integral", "box_state", "box_wavefunction",
     "build_basis_table", "canonical_theta", "choose_squeezed_truncation",
     "default_grid", "entropy_power", "eval_density", "fs_complexity",
-    "gaussian_sigma_theta", "global_fs", "hermite_fn",
-    "hermite_fn_derivative", "integrate", "kernel", "make_state", "min_fs",
+    "gaussian_sigma_theta", "global_fs", "integrate", "kernel",
+    "make_state", "min_fs",
     "parse_state_literal", "report_from_profile", "rotate",
     "squeezed_vacuum_fock", "superposition_state", "sweep", "transform",
 ]

@@ -65,7 +65,7 @@ def cmd_measure(args) -> int:
     numerics = _numerics(args)
     state = parse_state_literal(args.state, numerics.grid_points)
     report = fs_complexity(state, args.theta, numerics, extensions=True)
-    payload = {
+    _print_json({
         "theta": report.theta,
         "fisher": report.fisher,
         "entropy": report.entropy,
@@ -74,10 +74,7 @@ def cmd_measure(args) -> int:
         "lmc": report.lmc,
         "cr": report.cr,
         "extension_measures_flag": "lmc,cr",
-    }
-    if report.edge_dominated:
-        payload["edge_dominated"] = True
-    _print_json(payload)
+    })
     return 0
 
 

@@ -10,9 +10,7 @@ superpositions.  Not every density here is of that kind: a well eigenstate
 has kinked edges, which its Fock projection resolves only through rapidly
 oscillating high-order terms, and a density sampled across a jump is not
 smooth at all.  There the error falls only algebraically with the grid
-spacing.  Reports with extensions flag the case as ``edge_dominated``: a tiny
-share of grid cells carries most of the Fisher integral, so the value depends
-on resolution.
+spacing.
 
 The Fisher integrand (rho')^2 / rho is finite at simple nodes of the
 wavefunction but numerically 0/0 there; points where rho falls to
@@ -40,10 +38,10 @@ import numpy as np
 
 from .errors import NumericsError
 from .hermite import build_basis_table, check_cells
-from .state import (AnalyticGaussian, DensityProfile, FockState, Grid,
-                    _Scratch, _Workspace, canonical_theta, default_grid,
-                    density_block, eval_density, gaussian_sigma_theta,
-                    mirror_axis)
+from .state import (_DENSITY_ROWS, AnalyticGaussian, DensityProfile,
+                    FockState, Grid, _Scratch, _Workspace, canonical_theta,
+                    default_grid, density_block, eval_density,
+                    gaussian_sigma_theta, mirror_axis)
 
 __all__ = [
     "ComplexityReport", "FockEvaluator", "GaussianEvaluator", "Numerics",
@@ -57,10 +55,10 @@ ENTROPY_POWER_GUARD = 350.0
 NODE_EPS = 1e-13
 
 # Bytes of the float workspace that one lattice fill holds, on top of the
-# basis table and reused by every block of the fill: 8 rows of grid points
-# per angle, so 8 angles at the default 4096 points.  Larger blocks gain
-# little speed once the GEMMs have 16 rows, and every byte adds to the peak
-# memory.
+# basis table and reused by every block of the fill: ``_DENSITY_ROWS`` + 1
+# rows of grid points per angle, so 8 angles at the default 4096 points.
+# Larger blocks gain little speed once the GEMMs have 16 rows, and every byte
+# adds to the peak memory.
 BLOCK_BYTES = 2 ** 21
 
 # Largest deviation from 1 of the discrete mass that an evaluator accepts in
@@ -108,7 +106,6 @@ class ComplexityReport:
     cfs: float
     lmc: float | None = None
     cr: float | None = None
-    edge_dominated: bool = False
 
 
 def integrate(values, grid: Grid):
@@ -120,33 +117,27 @@ def integrate(values, grid: Grid):
     return grid.dx * (np.sum(y, axis=-1) - 0.5 * (y[..., 0] + y[..., -1]))
 
 
-def _dpsi_abs2(profile: DensityProfile) -> np.ndarray:
-    if profile.dpsi_abs2 is not None:
-        return profile.dpsi_abs2
-    # sampled profile: no wavefunction available, nodes contribute zero
-    return np.zeros_like(profile.rho)
-
-
 # The functions below take a block of profiles (A x M arrays, one row per
-# angle) and reduce along the last axis.  ``_fisher_terms`` and ``_entropy``
+# angle) and reduce along the last axis.  ``_fisher`` and ``_entropy``
 # keep their temporaries in the scratch row and masks of ``ws``, a
 # ``_Scratch`` of at least A rows.
 
-def _fisher_terms(rho, drho, dpsi_abs2, grid: Grid, ws: _Scratch):
-    """Fisher integrand (rho')^2 / rho and its integral.  At or below
-    ``NODE_EPS * max(rho)`` of each row, where the quotient is numerically
-    0/0, the integrand takes its node limit 4 |psi'|^2.  The integrand is
-    the scratch row of ``ws``."""
+def _fisher(rho, drho, dpsi_abs2, grid: Grid, ws: _Scratch):
+    """I = integral of (rho')^2 / rho.  At or below ``NODE_EPS * max(rho)``
+    of each row, where the quotient is numerically 0/0, the integrand takes
+    its node limit 4 |psi'|^2.  A row whose max(rho) is not finite and
+    positive is refused."""
     peak = rho.max(axis=-1, initial=0.0)
-    if np.any(peak <= 0.0):
-        raise NumericsError("degenerate profile: density has no mass")
+    if not np.all((peak > 0.0) & (peak < math.inf)):     # NaN fails both
+        raise NumericsError("degenerate profile: max(rho) is not finite and "
+                            "positive")
     a = rho.shape[0]
     node = np.less_equal(rho, NODE_EPS * peak[..., None], out=ws.mask[:a])
     integrand = np.square(drho, out=ws.scratch[:a])
     np.divide(integrand, rho, out=integrand,
               where=np.logical_not(node, out=ws.keep[:a]))
     np.multiply(4.0, dpsi_abs2, out=integrand, where=node)
-    return integrand, integrate(integrand, grid)
+    return integrate(integrand, grid)
 
 
 def _entropy(rho, grid: Grid, ws: _Scratch):
@@ -168,16 +159,6 @@ def _variance(rho, grid: Grid):
     return second - mean * mean
 
 
-def _edge_dominated(integrand):
-    """True when 0.2% of the grid cells carry over half of the Fisher
-    integral, the signature of a density with sharp support edges whose
-    grid-scale jumps dominate the value (making it resolution-dependent)."""
-    total = np.sum(integrand, axis=-1)
-    k = max(1, int(math.ceil(0.002 * integrand.shape[-1])))
-    top = np.sum(np.sort(integrand, axis=-1)[..., -k:], axis=-1)
-    return (total > 0.0) & (top > 0.5 * total)
-
-
 def entropy_power(entropy: float) -> float:
     """J = exp(2 S) / (2 pi e), the variance of a Gaussian of entropy S."""
     if entropy > ENTROPY_POWER_GUARD:
@@ -190,14 +171,12 @@ def _reports(thetas, rho, drho, dpsi_abs2, grid: Grid, extensions: bool,
     """Reports of a block of profiles, (A x M) arrays with one row per angle
     of ``thetas`` (canonical angles), with the temporaries in ``ws``.  The
     extensions are the disequilibrium D = integral of rho^2 and the variance
-    V, combined as C_LMC = D exp(S) and C_CR = I V, and the
-    ``edge_dominated`` flag."""
+    V, combined as C_LMC = D exp(S) and C_CR = I V."""
     entropy = _entropy(rho, grid, ws)
-    integrand, fisher = _fisher_terms(rho, drho, dpsi_abs2, grid, ws)
+    fisher = _fisher(rho, drho, dpsi_abs2, grid, ws)
     if extensions:
         diseq = integrate(rho * rho, grid)
         var = _variance(rho, grid)
-        edge = _edge_dominated(integrand)
     reports = []
     for k, theta in enumerate(thetas):
         f, s = float(fisher[k]), float(entropy[k])
@@ -208,8 +187,7 @@ def _reports(thetas, rho, drho, dpsi_abs2, grid: Grid, extensions: bool,
             cr = f * float(var[k])
         reports.append(ComplexityReport(
             theta=theta, fisher=f, entropy=s, entropy_power=power,
-            cfs=f * power, lmc=lmc, cr=cr,
-            edge_dominated=bool(extensions and edge[k])))
+            cfs=f * power, lmc=lmc, cr=cr))
     return reports
 
 
@@ -218,9 +196,12 @@ def report_from_profile(profile: DensityProfile,
     """Assemble the full per-angle report from one density profile: the
     block computation with a single row, on temporaries of its own.  With
     ``extensions`` it carries every per-profile measure: I, S, J, C_FS,
-    C_LMC, C_CR and the edge-dominance flag."""
+    C_LMC and C_CR.  A sampled profile has no |psi'|^2: its nodes add zero."""
+    dpsi_abs2 = profile.dpsi_abs2
+    if dpsi_abs2 is None:
+        dpsi_abs2 = np.zeros_like(profile.rho)
     return _reports([profile.theta], profile.rho[None], profile.drho[None],
-                    _dpsi_abs2(profile)[None], profile.grid, extensions,
+                    dpsi_abs2[None], profile.grid, extensions,
                     _Scratch(1, profile.grid.count))[0]
 
 
@@ -292,12 +273,12 @@ class ProfileEvaluator:
 
 
 def block_rows(grid_points: int) -> int:
-    """Angles per lattice block: BLOCK_BYTES over the workspace rows of one
-    angle, 8 float rows of ``grid_points`` points (the two GEMM products of
-    2 rows each, rho, drho, |psi'|^2 and one scratch row).  One lattice fill
-    holds one workspace of this many angles and reuses it for every
-    block."""
-    return max(1, BLOCK_BYTES // (64 * grid_points))
+    """Angles per lattice block: BLOCK_BYTES over the workspace bytes of
+    one angle, its ``_DENSITY_ROWS`` float rows and the scratch row of
+    ``grid_points`` points.  One lattice fill holds one workspace of this
+    many angles and reuses it for every block."""
+    row_bytes = np.dtype(float).itemsize * grid_points
+    return max(1, BLOCK_BYTES // ((_DENSITY_ROWS + 1) * row_bytes))
 
 
 class FockEvaluator(ProfileEvaluator):
@@ -336,7 +317,7 @@ class GaussianEvaluator(ProfileEvaluator):
                  numerics: Numerics = DEFAULT_NUMERICS):
         super().__init__(numerics)
         self.sigma = state.sigma
-        check_cells(14, numerics.grid_points)   # the two-angle workspace below
+        check_cells(2 * _DENSITY_ROWS, numerics.grid_points)  # workspace below
         widest = max(self.sigma, 1.0 / self.sigma)
         self.grid = Grid(extent=(1.0 + numerics.grid_margin) * widest,
                          count=numerics.grid_points)

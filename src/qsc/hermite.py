@@ -33,7 +33,7 @@ import numpy as np
 from .errors import NumericsError
 
 __all__ = ["BasisTable", "MAX_TABLE_CELLS", "build_basis_table",
-           "check_cells", "hermite_fn", "hermite_fn_derivative"]
+           "check_cells"]
 
 # guards accidental huge allocations, not a tuning knob
 MAX_TABLE_CELLS = 1 << 27
@@ -70,10 +70,10 @@ def _unscale(v, g, w, unsafe, out=None):
 
 
 def _scaled_rows(points, count):
-    """Rows u_0..u_{count-1} at ``points``, each yielded as the arguments
-    (v, g, w, unsafe) of ``_unscale``.  Only two rows are held, and a rescale
-    updates the previous v, g, w and unsafe in place, so unscale each row
-    before asking for the next."""
+    """Rows u_0..u_{count-1} (count >= 2) at ``points``, each yielded as the
+    arguments (v, g, w, unsafe) of ``_unscale``.  Only two rows are held, and
+    a rescale updates the previous v, g, w and unsafe in place, so unscale
+    each row before asking for the next."""
     m = points.shape[0]
     g = _LOG_PI4 - 0.5 * points * points
     unsafe = g <= _EXP_SAFE
@@ -82,8 +82,7 @@ def _scaled_rows(points, count):
     lo = np.ones(m)                      # v of row n-1 (row 0 to start)
     hi = _SQRT2 * points                 # v of row n
     yield lo, g, w, flags
-    if count > 1:
-        yield hi, g, w, flags
+    yield hi, g, w, flags
     for n in range(1, count - 1):
         # sqrt(2/(n+1)) x v_n - sqrt(n/(n+1)) v_{n-1}, in place
         nxt = math.sqrt(2.0 / (n + 1.0)) * points
@@ -104,52 +103,6 @@ def _scaled_rows(points, count):
         yield hi, g, w, flags
 
 
-def _hermite_table(points, n_max):
-    """Rows u_0..u_{n_max} and their derivatives at ``points``."""
-    values = np.empty((n_max + 2, points.shape[0]))
-    for n, row in enumerate(_scaled_rows(points, n_max + 2)):
-        _unscale(*row, out=values[n])
-    derivs = np.empty((n_max + 1, points.shape[0]))
-    derivs[0] = -math.sqrt(0.5) * values[1]
-    for n in range(1, n_max + 1):
-        np.multiply(math.sqrt(0.5 * n), values[n - 1], out=derivs[n])
-        derivs[n] -= math.sqrt(0.5 * (n + 1.0)) * values[n + 1]
-    return np.ascontiguousarray(values[: n_max + 1]), derivs
-
-
-def _recurrence_triplet(n: int, x):
-    """Return (u_{n-1}, u_n, u_{n+1}) at x, with u_{-1} = 0.  No table is
-    built: the recurrence holds two rows and only the last three are kept."""
-    x = np.asarray(x, dtype=float)
-    pts = np.ascontiguousarray(np.atleast_1d(x), dtype=float)
-    rows = [_unscale(*row) for k, row in enumerate(_scaled_rows(pts, n + 2))
-            if k >= n - 1]
-    lo = rows[0] if n > 0 else np.zeros_like(pts)
-    return lo, rows[-2], rows[-1]
-
-
-def hermite_fn(n: int, x):
-    """Value of the n-th orthonormal oscillator eigenfunction at x.
-
-    x may be a scalar or an ndarray.  Total over the domain: the scaled
-    recurrence neither overflows nor loses the value to premature underflow,
-    and flushes to zero only in the true far tail.
-    """
-    if n < 0:
-        raise ValueError("quantum number must be >= 0")
-    _, mid, _ = _recurrence_triplet(n, x)
-    return float(mid[0]) if np.ndim(x) == 0 else mid
-
-
-def hermite_fn_derivative(n: int, x):
-    """First derivative of the n-th eigenfunction via the ladder identity."""
-    if n < 0:
-        raise ValueError("quantum number must be >= 0")
-    lo, _, hi = _recurrence_triplet(n, x)
-    out = np.sqrt(0.5 * n) * lo - np.sqrt(0.5 * (n + 1.0)) * hi
-    return float(out[0]) if np.ndim(x) == 0 else out
-
-
 @dataclass(frozen=True)
 class BasisTable:
     """Eigenfunction values and derivatives tabulated on a set of points.
@@ -165,12 +118,22 @@ class BasisTable:
 
 
 def tabulate(points: np.ndarray, n_max: int) -> BasisTable:
-    """Single-pass recurrence fill over arbitrary points."""
+    """Single-pass recurrence fill over arbitrary points: every eigenfunction
+    value or derivative is a row of such a table."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     points = np.ascontiguousarray(points, dtype=float)
     check_cells(n_max + 2, points.shape[0])
-    values, derivs = _hermite_table(points, n_max)
+    # rows u_0..u_{n_max + 1}: the top one only feeds the derivatives
+    values = np.empty((n_max + 2, points.shape[0]))
+    for n, row in enumerate(_scaled_rows(points, n_max + 2)):
+        _unscale(*row, out=values[n])
+    derivs = np.empty((n_max + 1, points.shape[0]))
+    derivs[0] = -math.sqrt(0.5) * values[1]
+    for n in range(1, n_max + 1):
+        np.multiply(math.sqrt(0.5 * n), values[n - 1], out=derivs[n])
+        derivs[n] -= math.sqrt(0.5 * (n + 1.0)) * values[n + 1]
+    values = np.ascontiguousarray(values[: n_max + 1])
     for arr in (points, values, derivs):
         arr.setflags(write=False)
     return BasisTable(n_max=n_max, points=points, values=values, derivs=derivs)

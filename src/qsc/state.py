@@ -25,6 +25,9 @@ NORM_TOL = 1e-10
 # ``mirror_axis`` forgives: the rounding of the phases, no more
 MIRROR_TOL = 1e-12
 _TINY = np.finfo(float).tiny
+# Float rows per angle in the buffer of a ``_Workspace``; its ``_Scratch``
+# adds the eighth, the scratch row
+_DENSITY_ROWS = 7
 # Gaussian widths whose sigma^4 and sigma^-4 are normal floats, so the
 # rotated variance neither overflows nor loses its smaller term to underflow
 SIGMA_MIN = float(_TINY) ** 0.25
@@ -131,9 +134,11 @@ def make_state(coeffs, renormalize: bool = False) -> FockState:
     with np.errstate(over="ignore", under="ignore"):
         sum_sq = float(np.sum(np.abs(c) ** 2))
     if renormalize and not _TINY <= sum_sq < math.inf:
-        # the squares underflow or overflow: divide by the largest real or
-        # imaginary part first, which leaves every modulus below sqrt(2)
-        c = c / np.max(np.abs(c.view(float)))
+        # the squares underflow or overflow: divide the real and imaginary
+        # parts by the largest of them first (as floats: a complex quotient
+        # by a subnormal overflows), leaving every modulus below sqrt(2)
+        parts = c.view(float)
+        c = (parts / np.max(np.abs(parts))).view(complex)
         sum_sq = float(np.sum(np.abs(c) ** 2))
     norm = math.sqrt(sum_sq)
     if renormalize:
@@ -240,16 +245,16 @@ class _Scratch:
 class _Workspace(_Scratch):
     """A ``_Scratch`` and the rows that ``density_block`` writes, for up to
     ``rows`` angles: the GEMM products ``p`` (psi) and ``q`` (psi'), real
-    rows over imaginary rows, then ``rho``, ``drho`` and ``dpsi_abs2``; 7
-    float rows per angle in one buffer, 8 with the scratch row, which the
-    density products also use.  A block of a <= rows angles uses the first
+    rows over imaginary rows, then ``rho``, ``drho`` and ``dpsi_abs2``, in
+    one buffer of ``_DENSITY_ROWS`` rows per angle; the density products
+    also use the scratch row.  A block of a <= rows angles uses the first
     a rows of each (2a of ``p`` and ``q``).  Every block overwrites the one
     before, so arrays that must outlive a block need a workspace of their
     own."""
 
     def __init__(self, rows: int, points: int):
         super().__init__(rows, points)
-        floats = np.empty((7 * rows, points))
+        floats = np.empty((_DENSITY_ROWS * rows, points))
         self.p, self.q = floats[:2 * rows], floats[2 * rows:4 * rows]
         self.rho = floats[4 * rows:5 * rows]
         self.drho = floats[5 * rows:6 * rows]

@@ -116,13 +116,10 @@ def _gfs(ev):
     res = GFS_START
     estimate = float(np.mean(_lattice_values(ev, res)[1]))
     converged = False
-    while res < GFS_MAX_RESOLUTION:
+    while res < GFS_MAX_RESOLUTION and not converged:
         res *= 2
         refined = float(np.mean(_lattice_values(ev, res)[1]))
-        if abs(refined - estimate) <= tol * max(abs(refined), 1e-300):
-            estimate = refined
-            converged = True
-            break
+        converged = abs(refined - estimate) <= tol * max(abs(refined), 1e-300)
         estimate = refined
     return estimate, converged, res
 
@@ -165,9 +162,7 @@ def _mfs(ev, extra_seeds=()):
     n = MFS_SCAN
     thetas, values = _lattice_values(ev, n)
     k = int(np.argmin(values))
-    seeds = [(thetas[k], math.pi / n)]
-    for theta, spacing in extra_seeds:
-        seeds.append((theta, spacing))
+    seeds = [(thetas[k], math.pi / n), *extra_seeds]
     best_x, best_f = thetas[k], values[k]
     for center, spacing in seeds:
         x, fx = _golden_min(ev.cfs, center - spacing, center + spacing,

@@ -9,7 +9,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qsc.cli import _numerics, build_parser, main
@@ -173,6 +173,19 @@ class TestMeasure:
         code, out, _ = run_cli(capsys, "measure", literal, "--theta", "0.3")
         assert code == 0
         _, expected, _ = run_cli(capsys, "measure", "super:1,1", "--theta", "0.3")
+        assert out == expected
+
+    @pytest.mark.parametrize("literal", ["super:1e-310,0,1e-310",
+                                         "super:5e-324,0,5e-324"])
+    @pytest.mark.parametrize("argv", [("sweep", "--theta-samples", "8"),
+                                      ("measure", "--theta", "0.3")])
+    def test_subnormal_coefficients_are_renormalized(self, capsys, literal,
+                                                     argv):
+        # a complex quotient by a subnormal once turned every value into NaN
+        command, *flags = argv
+        code, out, _ = run_cli(capsys, command, literal, *flags)
+        assert code == 0
+        _, expected, _ = run_cli(capsys, command, "super:1,0,1", *flags)
         assert out == expected
 
     def test_non_finite_coefficient_is_named(self, capsys):
@@ -386,6 +399,7 @@ def test_module_entry_point():
 # at most 64 or so large that its basis table passes the cell cap on any
 # grid of 2 points or more, and the grid has at most 1024 points, so no
 # large table or grid is built; allocations_capped fails a run that tries.
+# A sweep samples 4 to 16 angles and must print finite values only.
 _WILD = st.one_of(
     st.floats().map(repr),
     st.sampled_from(["", "x", "nan", "-inf", "1e400", "1e-400", "9" * 40]))
@@ -408,9 +422,12 @@ def _truncation(low, high):
 # extra fields: empty, unknown, repeated or malformed
 _EXTRA = st.lists(st.sampled_from(
     ["", " ", "analytic", "sigma=1", "n=1", "N=8", "x=1", "junk"]), max_size=2)
+# coefficients at the ends of the float range: subnormal, largest finite
+_EXTREME = ["1e-310", "5e-324", "1e308", "-1e-320i"]
 _COEFFICIENT = st.one_of(
     _field(-2.0, 2.0),
-    st.sampled_from(["1+1i", "2i", "-1-0.5i", "i", "1e300i", "nani"]))
+    st.sampled_from(["1+1i", "2i", "-1-0.5i", "i", "1e300i", "nani",
+                     *_EXTREME]))
 
 
 @st.composite
@@ -439,14 +456,19 @@ def _box_literal(draw):
 _LITERAL = st.one_of(
     _truncation(0, 64).map("fock:{}".format),
     st.lists(_COEFFICIENT, max_size=8).map(lambda c: "super:" + ",".join(c)),
+    # only extreme or zero coefficients, whose squares all under- or overflow
+    st.lists(st.sampled_from(["0", *_EXTREME]), min_size=1, max_size=4).map(
+        lambda c: "super:" + ",".join(c)),
     _gauss_literal(), _box_literal(),
     st.text(max_size=6).filter(lambda t: ":" not in t))
 
 
 @st.composite
 def _command_line(draw):
-    command = draw(st.sampled_from(["measure", "gfs", "mfs"]))
+    command = draw(st.sampled_from(["measure", "gfs", "mfs", "sweep"]))
     argv = [command, draw(_LITERAL)]
+    if command == "sweep":
+        argv.append(f"--theta-samples={draw(st.integers(4, 16))}")
     flags = {"--grid-points": _field(
                  64, 1024, st.one_of(st.integers(-2, 63).map(str),
                                      st.sampled_from(["", "x", "1e3"]))),
@@ -467,6 +489,7 @@ def _reject_constant(name):
 
 @settings(max_examples=200, deadline=None)
 @given(_command_line())
+@example(["sweep", "super:1e-310,0,5e-324", "--theta-samples=4"])
 def test_fuzzed_command_lines_exit_with_a_documented_code(argv):
     out, err = io.StringIO(), io.StringIO()
     with (contextlib.redirect_stdout(out), contextlib.redirect_stderr(err),
@@ -477,7 +500,12 @@ def test_fuzzed_command_lines_exit_with_a_documented_code(argv):
             code = exc.code
     assert code in (0, 2, 3, 4), (argv, code, err.getvalue())
     assert "Traceback" not in err.getvalue()
-    if code == 0:
+    if code == 0 and argv[0] == "sweep":
+        header, *rows = out.getvalue().splitlines()
+        assert header == "theta,fisher,entropy,entropy_power,cfs"
+        for row in rows:
+            assert all(math.isfinite(float(v)) for v in row.split(",")), argv
+    elif code == 0:
         json.loads(out.getvalue(), parse_constant=_reject_constant)
     else:
         assert out.getvalue() == "", argv

@@ -30,7 +30,7 @@ def uniform_profile(half_width=1.0, count=2001):
 
 
 def measures(profile):
-    """Every per-profile measure: I, S, J, C_FS, C_LMC, C_CR, edge flag."""
+    """Every per-profile measure: I, S, J, C_FS, C_LMC and C_CR."""
     return report_from_profile(profile, extensions=True)
 
 
@@ -102,6 +102,16 @@ class TestFisher:
         grid = Grid(extent=1.0, count=64)
         prof = DensityProfile(grid=grid, theta=0.0, rho=np.zeros(64),
                               drho=np.zeros(64))
+        with pytest.raises(NumericsError, match="degenerate profile"):
+            report_from_profile(prof)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_sample_is_refused(self, bad):
+        # a NaN made cfs NaN, and an inf made it 0, below the bound 1
+        grid = Grid(extent=5.0, count=257)
+        rho = np.exp(-grid.points ** 2) / math.sqrt(math.pi)
+        rho[100] = bad
+        prof = DensityProfile.from_samples(grid, rho)
         with pytest.raises(NumericsError, match="degenerate profile"):
             report_from_profile(prof)
 
@@ -200,7 +210,7 @@ class TestExtensionMeasures:
     def test_cr_gaussian_is_one(self, var):
         assert measures(gaussian_profile(var)).cr == pytest.approx(1.0, abs=1e-6)
 
-    def test_cr_uniform_is_edge_dominated(self):
+    def test_cr_uniform_depends_on_resolution(self):
         # sampled discontinuous density: the grid-scale jump dominates the
         # Fisher integral and the value depends on resolution
         values = {}
@@ -208,14 +218,9 @@ class TestExtensionMeasures:
             grid = Grid(extent=2.0, count=count)
             rho = np.where(np.abs(grid.points) <= 1.0, 0.5, 0.0)
             prof = DensityProfile.from_samples(grid, rho)
-            rep = measures(prof)
-            assert rep.edge_dominated
-            values[count] = rep.cr
+            values[count] = measures(prof).cr
             assert math.isfinite(values[count])
         assert values[801] != pytest.approx(values[1601], rel=1e-2)
-
-    def test_smooth_profile_not_edge_dominated(self):
-        assert not measures(gaussian_profile(1.0)).edge_dominated
 
 
 class TestInvariants:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsc.errors import NumericsError
-from qsc.hermite import build_basis_table, hermite_fn, hermite_fn_derivative, tabulate
+from qsc.hermite import build_basis_table, tabulate
 from qsc.state import Grid, default_grid
 
 PI4 = math.pi ** -0.25
@@ -29,57 +29,68 @@ def mp_hermite_fn(n, x):
         return float(val)
 
 
+# Every eigenfunction value and derivative in the package is a row of a
+# basis table; these read row n of a table built up to n at x (a float or an
+# array), so they check the production table itself.
+
+def u(n, x):
+    return tabulate(np.atleast_1d(x), n).values[n]
+
+
+def du(n, x):
+    return tabulate(np.atleast_1d(x), n).derivs[n]
+
+
 def test_ground_state_value():
-    assert hermite_fn(0, 0.0) == pytest.approx(PI4, rel=1e-12)
+    assert u(0, 0.0) == pytest.approx([PI4], rel=1e-12)
 
 
 def test_odd_parity_node():
-    assert hermite_fn(1, 0.0) == 0.0
+    assert u(1, 0.0)[0] == 0.0
 
 
 @pytest.mark.parametrize("key,expected", sorted(ORACLE_VALUES.items()))
 def test_frozen_oracle_values(key, expected):
     n, x = key
-    assert hermite_fn(n, x) == pytest.approx(expected, rel=1e-10)
+    assert u(n, x) == pytest.approx([expected], rel=1e-10)
 
 
 @pytest.mark.parametrize("n,x", [(3, 0.31), (12, -4.2), (77, 6.25), (150, 1.0)])
 def test_against_live_oracle(n, x):
-    assert hermite_fn(n, x) == pytest.approx(mp_hermite_fn(n, x), rel=1e-11, abs=1e-250)
+    assert u(n, x) == pytest.approx([mp_hermite_fn(n, x)], rel=1e-11, abs=1e-250)
 
 
 def test_negative_index_rejected():
     with pytest.raises(ValueError):
-        hermite_fn(-1, 0.0)
-    with pytest.raises(ValueError):
-        hermite_fn_derivative(-2, 0.0)
+        tabulate(np.zeros(1), -1)
 
 
 def test_derivative_at_origin():
-    assert hermite_fn_derivative(0, 0.0) == 0.0
-    assert hermite_fn_derivative(1, 0.0) == pytest.approx(math.sqrt(2.0) * PI4, rel=1e-12)
+    assert du(0, 0.0)[0] == 0.0
+    assert du(1, 0.0) == pytest.approx([math.sqrt(2.0) * PI4], rel=1e-12)
 
 
 def test_derivative_ground_state_slope():
     # u_0' = -x u_0
-    assert hermite_fn_derivative(0, 1.0) == pytest.approx(-hermite_fn(0, 1.0), rel=1e-12)
-    assert hermite_fn_derivative(0, 1.0) == pytest.approx(-0.455580672, rel=1e-8)
+    assert du(0, 1.0) == pytest.approx(-u(0, 1.0), rel=1e-12)
+    assert du(0, 1.0) == pytest.approx([-0.455580672], rel=1e-8)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 5, 17, 50])
 def test_derivative_matches_finite_difference(n):
     h = 1e-5
-    for x in np.linspace(-10.0, 10.0, 41):
-        fd = (hermite_fn(n, x + h) - hermite_fn(n, x - h)) / (2 * h)
-        assert hermite_fn_derivative(n, x) == pytest.approx(fd, abs=1e-7)
+    x = np.linspace(-10.0, 10.0, 41)
+    fd = (u(n, x + h) - u(n, x - h)) / (2 * h)
+    np.testing.assert_allclose(du(n, x), fd, rtol=0.0, atol=1e-7)
 
 
 @given(x=st.floats(-10.0, 10.0), n=st.integers(0, 40))
 @settings(max_examples=60, deadline=None)
 def test_ladder_identity_property(n, x):
-    lhs = hermite_fn_derivative(n, x)
-    rhs = (math.sqrt(n / 2.0) * (hermite_fn(n - 1, x) if n else 0.0)
-           - math.sqrt((n + 1) / 2.0) * hermite_fn(n + 1, x))
+    # rows n - 1 and n + 1 of tables of their own
+    lhs = du(n, x)[0]
+    rhs = (math.sqrt(n / 2.0) * (u(n - 1, x)[0] if n else 0.0)
+           - math.sqrt((n + 1) / 2.0) * u(n + 1, x)[0])
     assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
@@ -96,25 +107,6 @@ def test_table_parity_exact():
     for n in range(7):
         sign = (-1) ** n
         assert np.array_equal(table.values[n], sign * table.values[n][::-1])
-
-
-def test_top_row_without_the_table_is_the_table_row():
-    # hermite_fn holds two rows of the recurrence, the table all of them:
-    # the top row must come out the same bit for bit either way
-    grid = default_grid(300, grid_points=1001)
-    table = build_basis_table(300, grid)
-    assert np.array_equal(hermite_fn(300, grid.points), table.values[300])
-
-
-def test_table_matches_pointwise_recurrence():
-    grid = Grid(extent=9.0, count=129)
-    table = build_basis_table(25, grid)
-    for n in (0, 1, 13, 25):
-        expected = hermite_fn(n, grid.points)
-        np.testing.assert_allclose(table.values[n], expected, rtol=1e-12, atol=1e-300)
-        np.testing.assert_allclose(table.derivs[n],
-                                   hermite_fn_derivative(n, grid.points),
-                                   rtol=1e-12, atol=1e-300)
 
 
 def test_table_ladder_identity():
@@ -146,8 +138,7 @@ def test_orthonormality():
 
 def test_no_overflow_large_n():
     xs = np.linspace(-60.0, 60.0, 7)
-    vals = hermite_fn(1000, xs)
-    assert np.all(np.isfinite(vals))
+    assert np.all(np.isfinite(u(1000, xs)))
     table = tabulate(np.array([-60.0, 0.0, 60.0]), 1000)
     assert np.all(np.isfinite(table.values))
 

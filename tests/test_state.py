@@ -50,7 +50,7 @@ def test_make_state_rejects_zero_vector():
 def test_make_state_scales_before_squaring():
     # |c|^2 overflows or underflows, the renormalized coefficients do not
     unit = make_state([1.0, 1.0j], renormalize=True).coeffs
-    for scale in (1e300, 1e-170):
+    for scale in (1e300, 1e-170, 1e-310, 5e-324):
         coeffs = make_state([scale, scale * 1j], renormalize=True).coeffs
         np.testing.assert_array_equal(coeffs, unit)
     with pytest.raises(ValueError, match="finite"):
