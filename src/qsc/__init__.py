@@ -9,7 +9,7 @@ measure) and the angle minimum.
 """
 
 from .catalog import (BoxSpec, box_cfs_momentum, box_cfs_position,
-                      box_k_integral, box_state, box_wavefunction,
+                      box_momentum_entropy, box_state, box_wavefunction,
                       choose_squeezed_truncation, parse_state_literal,
                       squeezed_vacuum_fock, superposition_state)
 from .errors import NumericsError, ParseError, QscError
@@ -30,7 +30,8 @@ __all__ = [
     "DensityProfile", "FockEvaluator", "FockState", "Grid",
     "Numerics", "NumericsError",
     "ParseError", "QscError", "SweepResult", "analyze", "box_cfs_momentum",
-    "box_cfs_position", "box_k_integral", "box_state", "box_wavefunction",
+    "box_cfs_position", "box_momentum_entropy", "box_state",
+    "box_wavefunction",
     "build_basis_table", "canonical_theta", "choose_squeezed_truncation",
     "default_grid", "entropy_power", "eval_density", "fs_complexity",
     "gaussian_sigma_theta", "global_fs", "integrate", "kernel",

@@ -20,11 +20,11 @@ import numpy as np
 
 from . import hermite
 from .errors import NumericsError, ParseError
-from .functionals import DEFAULT_NUMERICS
+from .functionals import DEFAULT_NUMERICS, entropy_power
 from .state import AnalyticGaussian, FockState, make_state
 
 __all__ = [
-    "BoxSpec", "box_cfs_momentum", "box_cfs_position", "box_k_integral",
+    "BoxSpec", "box_cfs_momentum", "box_cfs_position", "box_momentum_entropy",
     "box_state", "box_wavefunction", "choose_squeezed_truncation",
     "parse_state_literal", "squeezed_vacuum_fock", "superposition_state",
 ]
@@ -42,6 +42,11 @@ SQUEEZED_CAP = 4096
 # before any nodes are computed.
 BOX_NORM_TOL = 5e-3
 _BOX_NODE_AGREE = 1e-12
+# box momentum entropy: Gauss-Legendre nodes per panel, the tail bound at
+# which panels stop, and the largest panel count
+_MOMENTUM_NODES = 64
+_MOMENTUM_TAIL_TOL = 1e-8
+_MOMENTUM_MAX_PANELS = 10 ** 6
 
 
 def superposition_state(m: int, a: float) -> FockState:
@@ -205,43 +210,41 @@ def box_cfs_position(n: int) -> float:
     return 8.0 * math.pi * n * n / math.exp(3.0)
 
 
-def _klog_integrand(t, n):
-    """g log g with g(t) = n^2 sin^2(t) / (t^2 + pi n t)^2, and 0 log 0 = 0."""
+def _rho_log_rho(t, n):
+    """rho log rho, with 0 log 0 = 0, of the well's momentum density at
+    p = t + pi n / 2: rho = (pi/2) n^2 sin^2(t) / (t^2 + pi n t)^2."""
     denom = t * t + (np.pi * n) * t
     s = np.sin(t)
-    g = (n * n) * (s * s) / (denom * denom)
+    rho = (0.5 * np.pi * n * n) * (s * s) / (denom * denom)
     out = np.zeros_like(t)
-    pos = g > 0.0
-    out[pos] = g[pos] * np.log(g[pos])
+    pos = rho > 0.0
+    out[pos] = rho[pos] * np.log(rho[pos])
     return out
 
 
-def _k_tail_bound(t0: float, n: int) -> float:
-    # |g log g| <= n^2/t^4 * (4 log t + c) for t >= t0, integrated exactly
-    c = 2.0 * abs(math.log(n)) + 2.0 * math.log(1.0 + math.pi * n / t0) + math.exp(-1.0)
-    return math.pi * n * n * ((4.0 * math.log(t0) + c) / (3.0 * t0 ** 3)
-                              + 4.0 / (9.0 * t0 ** 3))
+def _momentum_tail_bound(t0: float, n: int) -> float:
+    # rho <= R = a / t^4 for t >= t0 > 0; once R(t0) <= 1/e, |rho log rho|
+    # <= R log(1/R), integrated exactly and doubled for p < 0
+    a = 0.5 * math.pi * n * n
+    if t0 <= 0.0 or t0 ** 4 < math.e * a:
+        return math.inf
+    return 2.0 * a * ((4.0 * math.log(t0) - math.log(a)) / (3.0 * t0 ** 3)
+                      + 4.0 / (9.0 * t0 ** 3))
 
 
-def box_k_integral(n: int, points_per_panel: int = 64, tail_tol: float = 1e-8,
-                   max_panels: int = 10 ** 6) -> float:
-    """The entropy integral of the well's momentum density:
-
-        K(n) = log(8/pi)
-               - pi * int_{pi n/2}^inf g(t) log g(t) dt,
-        g(t) = n^2 sin^2(t) / (t^2 + pi n t)^2.
-
-    The improper integral is split between consecutive zeros of sin(t) so the
-    oscillation never cancels across a panel, each panel gets Gauss-Legendre
-    quadrature (interior nodes, so the 0 log 0 endpoints need no special
-    case), and panels accumulate until the analytic envelope bound on the
-    remaining tail drops below ``tail_tol``.
-    """
+def box_momentum_entropy(n: int) -> float:
+    """Shannon entropy S_p = -2 int_{-pi n/2}^inf rho log rho dt of the
+    well's momentum density, which is even in p = t + pi n / 2.  The integral
+    is split between consecutive zeros of sin(t), so the oscillation never
+    cancels across a panel; each panel gets Gauss-Legendre quadrature
+    (interior nodes: the 0 log 0 endpoints and the removable point t = 0
+    need no special case), and panels accumulate until the envelope bound on
+    the remaining tail drops below ``_MOMENTUM_TAIL_TOL``."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    xg, wg = np.polynomial.legendre.leggauss(points_per_panel)
-    z0 = 0.5 * math.pi * n
-    m0 = (n + 1) // 2            # first zero of sin at or above z0 is m0 * pi
+    xg, wg = np.polynomial.legendre.leggauss(_MOMENTUM_NODES)
+    z0 = -0.5 * math.pi * n
+    m0 = -(n // 2)               # first zero of sin at or above z0 is m0 * pi
     partial = bool(n % 2)        # odd n starts halfway between zeros
     total = 0.0
     panels = 0
@@ -257,26 +260,25 @@ def box_k_integral(n: int, points_per_panel: int = 64, tail_tol: float = 1e-8,
         half = 0.5 * (uppers - lowers)
         mid = 0.5 * (uppers + lowers)
         t = mid[:, None] + half[:, None] * xg[None, :]
-        f = _klog_integrand(t, float(n))
+        f = _rho_log_rho(t, float(n))
         total += float(np.sum((f @ wg) * half))
         panels += uppers.shape[0]
         m += block
-        bound = _k_tail_bound(float(uppers[-1]), n)
-        if bound < tail_tol:
+        bound = _momentum_tail_bound(float(uppers[-1]), n)
+        if bound < _MOMENTUM_TAIL_TOL:
             break
-        if panels > max_panels:
+        if panels > _MOMENTUM_MAX_PANELS:
             raise NumericsError(
-                f"K({n}) tail bound {bound:.2e} still above {tail_tol:.1e} "
-                f"after {panels} panels")
-    return math.log(8.0 / math.pi) - math.pi * total
+                f"S_p({n}) tail bound {bound:.2e} still above "
+                f"{_MOMENTUM_TAIL_TOL:.1e} after {panels} panels")
+    return -2.0 * total
 
 
 def box_cfs_momentum(n: int) -> float:
-    """Momentum-space complexity of well eigenstate n:
-    exp(2 K(n)) / (24 pi e) * (1 - 6 / (pi^2 n^2))."""
-    k = box_k_integral(n)
-    return (math.exp(2.0 * k) / (24.0 * math.pi * math.e)
-            * (1.0 - 6.0 / (math.pi * math.pi * n * n)))
+    """Momentum-space complexity of well eigenstate n, I_p exp(2 S_p) /
+    (2 pi e), with the exact I_p = 4 Var(x) of a real wavefunction."""
+    fisher = 4.0 / 3.0 - 8.0 / (math.pi * math.pi * n * n)
+    return fisher * entropy_power(box_momentum_entropy(n))
 
 
 # ---------------------------------------------------------------------------

@@ -79,11 +79,13 @@ def cmd_measure(args) -> int:
 
 
 def _sweep_csv(result) -> str:
+    """The sweep as CSV; as in ``_print_json``, NaN or inf is an error."""
     lines = ["theta,fisher,entropy,entropy_power,cfs"]
     for theta, rep in zip(result.thetas, result.reports):
-        lines.append(",".join(_fmt(v) for v in
-                              (theta, rep.fisher, rep.entropy,
-                               rep.entropy_power, rep.cfs)))
+        row = (theta, rep.fisher, rep.entropy, rep.entropy_power, rep.cfs)
+        if not all(map(math.isfinite, row)):
+            raise NumericsError("result is not finite")
+        lines.append(",".join(_fmt(v) for v in row))
     return "\n".join(lines) + "\n"
 
 

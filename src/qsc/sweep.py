@@ -154,22 +154,21 @@ def _golden_min(f, lo: float, hi: float, tol: float):
     return best_x, best_f
 
 
-def _mfs(ev, extra_seeds=()):
-    """Coarse periodic scan, then golden-section refinement to the
-    evaluator's ``mfs_theta_tol`` around the best sample (ties break toward
-    smaller theta).  ``extra_seeds`` adds lattice angles from other
-    computations whose minima must not be missed."""
-    n = MFS_SCAN
-    thetas, values = _lattice_values(ev, n)
-    k = int(np.argmin(values))
-    seeds = [(thetas[k], math.pi / n), *extra_seeds]
-    best_x, best_f = thetas[k], values[k]
-    for center, spacing in seeds:
-        x, fx = _golden_min(ev.cfs, center - spacing, center + spacing,
-                            ev.numerics.mfs_theta_tol)
-        if fx < best_f:
-            best_x, best_f = x, fx
-    return canonical_theta(best_x), best_f
+def _mfs(ev, sizes=(MFS_SCAN,)):
+    """Scan the lattice of each size n in ``sizes``; refine by golden section
+    to the evaluator's ``mfs_theta_tol`` within pi/n of its best sample (ties
+    break toward smaller theta).  The lowest of the first best sample, the
+    refinements and the later best samples wins, the earliest on a tie."""
+    samples, refined = [], []
+    for n in sizes:
+        thetas, values = _lattice_values(ev, n)
+        k = int(np.argmin(values))
+        samples.append((thetas[k], values[k]))
+        refined.append(_golden_min(ev.cfs, thetas[k] - math.pi / n,
+                                   thetas[k] + math.pi / n,
+                                   ev.numerics.mfs_theta_tol))
+    x, fx = min([samples[0], *refined, *samples[1:]], key=lambda c: c[1])
+    return canonical_theta(x), fx
 
 
 def global_fs(state, numerics: Numerics = DEFAULT_NUMERICS) -> float:
@@ -186,23 +185,19 @@ def min_fs(state, numerics: Numerics = DEFAULT_NUMERICS) -> tuple[float, float]:
 def analyze(state, numerics: Numerics = DEFAULT_NUMERICS) -> SweepResult:
     """Full sweep bundle: lattice reports, global measure, minimum measure.
 
-    One evaluator (hence one report cache) backs all three computations; the
-    minimum search additionally seeds from any lattice sample that undercuts
-    the scan, so mfs <= min(reports) always holds.  The lattice is the gfs
-    lattice: about the state's mirror axis when it has one, its mirrored
-    half built from the evaluated half with the angles replaced.
+    One evaluator (hence one report cache) backs all three computations.
+    The lattice is the gfs lattice: about the state's mirror axis when it
+    has one, its mirrored half built from the evaluated half with the
+    angles replaced.  The minimum search refines around the best sample of
+    the MFS_SCAN lattice (as ``min_fs`` does) and of this lattice, so mfs
+    is never above ``min_fs`` or min(reports).
     """
     ev = evaluator_for(state, numerics)
     gfs_value, converged, resolution = _gfs(ev)
     thetas, reports, done = _lattice_reports(ev, resolution)
     reports[done:] = [replace(r, theta=canonical_theta(t))
                       for r, t in zip(reports[done:], thetas[done:])]
-    cfs_values = [r.cfs for r in reports]
-    k_best = int(np.argmin(cfs_values))
-    mfs_theta, mfs_value = _mfs(
-        ev, extra_seeds=[(thetas[k_best], math.pi / resolution)])
-    if cfs_values[k_best] < mfs_value:
-        mfs_theta, mfs_value = canonical_theta(thetas[k_best]), cfs_values[k_best]
+    mfs_theta, mfs_value = _mfs(ev, (MFS_SCAN, resolution))
     return SweepResult(thetas=np.array(thetas), reports=tuple(reports),
                        gfs=gfs_value, mfs=mfs_value, mfs_theta=mfs_theta,
                        converged=converged, resolution=resolution)

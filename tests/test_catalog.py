@@ -1,12 +1,13 @@
 import math
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from qsc import catalog, hermite
 from qsc.catalog import (BoxSpec, box_cfs_momentum, box_cfs_position,
-                         box_k_integral, box_state, box_wavefunction,
+                         box_momentum_entropy, box_state, box_wavefunction,
                          choose_squeezed_truncation, parse_state_literal,
                          squeezed_vacuum_fock, superposition_state)
 from qsc.errors import NumericsError, ParseError
@@ -15,9 +16,6 @@ from qsc.functionals import (FockEvaluator, evaluator_for, fs_complexity,
 from qsc.state import (AnalyticGaussian, DensityProfile, FockState, Grid,
                        gaussian_sigma_theta)
 from conftest import INV_SQRT2, fock
-
-# self-converged reference, stable to 3e-12 under per-panel node doubling
-K1_VALUE = 1.0931587117811188
 
 
 @pytest.fixture(scope="module")
@@ -216,22 +214,46 @@ class TestBoxClosedForms:
         assert box_cfs_position(2) == pytest.approx(4 * base, rel=1e-12)
         assert box_cfs_position(5) == pytest.approx(25 * base, rel=1e-12)
 
-    def test_k_integral_frozen_value(self):
-        # the panel loop returns only once the tail bound is below 1e-8
-        assert box_k_integral(1) == pytest.approx(K1_VALUE, abs=1e-10)
+    def test_momentum_entropy_matches_mpmath(self):
+        # independent route: the density in p, rho = (k^2/pi)
+        # (1 - (-1)^n cos 2p) / (p^2 - k^2)^2 with k = pi n / 2, integrated
+        # by tanh-sinh over half periods up to 128 pi and beyond that by its
+        # period average, <(1 - cos) log(1 - cos)> = 1 - log 2
+        for n in (1, 4):
+            k = mp.pi * n / 2
+            a = k * k / mp.pi
 
-    def test_k_integral_stable_under_node_doubling(self):
-        a = box_k_integral(2, points_per_panel=64)
-        b = box_k_integral(2, points_per_panel=128)
-        assert abs(a - b) < 1e-8
+            def rho_log_rho(p):
+                rho = (a * (1 - (-1) ** n * mp.cos(2 * p))
+                       / (p * p - k * k) ** 2)
+                return rho * mp.log(rho) if rho > 0 else 0
 
-    def test_k_integral_panel_cap(self):
+            def period_average(p):
+                w = a / (p * p - k * k) ** 2
+                return w * (mp.log(w) + 1 - mp.log(2))
+
+            cut = 128 * mp.pi
+            head = mp.quad(rho_log_rho, mp.linspace(0, cut, 257))
+            tail = mp.quad(period_average, [cut, mp.inf])
+            reference = float(-2 * (head + tail))
+            assert box_momentum_entropy(n) == pytest.approx(reference,
+                                                            abs=2e-8)
+
+    def test_momentum_entropy_stable_under_node_doubling(self, monkeypatch):
+        a = box_momentum_entropy(2)
+        monkeypatch.setattr(catalog, "_MOMENTUM_NODES", 128)
+        assert abs(box_momentum_entropy(2) - a) < 1e-8
+
+    def test_momentum_entropy_panel_cap(self, monkeypatch):
+        monkeypatch.setattr(catalog, "_MOMENTUM_TAIL_TOL", 1e-9)
+        monkeypatch.setattr(catalog, "_MOMENTUM_MAX_PANELS", 16)
         with pytest.raises(NumericsError):
-            box_k_integral(3, tail_tol=1e-9, max_panels=16)
+            box_momentum_entropy(3)
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_momentum_formula_positive(self, n):
-        assert box_cfs_momentum(n) > 0.0
+        # C_FS >= 1 for every density
+        assert box_cfs_momentum(n) >= 1.0
 
     def test_momentum_pipeline_validated_by_direct_transform(self, box256):
         # independent route: Fourier-transform the exact well eigenstate on a

@@ -6,15 +6,18 @@ import math
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qsc.catalog import parse_state_literal
 from qsc.cli import _numerics, build_parser, main
 from qsc.functionals import Numerics
 from qsc.hermite import MAX_TABLE_CELLS
+from qsc.sweep import sweep
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
@@ -287,6 +290,20 @@ class TestSweep:
         code, _, err = run_cli(capsys, "sweep", "fock:1", "--out", str(target))
         assert code == 4
         assert "io error" in err
+
+    def test_non_finite_value_is_a_numerics_error(self, capsys, monkeypatch,
+                                                  tmp_path):
+        result = sweep(parse_state_literal("fock:1"), 4)
+        bad = (replace(result.reports[0], cfs=math.nan),) + result.reports[1:]
+        monkeypatch.setattr("qsc.cli.sweep", lambda state, n, numerics:
+                            replace(result, reports=bad))
+        target = tmp_path / "curve.csv"
+        code, out, err = run_cli(capsys, "sweep", "fock:1", "--theta-samples",
+                                 "4", "--out", str(target))
+        assert code == 3
+        assert out == ""
+        assert "not finite" in err
+        assert not target.exists()
 
     def test_unwritable_svg_path_writes_no_csv(self, capsys, tmp_path):
         target = tmp_path / "missing-dir" / "curve.svg"

@@ -368,3 +368,25 @@ def test_analyze_reports_match_a_direct_full_lattice():
         for name in ("fisher", "entropy", "entropy_power", "cfs"):
             assert getattr(mirrored, name) == pytest.approx(
                 getattr(report, name), rel=1e-12), name
+
+
+# the one random state of 1500 whose curve is a comb of local minima on
+# [0.12, 0.30] at the default grid (renormalized by the parser)
+COMB = ("super:0.3883601725277836,-0.12022315007569699,0.5085745906024571,"
+        "-1.9762924667807011,-0.5529532314538401,-0.24549903237905,"
+        "-0.2191963564402742")
+
+
+# On the two complex states a node event splits the cells around the gfs
+# lattice's best sample into two basins: one search there alone settles
+# 4.5e-5 and 2.7e-4 relative above min_fs.
+@pytest.mark.parametrize("make", [lambda: _literal(COMB),
+                                  lambda: _random_state(32, 9),
+                                  lambda: _random_state(48, 71),
+                                  lambda: _real_state(64, 11)],
+                         ids=["comb", "complex32", "complex48", "real64"])
+def test_analyze_minimum_never_above_min_fs_or_its_lattice(make):
+    state = make()
+    res = analyze(state)
+    assert res.mfs <= min(r.cfs for r in res.reports)
+    assert res.mfs <= min_fs(state)[1]
