@@ -35,11 +35,12 @@ SIGMA_MAX = 1.0 / SIGMA_MIN
 
 
 def canonical_theta(theta: float) -> float:
-    """Reduce theta to the canonical manifold [0, pi)."""
+    """Reduce theta to the canonical manifold [0, pi); 0 is always +0.0."""
     t = math.fmod(theta, math.pi)
     if t < 0.0:
         t += math.pi
-    return 0.0 if t == math.pi else t
+    # fmod keeps the sign of a zero (-0.0, -pi), and -tiny + pi rounds to pi
+    return 0.0 if t == 0.0 or t == math.pi else t
 
 
 @dataclass(frozen=True)

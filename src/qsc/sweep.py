@@ -8,7 +8,9 @@ refined by doubling until successive estimates agree; across such cusps the
 rule converges only as O(h^2), not spectrally.  The minimum measure scans a
 coarse periodic lattice and then runs a derivative-free golden-section
 refinement inside the bracketing interval: the curve can carry several local
-minima, so scan-then-bracket is the robust choice.
+minima, so scan-then-bracket is the robust choice.  Each measure has one
+owner: ``global_fs`` and ``analyze`` (which adds the lattice reports) the
+global one, ``min_fs`` the minimum.
 
 Most states have a mirror axis a, read from the state by its evaluator
 (``mirror_axis``): cfs(a + t) = cfs(a - t).  That holds whenever
@@ -49,17 +51,15 @@ MFS_SCAN = 128
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Angle lattice, per-angle reports, and (when computed) the global and
-    minimum measures.  ``thetas`` holds the raw lattice angles (from the
-    mirror axis in ``analyze``), each report its canonical angle.
-    ``resolution`` is the lattice size actually used; ``converged`` reports
-    whether the global refinement met its tolerance."""
+    """Angle lattice, per-angle reports, and (when computed) the global
+    measure.  ``thetas`` holds the raw lattice angles (from the mirror axis
+    in ``analyze``), each report its canonical angle.  ``resolution`` is the
+    lattice size actually used; ``converged`` reports whether the global
+    refinement met its tolerance.  The minimum measure is ``min_fs``'s."""
 
     thetas: np.ndarray
     reports: tuple[ComplexityReport, ...]
     gfs: float | None
-    mfs: float | None
-    mfs_theta: float | None
     converged: bool
     resolution: int
 
@@ -105,8 +105,7 @@ def sweep(state, n_theta: int,
     thetas = _lattice(n_theta)
     reports = ev.reports(thetas)
     return SweepResult(thetas=np.array(thetas), reports=tuple(reports),
-                       gfs=None, mfs=None, mfs_theta=None,
-                       converged=True, resolution=n_theta)
+                       gfs=None, converged=True, resolution=n_theta)
 
 
 def _gfs(ev):
@@ -154,23 +153,6 @@ def _golden_min(f, lo: float, hi: float, tol: float):
     return best_x, best_f
 
 
-def _mfs(ev, sizes=(MFS_SCAN,)):
-    """Scan the lattice of each size n in ``sizes``; refine by golden section
-    to the evaluator's ``mfs_theta_tol`` within pi/n of its best sample (ties
-    break toward smaller theta).  The lowest of the first best sample, the
-    refinements and the later best samples wins, the earliest on a tie."""
-    samples, refined = [], []
-    for n in sizes:
-        thetas, values = _lattice_values(ev, n)
-        k = int(np.argmin(values))
-        samples.append((thetas[k], values[k]))
-        refined.append(_golden_min(ev.cfs, thetas[k] - math.pi / n,
-                                   thetas[k] + math.pi / n,
-                                   ev.numerics.mfs_theta_tol))
-    x, fx = min([samples[0], *refined, *samples[1:]], key=lambda c: c[1])
-    return canonical_theta(x), fx
-
-
 def global_fs(state, numerics: Numerics = DEFAULT_NUMERICS) -> float:
     """Global Fisher-Shannon measure: the angle average of cfs."""
     value, _, _ = _gfs(evaluator_for(state, numerics))
@@ -178,26 +160,39 @@ def global_fs(state, numerics: Numerics = DEFAULT_NUMERICS) -> float:
 
 
 def min_fs(state, numerics: Numerics = DEFAULT_NUMERICS) -> tuple[float, float]:
-    """Minimum Fisher-Shannon measure and its canonical arg-min angle."""
-    return _mfs(evaluator_for(state, numerics))
+    """Minimum Fisher-Shannon measure and its canonical arg-min angle.
+
+    Scans the MFS_SCAN lattice, then refines by golden section to the
+    ``mfs_theta_tol`` within pi/MFS_SCAN of its best sample (ties break
+    toward smaller theta), keeping the sample unless the refinement is
+    lower.  One search settles in one basin: when a node event splits the
+    two cells around the best sample into two basins, it can report the
+    higher one."""
+    ev = evaluator_for(state, numerics)
+    thetas, values = _lattice_values(ev, MFS_SCAN)
+    k = int(np.argmin(values))
+    x, fx = _golden_min(ev.cfs, thetas[k] - math.pi / MFS_SCAN,
+                        thetas[k] + math.pi / MFS_SCAN,
+                        ev.numerics.mfs_theta_tol)
+    if fx < values[k]:
+        return canonical_theta(x), fx
+    return canonical_theta(thetas[k]), values[k]
 
 
 def analyze(state, numerics: Numerics = DEFAULT_NUMERICS) -> SweepResult:
-    """Full sweep bundle: lattice reports, global measure, minimum measure.
+    """Global-measure bundle: the lattice reports, the global measure, its
+    convergence flag and resolution (the minimum measure is ``min_fs``'s).
 
-    One evaluator (hence one report cache) backs all three computations.
-    The lattice is the gfs lattice: about the state's mirror axis when it
-    has one, its mirrored half built from the evaluated half with the
-    angles replaced.  The minimum search refines around the best sample of
-    the MFS_SCAN lattice (as ``min_fs`` does) and of this lattice, so mfs
-    is never above ``min_fs`` or min(reports).
+    One evaluator (hence one report cache) backs the refinement and the
+    reports.  The lattice is the gfs lattice: about the state's mirror axis
+    when it has one, its mirrored half built from the evaluated half with
+    the angles replaced.
     """
     ev = evaluator_for(state, numerics)
     gfs_value, converged, resolution = _gfs(ev)
     thetas, reports, done = _lattice_reports(ev, resolution)
     reports[done:] = [replace(r, theta=canonical_theta(t))
                       for r, t in zip(reports[done:], thetas[done:])]
-    mfs_theta, mfs_value = _mfs(ev, (MFS_SCAN, resolution))
     return SweepResult(thetas=np.array(thetas), reports=tuple(reports),
-                       gfs=gfs_value, mfs=mfs_value, mfs_theta=mfs_theta,
-                       converged=converged, resolution=resolution)
+                       gfs=gfs_value, converged=converged,
+                       resolution=resolution)

@@ -322,6 +322,17 @@ class TestMeasures:
         assert payload["gfs"] == pytest.approx(2.91860, abs=1e-3)
         assert payload["converged"] is True
 
+    def test_gfs_runs_no_golden_section_search(self, capsys, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("gfs ran a golden-section search")
+        monkeypatch.setattr(importlib.import_module("qsc.sweep"),
+                            "_golden_min", unreachable)
+        code, out, _ = run_cli(capsys, "gfs", "super:1,0,1")
+        assert code == 0
+        assert json.loads(out) == {
+            "gfs": pytest.approx(2.91859815552898, rel=1e-12),
+            "converged": True, "resolution": 1024}
+
     def test_mfs_output(self, capsys):
         code, out, _ = run_cli(capsys, "mfs", "super:1,0,1")
         assert code == 0

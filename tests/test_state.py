@@ -30,6 +30,9 @@ def test_grid_validation():
 def test_canonical_theta():
     assert canonical_theta(0.0) == 0.0
     assert canonical_theta(math.pi) == 0.0
+    # the range starts at +0.0: no negative zero from -0.0 or -pi
+    for theta in (-0.0, -math.pi):
+        assert math.copysign(1.0, canonical_theta(theta)) == 1.0
     assert canonical_theta(-0.1) == pytest.approx(math.pi - 0.1)
     assert canonical_theta(4.0) == pytest.approx(4.0 - math.pi)
 

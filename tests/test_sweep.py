@@ -13,7 +13,8 @@ from qsc.catalog import parse_state_literal, superposition_state
 from qsc.functionals import (FockEvaluator, Numerics,
                              block_rows, evaluator_for, fs_complexity)
 from qsc.state import AnalyticGaussian, _Workspace, make_state, rotate
-from qsc.sweep import SweepResult, _gfs, analyze, global_fs, min_fs, sweep
+from qsc.sweep import (MFS_SCAN, SweepResult, _gfs, _lattice_values, analyze,
+                       global_fs, min_fs, sweep)
 from conftest import INV_SQRT2, fock
 
 # pinned by the pointwise-validated complexity curve (30-digit quadrature
@@ -42,7 +43,7 @@ def test_sweep_needs_four_samples():
 def test_sweep_lattice_layout(phi1):
     res = sweep(phi1, 8)
     assert res.resolution == 8
-    assert res.gfs is None and res.mfs is None
+    assert res.gfs is None
     np.testing.assert_allclose(res.thetas, [k * math.pi / 8 for k in range(8)])
     assert all(r.theta == pytest.approx(t) for t, r in zip(res.thetas, res.reports))
 
@@ -123,23 +124,25 @@ def test_rotation_invariance(alpha):
     rng = np.random.default_rng(7)
     state = make_state(rng.normal(size=7) + 1j * rng.normal(size=7),
                        renormalize=True)
-    base = analyze(state)
-    moved = analyze(rotate(state, alpha))
-    assert moved.gfs == pytest.approx(base.gfs, rel=2e-5)
-    assert moved.mfs == pytest.approx(base.mfs, rel=2e-5)
+    assert analyze(rotate(state, alpha)).gfs == pytest.approx(
+        analyze(state).gfs, rel=2e-5)
+    base_theta, base_mfs = min_fs(state)
+    _, moved_mfs = min_fs(rotate(state, alpha))
+    assert moved_mfs == pytest.approx(base_mfs, rel=2e-5)
     # the arg-min shifts by -alpha (mod pi, up to the curve's symmetry):
     # the rotated state's curve at the shifted angle is again the minimum
     ev = FockEvaluator(rotate(state, alpha))
-    assert ev.cfs(base.mfs_theta - alpha) == pytest.approx(moved.mfs, rel=2e-5)
+    assert ev.cfs(base_theta - alpha) == pytest.approx(moved_mfs, rel=2e-5)
 
 
 def test_analyze_bundle_invariants(phi1):
     res = analyze(phi1)
     assert isinstance(res, SweepResult)
     assert res.gfs >= 1.0 - 1e-6
-    assert res.mfs >= 1.0 - 1e-6
-    assert res.mfs <= res.gfs + 1e-12
-    assert res.mfs <= min(r.cfs for r in res.reports) + 1e-12
+    _, mfs = min_fs(phi1)
+    assert mfs >= 1.0 - 1e-6
+    assert mfs <= res.gfs + 1e-12
+    assert mfs <= min(r.cfs for r in res.reports) + 1e-12
     assert res.converged
     assert res.resolution == len(res.reports) == len(res.thetas)
     assert res.gfs == pytest.approx(np.mean([r.cfs for r in res.reports]), rel=1e-12)
@@ -343,7 +346,6 @@ def test_pre_rotation_leaves_gfs_and_mfs_unchanged_to_rounding():
     base, turned = analyze(state), analyze(moved)
     assert turned.resolution == base.resolution
     assert turned.gfs == pytest.approx(base.gfs, rel=1e-12)
-    assert turned.mfs == pytest.approx(base.mfs, rel=1e-12)
     assert min_fs(moved)[1] == pytest.approx(min_fs(state)[1], rel=1e-12)
 
 
@@ -377,16 +379,15 @@ COMB = ("super:0.3883601725277836,-0.12022315007569699,0.5085745906024571,"
         "-0.2191963564402742")
 
 
-# On the two complex states a node event splits the cells around the gfs
-# lattice's best sample into two basins: one search there alone settles
-# 4.5e-5 and 2.7e-4 relative above min_fs.
 @pytest.mark.parametrize("make", [lambda: _literal(COMB),
                                   lambda: _random_state(32, 9),
                                   lambda: _random_state(48, 71),
                                   lambda: _real_state(64, 11)],
                          ids=["comb", "complex32", "complex48", "real64"])
-def test_analyze_minimum_never_above_min_fs_or_its_lattice(make):
+def test_min_fs_is_never_above_its_scan_and_is_the_curve_at_its_angle(make):
     state = make()
-    res = analyze(state)
-    assert res.mfs <= min(r.cfs for r in res.reports)
-    assert res.mfs <= min_fs(state)[1]
+    theta_star, mfs = min_fs(state)
+    ev = evaluator_for(state)
+    _, scan = _lattice_values(ev, MFS_SCAN)
+    assert mfs <= min(scan)
+    assert ev.cfs(theta_star) == pytest.approx(mfs, rel=1e-12)
