@@ -17,11 +17,11 @@ from .frft import kernel, transform
 from .functionals import (ComplexityReport, FockEvaluator, Numerics,
                           entropy_power, fs_complexity, integrate,
                           report_from_profile)
-from .hermite import BasisTable, build_basis_table
+from .hermite import BasisTable, tabulate
 from .state import (AnalyticGaussian, DensityProfile, FockState, Grid,
                     canonical_theta, default_grid, eval_density,
                     gaussian_sigma_theta, make_state, rotate)
-from .sweep import SweepResult, analyze, global_fs, min_fs, sweep
+from .sweep import SweepResult, analyze, min_fs, sweep
 
 __version__ = "0.1.0"
 
@@ -32,10 +32,11 @@ __all__ = [
     "ParseError", "QscError", "SweepResult", "analyze", "box_cfs_momentum",
     "box_cfs_position", "box_momentum_entropy", "box_state",
     "box_wavefunction",
-    "build_basis_table", "canonical_theta", "choose_squeezed_truncation",
+    "canonical_theta", "choose_squeezed_truncation",
     "default_grid", "entropy_power", "eval_density", "fs_complexity",
-    "gaussian_sigma_theta", "global_fs", "integrate", "kernel",
+    "gaussian_sigma_theta", "integrate", "kernel",
     "make_state", "min_fs",
     "parse_state_literal", "report_from_profile", "rotate",
-    "squeezed_vacuum_fock", "superposition_state", "sweep", "transform",
+    "squeezed_vacuum_fock", "superposition_state", "sweep", "tabulate",
+    "transform",
 ]

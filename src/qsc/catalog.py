@@ -391,7 +391,7 @@ def parse_state_literal(text: str,
                 if trunc is None:
                     trunc = choose_squeezed_truncation(sigma)
                 return squeezed_vacuum_fock(sigma, trunc)
-            except (ValueError, NumericsError) as exc:
+            except ValueError as exc:       # an odd N=, or one below 2
                 raise ParseError(f"gauss: {exc}") from None
         if analytic:
             raise ParseError("box: has no analytic route")

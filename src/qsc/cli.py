@@ -19,7 +19,7 @@ from .errors import NumericsError, ParseError
 from .frft import equivalence_failures
 from .functionals import (DEFAULT_NUMERICS, Numerics, evaluator_for,
                           fs_complexity)
-from .sweep import analyze, global_fs, min_fs, sweep
+from .sweep import analyze, min_fs, sweep
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -167,10 +167,10 @@ def cmd_mfs(args) -> int:
 # reference values: Fock-row complexities, superposition endpoints, global
 # and minimum measures, and the closed-form box law
 TABLE1 = (5.15, 11.7, 20.5, 31.3, 44.2, 59.0, 75.7, 94.3, 114.0, 137.0)
+SECTIONS = ("table1", "phi", "global", "minimum", "box")
 
 
-def _reference_rows(numerics: Numerics, sections=("table1", "phi", "global",
-                                                  "minimum", "box")):
+def _reference_rows(numerics: Numerics, sections):
     rows = []
 
     def add(row_id, reference, computed, tol, kind):
@@ -202,9 +202,9 @@ def _reference_rows(numerics: Numerics, sections=("table1", "phi", "global",
                 1e-3, "abs")
         if "global" in sections:
             for sign, tag in ((+1, "plus"), (-1, "minus")):
-                add(f"gfs:phi1_{tag}", 2.53, global_fs(phi1[sign], numerics),
+                add(f"gfs:phi1_{tag}", 2.53, analyze(phi1[sign], numerics).gfs,
                     0.01, "abs")
-                add(f"gfs:phi2_{tag}", 7.63, global_fs(phi2[sign], numerics),
+                add(f"gfs:phi2_{tag}", 7.63, analyze(phi2[sign], numerics).gfs,
                     0.01, "abs")
         if "minimum" in sections:
             for sign, tag in ((+1, "plus"), (-1, "minus")):
@@ -226,15 +226,6 @@ def _print_rows(rows) -> None:
         print(f"{row['id']:<24}{row['reference']:>14.6g}"
               f"{row['computed']:>16.8g}{row['rel_delta']:>12.2e}"
               f"  {'ok' if row['ok'] else 'FAIL'}")
-
-
-def cmd_table1(args) -> int:
-    rows = _reference_rows(_numerics(args), sections=("table1",))
-    if args.json:
-        _print_json(rows)
-    else:
-        _print_rows(rows)
-    return 0 if all(r["ok"] for r in rows) else 1
 
 
 def cmd_box(args) -> int:
@@ -271,7 +262,7 @@ def cmd_box(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
-    rows = _reference_rows(_numerics(args))
+    rows = _reference_rows(_numerics(args), args.sections)
     if args.json:
         _print_json(rows)
     else:
@@ -330,10 +321,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(fn=cmd_mfs)
 
-    p = sub.add_parser("table1", help="Fock-row reference comparison")
+    p = sub.add_parser("table1", help="Fock-row reference comparison "
+                       "(the table1 section of reproduce)")
     p.add_argument("--json", action="store_true")
     _add_common(p)
-    p.set_defaults(fn=cmd_table1)
+    p.set_defaults(fn=cmd_reproduce, sections=("table1",))
 
     p = sub.add_parser("box", help="well eigenstates: pipeline vs formulas")
     p.add_argument("--n-max", type=int, default=5)
@@ -346,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="compare every built-in reference value")
     p.add_argument("--json", action="store_true")
     _add_common(p)
-    p.set_defaults(fn=cmd_reproduce)
+    p.set_defaults(fn=cmd_reproduce, sections=SECTIONS)
 
     p = sub.add_parser("selftest", help="kernel-oracle equivalence suite")
     p.set_defaults(fn=cmd_selftest)

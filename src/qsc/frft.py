@@ -25,9 +25,9 @@ import warnings
 
 import numpy as np
 
+from . import hermite
 from .errors import NumericsError
 from .functionals import integrate
-from .hermite import build_basis_table
 from .state import Grid, default_grid, eval_density, make_state
 
 __all__ = ["DEGENERATE_SIN", "kernel", "transform"]
@@ -102,7 +102,7 @@ def equivalence_failures() -> list[str]:
     l1_tol, comp_tol, unit_tol = 1e-5, 1e-4, 1e-6
     rng = np.random.default_rng(2024)
     grid = default_grid(n_max, 1024)
-    table = build_basis_table(n_max, grid)
+    table = hermite.tabulate(grid.points, n_max)
     states = [make_state(rng.normal(size=n_max + 1)
                          + 1j * rng.normal(size=n_max + 1), renormalize=True)
               for _ in range(20)]

@@ -36,8 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import hermite
 from .errors import NumericsError
-from .hermite import build_basis_table, check_cells
 from .state import (_DENSITY_ROWS, AnalyticGaussian, DensityProfile,
                     FockState, Grid, _Scratch, _Workspace, canonical_theta,
                     default_grid, density_block, eval_density,
@@ -289,10 +289,11 @@ class FockEvaluator(ProfileEvaluator):
     def __init__(self, state: FockState, numerics: Numerics = DEFAULT_NUMERICS):
         super().__init__(numerics)
         self.state = state
-        check_cells(state.n_max + 2, numerics.grid_points)   # the basis table
+        # its largest array, the basis table, before the grid exists
+        hermite.check_cells(state.n_max + 2, numerics.grid_points)
         self.grid = default_grid(state.n_max, numerics.grid_points,
                                  numerics.grid_margin)
-        self.table = build_basis_table(state.n_max, self.grid)
+        self.table = hermite.tabulate(self.grid.points, state.n_max)
         self._check_mass(integrate(np.square(self.table.values[-1]), self.grid))
         self.mirror_axis = mirror_axis(state)
 
@@ -317,7 +318,8 @@ class GaussianEvaluator(ProfileEvaluator):
                  numerics: Numerics = DEFAULT_NUMERICS):
         super().__init__(numerics)
         self.sigma = state.sigma
-        check_cells(2 * _DENSITY_ROWS, numerics.grid_points)  # workspace below
+        # its largest array, the workspace below, before the grid exists
+        hermite.check_cells(2 * _DENSITY_ROWS, numerics.grid_points)
         widest = max(self.sigma, 1.0 / self.sigma)
         self.grid = Grid(extent=(1.0 + numerics.grid_margin) * widest,
                          count=numerics.grid_points)

@@ -1,7 +1,9 @@
 """Orthonormal harmonic-oscillator eigenfunctions (m = hbar = omega = 1).
 
-All evaluation runs through the normalized three-term recurrence on the
-Gaussian-weighted functions
+``tabulate`` is the one entry point: it fills the values and derivatives of
+rows n = 0..n_max at any set of points (a grid's points, quadrature nodes)
+through the normalized three-term recurrence on the Gaussian-weighted
+functions
 
     u_0(x)     = pi**-0.25 * exp(-x**2 / 2)
     u_1(x)     = sqrt(2) * x * u_0(x)
@@ -32,8 +34,7 @@ import numpy as np
 
 from .errors import NumericsError
 
-__all__ = ["BasisTable", "MAX_TABLE_CELLS", "build_basis_table",
-           "check_cells"]
+__all__ = ["BasisTable", "MAX_TABLE_CELLS", "check_cells", "tabulate"]
 
 # guards accidental huge allocations, not a tuning knob
 MAX_TABLE_CELLS = 1 << 27
@@ -69,40 +70,6 @@ def _unscale(v, g, w, unsafe, out=None):
     return out
 
 
-def _scaled_rows(points, count):
-    """Rows u_0..u_{count-1} (count >= 2) at ``points``, each yielded as the
-    arguments (v, g, w, unsafe) of ``_unscale``.  Only two rows are held, and
-    a rescale updates the previous v, g, w and unsafe in place, so unscale
-    each row before asking for the next."""
-    m = points.shape[0]
-    g = _LOG_PI4 - 0.5 * points * points
-    unsafe = g <= _EXP_SAFE
-    w = np.where(unsafe, 0.0, np.exp(np.maximum(g, _EXP_SAFE)))
-    flags = unsafe if unsafe.any() else None
-    lo = np.ones(m)                      # v of row n-1 (row 0 to start)
-    hi = _SQRT2 * points                 # v of row n
-    yield lo, g, w, flags
-    yield hi, g, w, flags
-    for n in range(1, count - 1):
-        # sqrt(2/(n+1)) x v_n - sqrt(n/(n+1)) v_{n-1}, in place
-        nxt = math.sqrt(2.0 / (n + 1.0)) * points
-        nxt *= hi
-        nxt -= math.sqrt(n / (n + 1.0)) * lo
-        if (np.maximum.reduce(nxt) > _RESCALE
-                or np.minimum.reduce(nxt) < -_RESCALE):
-            big = np.flatnonzero(np.abs(nxt) > _RESCALE)
-            nxt[big] *= _INV_RESCALE
-            hi[big] *= _INV_RESCALE
-            g[big] += _LOG_RESCALE
-            unsafe[big] = g[big] <= _EXP_SAFE
-            w[big] = np.where(unsafe[big], 0.0,
-                              np.exp(np.maximum(g[big], _EXP_SAFE)))
-            # a rescale only raises g, so unsafe points can only go away
-            flags = unsafe if flags is not None and unsafe.any() else None
-        lo, hi = hi, nxt
-        yield hi, g, w, flags
-
-
 @dataclass(frozen=True)
 class BasisTable:
     """Eigenfunction values and derivatives tabulated on a set of points.
@@ -126,19 +93,40 @@ def tabulate(points: np.ndarray, n_max: int) -> BasisTable:
     check_cells(n_max + 2, points.shape[0])
     # rows u_0..u_{n_max + 1}: the top one only feeds the derivatives
     values = np.empty((n_max + 2, points.shape[0]))
-    for n, row in enumerate(_scaled_rows(points, n_max + 2)):
-        _unscale(*row, out=values[n])
+    g = _LOG_PI4 - 0.5 * points * points
+    unsafe = g <= _EXP_SAFE
+    w = np.where(unsafe, 0.0, np.exp(np.maximum(g, _EXP_SAFE)))
+    flags = unsafe if unsafe.any() else None
+    lo = np.ones(points.shape[0])        # v of row n-1 (row 0 to start)
+    hi = _SQRT2 * points                 # v of row n
+    _unscale(lo, g, w, flags, out=values[0])
+    _unscale(hi, g, w, flags, out=values[1])
+    # each row is unscaled before the next one is built, since a rescale
+    # updates the previous v, g, w and unsafe in place
+    for n in range(1, n_max + 1):
+        # sqrt(2/(n+1)) x v_n - sqrt(n/(n+1)) v_{n-1}, in place
+        nxt = math.sqrt(2.0 / (n + 1.0)) * points
+        nxt *= hi
+        nxt -= math.sqrt(n / (n + 1.0)) * lo
+        if (np.maximum.reduce(nxt) > _RESCALE
+                or np.minimum.reduce(nxt) < -_RESCALE):
+            big = np.flatnonzero(np.abs(nxt) > _RESCALE)
+            nxt[big] *= _INV_RESCALE
+            hi[big] *= _INV_RESCALE
+            g[big] += _LOG_RESCALE
+            unsafe[big] = g[big] <= _EXP_SAFE
+            w[big] = np.where(unsafe[big], 0.0,
+                              np.exp(np.maximum(g[big], _EXP_SAFE)))
+            # a rescale only raises g, so unsafe points can only go away
+            flags = unsafe if flags is not None and unsafe.any() else None
+        lo, hi = hi, nxt
+        _unscale(hi, g, w, flags, out=values[n + 1])
     derivs = np.empty((n_max + 1, points.shape[0]))
     derivs[0] = -math.sqrt(0.5) * values[1]
     for n in range(1, n_max + 1):
         np.multiply(math.sqrt(0.5 * n), values[n - 1], out=derivs[n])
         derivs[n] -= math.sqrt(0.5 * (n + 1.0)) * values[n + 1]
-    values = np.ascontiguousarray(values[: n_max + 1])
+    values = values[: n_max + 1]
     for arr in (points, values, derivs):
         arr.setflags(write=False)
     return BasisTable(n_max=n_max, points=points, values=values, derivs=derivs)
-
-
-def build_basis_table(n_max: int, grid) -> BasisTable:
-    """Tabulate the first n_max+1 eigenfunctions on a Grid."""
-    return tabulate(grid.points, n_max)

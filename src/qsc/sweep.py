@@ -9,15 +9,15 @@ rule converges only as O(h^2), not spectrally.  The minimum measure scans a
 coarse periodic lattice and then runs a derivative-free golden-section
 refinement inside the bracketing interval: the curve can carry several local
 minima, so scan-then-bracket is the robust choice.  Each measure has one
-owner: ``global_fs`` and ``analyze`` (which adds the lattice reports) the
-global one, ``min_fs`` the minimum.
+owner: ``analyze`` the global one (its ``gfs``, with the lattice reports
+beside it), ``min_fs`` the minimum.
 
 Most states have a mirror axis a, read from the state by its evaluator
 (``mirror_axis``): cfs(a + t) = cfs(a - t).  That holds whenever
 c_n = r_n exp(i(phi + n beta)) with real r_n, a = -beta: every ``fock:``,
 ``gauss:`` and ``box:`` state, every real superposition and every rotation
-of one.  The global measure, the minimum scan and ``analyze`` then use the
-lattice a + k pi / n, evaluate only k = 0..n/2 and take value n - k for
+of one.  ``analyze`` and the ``min_fs`` scan then use the lattice
+a + k pi / n, evaluate only k = 0..n/2 and take value n - k for
 k > n/2; a real state has a = 0, hence the plain lattice k pi / n.  A
 state without an axis is evaluated on the whole lattice k pi / n.  Minima
 of a mirrored curve come in mirror pairs, and the reported arg-min may be
@@ -39,7 +39,7 @@ from .functionals import (ComplexityReport, DEFAULT_NUMERICS, Numerics,
 from .hermite import MAX_TABLE_CELLS
 from .state import canonical_theta
 
-__all__ = ["SweepResult", "analyze", "global_fs", "min_fs", "sweep"]
+__all__ = ["SweepResult", "analyze", "min_fs", "sweep"]
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -151,12 +151,6 @@ def _golden_min(f, lo: float, hi: float, tol: float):
             if fd < best_f:
                 best_x, best_f = d, fd
     return best_x, best_f
-
-
-def global_fs(state, numerics: Numerics = DEFAULT_NUMERICS) -> float:
-    """Global Fisher-Shannon measure: the angle average of cfs."""
-    value, _, _ = _gfs(evaluator_for(state, numerics))
-    return value
 
 
 def min_fs(state, numerics: Numerics = DEFAULT_NUMERICS) -> tuple[float, float]:

@@ -74,6 +74,23 @@ class TestMeasure:
         assert "numerics" in err
 
     @pytest.mark.parametrize("literal", [
+        "gauss:sigma=1,N=2",       # the truncation leaves a norm deficit
+        "gauss:sigma=13",          # no adequate truncation below the cap
+    ], ids=["norm_deficit", "no_truncation"])
+    def test_gauss_truncation_failure_is_a_numerics_error(self, capsys,
+                                                          literal):
+        code, out, err = run_cli(capsys, "measure", literal)
+        assert code == 3
+        assert out == ""
+        assert "numerics" in err
+
+    def test_gauss_odd_truncation_is_a_parse_error(self, capsys):
+        code, out, err = run_cli(capsys, "measure", "gauss:sigma=1,N=3")
+        assert code == 2
+        assert out == ""
+        assert "even" in err
+
+    @pytest.mark.parametrize("literal", [
         "box:n=1,N=100000000",     # its first node count is over the cell cap
         "box:n=1,N=3000",          # projects quickly; the grid cannot hold it
         "box:n=1,N=" + "9" * 400,  # beyond float range
@@ -348,6 +365,17 @@ class TestReferenceCommands:
         rows = json.loads(out)
         assert len(rows) == 10
         assert all(r["ok"] for r in rows)
+
+    def test_table1_is_the_table1_section_of_reproduce(self, capsys):
+        code, out, _ = run_cli(capsys, "table1", "--json")
+        assert code == 0
+        full_code, full, _ = run_cli(capsys, "reproduce", "--json")
+        assert full_code == 1
+        assert json.loads(out) == [r for r in json.loads(full)
+                                   if r["id"].startswith("table1:")]
+        code, out, _ = run_cli(capsys, "table1")
+        assert code == 0
+        assert out.endswith("\nall 10 rows within tolerance\n")
 
     def test_box_command(self, capsys):
         code, out, _ = run_cli(capsys, "box", "--n-max", "2", "--json")

@@ -9,7 +9,7 @@ from qsc.catalog import box_wavefunction, superposition_state
 from qsc.errors import NumericsError
 from qsc.frft import equivalence_failures, kernel, transform
 from qsc.functionals import integrate
-from qsc.hermite import build_basis_table
+from qsc.hermite import tabulate
 from qsc.state import Grid, default_grid, eval_density, make_state
 from conftest import INV_SQRT2, fock
 
@@ -21,7 +21,7 @@ def small_grid():
 
 @pytest.fixture(scope="module")
 def small_table(small_grid):
-    return build_basis_table(12, small_grid)
+    return tabulate(small_grid.points, 12)
 
 
 def l1_distance(a, b, grid):
@@ -137,7 +137,7 @@ class TestTransform:
     def test_block_matches_dense_kernel_and_single_columns(self):
         # the kernel matrix built point by point, applied to both columns
         grid = default_grid(4, grid_points=256)
-        table = build_basis_table(4, grid)
+        table = tabulate(grid.points, 4)
         psi = np.stack((table.values[1],
                         0.6 * table.values[0] + 0.8j * table.values[3]),
                        axis=1).astype(complex)
@@ -151,7 +151,7 @@ class TestTransform:
 
     def test_near_unitary_on_band_limited_input(self):
         grid = default_grid(6, grid_points=512)
-        table = build_basis_table(6, grid)
+        table = tabulate(grid.points, 6)
         psi = (table.values[3] * 0.6 + table.values[5] * 0.8).astype(complex)
         out = transform(psi, 1.1, grid)
         assert integrate(np.abs(out) ** 2, grid) == pytest.approx(

@@ -278,16 +278,18 @@ def test_grid_refusal_comes_before_the_basis_table():
 
 def test_one_evaluator_runs_the_hermite_recurrence_once(monkeypatch):
     # the grid check reads the table it builds; no second recurrence, on a
-    # grid that holds the state or on one that is refused
+    # grid that holds the state or on one that is refused.  The evaluator
+    # reaches the table through the module attribute, where the
+    # benchmark's tracer counts it.
     counts = []
-    recurrence = hermite._scaled_rows
+    table = hermite.tabulate
 
-    def counted(points, count):
-        counts.append(count)
-        return recurrence(points, count)
+    def counted(points, n_max):
+        counts.append(n_max)
+        return table(points, n_max)
 
-    monkeypatch.setattr(hermite, "_scaled_rows", counted)
+    monkeypatch.setattr(hermite, "tabulate", counted)
     FockEvaluator(fock(60))
     with pytest.raises(NumericsError, match="cannot hold the state"):
         FockEvaluator(fock(60), Numerics(grid_points=64))
-    assert counts == [62, 62]
+    assert counts == [60, 60]

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsc.errors import NumericsError
-from qsc.hermite import build_basis_table, tabulate
+from qsc.hermite import tabulate
 from qsc.state import Grid, default_grid
 
 PI4 = math.pi ** -0.25
@@ -95,7 +95,7 @@ def test_ladder_identity_property(n, x):
 
 
 def test_table_three_point_grid():
-    table = build_basis_table(0, Grid(extent=1.0, count=3))
+    table = tabulate(Grid(extent=1.0, count=3).points, 0)
     np.testing.assert_allclose(table.values[0],
                                [0.455580672, 0.751125544, 0.455580672],
                                rtol=1e-8)
@@ -103,7 +103,7 @@ def test_table_three_point_grid():
 
 def test_table_parity_exact():
     grid = Grid(extent=8.0, count=256)
-    table = build_basis_table(6, grid)
+    table = tabulate(grid.points, 6)
     for n in range(7):
         sign = (-1) ** n
         assert np.array_equal(table.values[n], sign * table.values[n][::-1])
@@ -111,7 +111,7 @@ def test_table_parity_exact():
 
 def test_table_ladder_identity():
     grid = default_grid(32, grid_points=512)
-    table = build_basis_table(32, grid)
+    table = tabulate(grid.points, 32)
     for n in range(32):
         lower = table.values[n - 1] if n else np.zeros(grid.count)
         ladder = (math.sqrt(n / 2.0) * lower
@@ -121,7 +121,7 @@ def test_table_ladder_identity():
 
 def test_table_row_norms():
     grid = default_grid(10)
-    table = build_basis_table(10, grid)
+    table = tabulate(grid.points, 10)
     for n in range(11):
         norm = np.trapezoid(table.values[n] ** 2, dx=grid.dx)
         assert norm == pytest.approx(1.0, abs=1e-8)
@@ -129,7 +129,7 @@ def test_table_row_norms():
 
 def test_orthonormality():
     grid = default_grid(40)
-    table = build_basis_table(40, grid)
+    table = tabulate(grid.points, 40)
     w = np.full(grid.count, grid.dx)
     w[0] = w[-1] = grid.dx / 2
     gram = (table.values * w) @ table.values.T

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from qsc.errors import NumericsError
 from qsc.functionals import integrate
-from qsc.hermite import build_basis_table
+from qsc.hermite import tabulate
 from qsc.state import (DensityProfile, Grid, canonical_theta, default_grid,
                        eval_density, make_state, rotate)
 from conftest import INV_SQRT2, fock
@@ -86,7 +86,7 @@ def test_rotate_identity():
 def test_rotated_eigenstate_density_unchanged():
     # a basis state only acquires a global phase
     grid = default_grid(3, grid_points=512)
-    table = build_basis_table(3, grid)
+    table = tabulate(grid.points, 3)
     base = eval_density(fock(3), 0.0, grid, table)
     turned = eval_density(fock(3), 1.234, grid, table)
     np.testing.assert_allclose(turned.rho, base.rho, atol=1e-14)
@@ -103,7 +103,7 @@ def test_rotation_composition(alpha, beta):
 
 def test_vacuum_density_is_gaussian():
     grid = default_grid(0)
-    table = build_basis_table(0, grid)
+    table = tabulate(grid.points, 0)
     prof = eval_density(fock(0), 0.0, grid, table)
     expected = np.exp(-grid.points ** 2) / math.sqrt(math.pi)
     np.testing.assert_allclose(prof.rho, expected, atol=1e-12)
@@ -113,7 +113,7 @@ def test_vacuum_density_is_gaussian():
 def test_density_mass_is_one(theta):
     st_ = make_state([INV_SQRT2, 0.0, INV_SQRT2])
     grid = default_grid(2)
-    table = build_basis_table(2, grid)
+    table = tabulate(grid.points, 2)
     prof = eval_density(st_, theta, grid, table)
     assert integrate(prof.rho, prof.grid) == pytest.approx(1.0, abs=1e-8)
 
@@ -121,7 +121,7 @@ def test_density_mass_is_one(theta):
 def test_excited_node_survives_rotation():
     # odd-count grid puts a point exactly at the origin
     grid = default_grid(1, grid_points=4097)
-    table = build_basis_table(1, grid)
+    table = tabulate(grid.points, 1)
     prof = eval_density(fock(1), math.pi / 3, grid, table)
     assert prof.rho[2048] == 0.0
 
@@ -129,7 +129,7 @@ def test_excited_node_survives_rotation():
 def test_pi_shift_reflects_density():
     st_ = make_state(np.array([0.5, 0.5j, 0.5, -0.5]), renormalize=True)
     grid = default_grid(3, grid_points=1024)
-    table = build_basis_table(3, grid)
+    table = tabulate(grid.points, 3)
     a = eval_density(st_, 0.7, grid, table)
     b = eval_density(st_, 0.7 + math.pi, grid, table)
     np.testing.assert_allclose(b.rho, a.rho[::-1], atol=1e-12)
@@ -138,7 +138,7 @@ def test_pi_shift_reflects_density():
 def test_norm_conservation_random_states():
     rng = np.random.default_rng(42)
     grid = default_grid(12)
-    table = build_basis_table(12, grid)
+    table = tabulate(grid.points, 12)
     thetas = np.linspace(0.0, math.pi, 10, endpoint=False)
     for _ in range(100):
         raw = rng.normal(size=13) + 1j * rng.normal(size=13)
@@ -152,7 +152,7 @@ def test_drho_matches_finite_differences():
     # fine spacing keeps the O(h^2) difference error below the tolerance
     st_ = make_state([0.3, 0.5, 0.2, 0.7, 0.1], renormalize=True)
     grid = Grid(extent=6.0, count=64001)
-    table = build_basis_table(4, grid)
+    table = tabulate(grid.points, 4)
     prof = eval_density(st_, 1.1, grid, table)
     fd = np.gradient(prof.rho, grid.dx)
     np.testing.assert_allclose(prof.drho[5:-5], fd[5:-5], atol=1e-6)
@@ -160,7 +160,7 @@ def test_drho_matches_finite_differences():
 
 def test_eval_density_dimension_checks():
     grid = default_grid(1)
-    table = build_basis_table(1, grid)
+    table = tabulate(grid.points, 1)
     with pytest.raises(NumericsError):
         eval_density(fock(3), 0.0, grid, table)
     other = default_grid(3, grid_points=512)

@@ -14,7 +14,7 @@ from qsc.functionals import (FockEvaluator, Numerics,
                              block_rows, evaluator_for, fs_complexity)
 from qsc.state import AnalyticGaussian, _Workspace, make_state, rotate
 from qsc.sweep import (MFS_SCAN, SweepResult, _gfs, _lattice_values, analyze,
-                       global_fs, min_fs, sweep)
+                       min_fs, sweep)
 from conftest import INV_SQRT2, fock
 
 # pinned by the pointwise-validated complexity curve (30-digit quadrature
@@ -80,17 +80,17 @@ def test_pi_periodicity_with_raw_phase(phi1):
 
 
 def test_global_measure_equals_single_angle_for_fock():
-    value = global_fs(fock(2))
+    value = analyze(fock(2)).gfs
     single = fs_complexity(fock(2), 0.0).cfs
     assert value == pytest.approx(single, rel=1e-6)
     assert value == pytest.approx(11.7, rel=5e-3)
 
 
 def test_global_measure_sign_independent(phi1, phi2):
-    assert global_fs(phi1) == pytest.approx(
-        global_fs(superposition_state(2, -INV_SQRT2)), rel=1e-10)
-    assert global_fs(phi1) == pytest.approx(GFS_PHI1, rel=1e-5)
-    assert global_fs(phi2) == pytest.approx(GFS_PHI2, rel=1e-5)
+    assert analyze(phi1).gfs == pytest.approx(
+        analyze(superposition_state(2, -INV_SQRT2)).gfs, rel=1e-10)
+    assert analyze(phi1).gfs == pytest.approx(GFS_PHI1, rel=1e-5)
+    assert analyze(phi2).gfs == pytest.approx(GFS_PHI2, rel=1e-5)
 
 
 def test_minimum_measure_values(phi1, phi2):
@@ -116,7 +116,7 @@ def test_gaussian_landscape_is_flat():
     state = AnalyticGaussian(2.0)
     theta_star, value = min_fs(state)
     assert value == pytest.approx(1.0, abs=1e-5)
-    assert global_fs(state) == pytest.approx(1.0, abs=1e-5)
+    assert analyze(state).gfs == pytest.approx(1.0, abs=1e-5)
 
 
 @pytest.mark.parametrize("alpha", [0.9, 2.2])
@@ -150,7 +150,7 @@ def test_analyze_bundle_invariants(phi1):
 
 def test_fock_rows_have_equal_global_minimum_single(phi1):
     single = fs_complexity(fock(3), 0.0).cfs
-    assert global_fs(fock(3)) == pytest.approx(single, rel=1e-6)
+    assert analyze(fock(3)).gfs == pytest.approx(single, rel=1e-6)
     assert min_fs(fock(3))[1] == pytest.approx(single, rel=1e-6)
 
 
