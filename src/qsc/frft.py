@@ -102,11 +102,11 @@ def equivalence_failures() -> list[str]:
     l1_tol, comp_tol, unit_tol = 1e-5, 1e-4, 1e-6
     rng = np.random.default_rng(2024)
     grid = default_grid(n_max, 1024)
-    table = hermite.tabulate(grid.points, n_max)
+    table = hermite.tabulate(grid.points, n_max + 1)
     states = [make_state(rng.normal(size=n_max + 1)
                          + 1j * rng.normal(size=n_max + 1), renormalize=True)
               for _ in range(20)]
-    psi0 = (np.array([s.coeffs for s in states]) @ table.values).T
+    psi0 = (np.array([s.coeffs for s in states]) @ table.values[:n_max + 1]).T
 
     def rho(psi):                   # one row per state
         return np.abs(psi.T) ** 2

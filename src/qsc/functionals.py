@@ -283,18 +283,18 @@ def block_rows(grid_points: int) -> int:
 
 class FockEvaluator(ProfileEvaluator):
     """Fock-pipeline evaluator: caches the grid and basis table of one state.
-    The grid must hold the top basis row, whose norm does not depend on the
-    angle.  The mirror axis comes from the coefficients (``mirror_axis``)."""
+    The grid must hold basis row N, the state's top row, whose norm does not
+    depend on the angle.  The mirror axis comes from the coefficients."""
 
     def __init__(self, state: FockState, numerics: Numerics = DEFAULT_NUMERICS):
         super().__init__(numerics)
         self.state = state
-        # its largest array, the basis table, before the grid exists
+        # its largest array, the (N + 2)-row basis table, before the grid exists
         hermite.check_cells(state.n_max + 2, numerics.grid_points)
         self.grid = default_grid(state.n_max, numerics.grid_points,
                                  numerics.grid_margin)
-        self.table = hermite.tabulate(self.grid.points, state.n_max)
-        self._check_mass(integrate(np.square(self.table.values[-1]), self.grid))
+        self.table = hermite.tabulate(self.grid.points, state.n_max + 1)
+        self._check_mass(integrate(np.square(self.table.values[-2]), self.grid))
         self.mirror_axis = mirror_axis(state)
 
     def density_block(self, thetas, ws: _Workspace):

@@ -1,9 +1,8 @@
 """Orthonormal harmonic-oscillator eigenfunctions (m = hbar = omega = 1).
 
-``tabulate`` is the one entry point: it fills the values and derivatives of
-rows n = 0..n_max at any set of points (a grid's points, quadrature nodes)
-through the normalized three-term recurrence on the Gaussian-weighted
-functions
+``tabulate`` is the one entry point: it fills rows n = 0..n_max at any set
+of points (a grid's points, quadrature nodes) through the normalized
+three-term recurrence on the Gaussian-weighted functions
 
     u_0(x)     = pi**-0.25 * exp(-x**2 / 2)
     u_1(x)     = sqrt(2) * x * u_0(x)
@@ -14,15 +13,15 @@ Hermite polynomials have long since overflowed.  The recurrence carries a
 per-point exponent besides: values are kept as v * exp(g), with v rescaled
 whenever it grows past 2**512, so points inside the classical turning point
 but beyond the float range of exp(-x^2/2) (|x| > 38.6) still come out right
-over the full (n <= 10^3, |x| <= 60) range.  Derivatives come from the
-ladder identity
+over the full (n <= 10^3, |x| <= 60) range.  Derivatives have no table of
+their own: by the exact ladder identity
 
     u_n'(x) = sqrt(n/2) * u_{n-1}(x) - sqrt((n+1)/2) * u_{n+1}(x)
 
-rather than from differentiating the recurrence: it is an exact algebraic
-relation and costs a single extra row.  Far in the tail (|x| >> sqrt(2n+1))
-the weighted functions underflow to zero silently, which is harmless because
-every integrand built from them vanishes there as well.
+the derivative of sum_n d_n u_n is sum_m d'_m u_m on the same rows, with
+the coefficients d' of ``ladder``.  Far in the tail (|x| >> sqrt(2n+1))
+the weighted functions underflow to zero silently, which is harmless
+because every integrand built from them vanishes there as well.
 """
 
 from __future__ import annotations
@@ -34,12 +33,11 @@ import numpy as np
 
 from .errors import NumericsError
 
-__all__ = ["BasisTable", "MAX_TABLE_CELLS", "check_cells", "tabulate"]
+__all__ = ["BasisTable", "MAX_TABLE_CELLS", "check_cells", "ladder", "tabulate"]
 
 # guards accidental huge allocations, not a tuning knob
 MAX_TABLE_CELLS = 1 << 27
 
-_SQRT2 = np.sqrt(2.0)
 _LOG_PI4 = -0.25 * np.log(np.pi)
 _RESCALE = 2.0 ** 512
 _INV_RESCALE = 2.0 ** -512
@@ -72,44 +70,52 @@ def _unscale(v, g, w, unsafe, out=None):
 
 @dataclass(frozen=True)
 class BasisTable:
-    """Eigenfunction values and derivatives tabulated on a set of points.
+    """Eigenfunction values tabulated on a set of points.
 
-    Rows run n = 0..n_max; columns follow ``points``.  Immutable after
-    construction.
+    Rows run n = 0..n_max; columns follow ``points``.  psi of K terms and
+    psi' (see ``ladder``) need rows 0..K.  Immutable after construction.
     """
 
     n_max: int
     points: np.ndarray
     values: np.ndarray
-    derivs: np.ndarray
+
+
+def ladder(coeffs, out):
+    """Write into ``out`` (..., K+1) the coefficients d'_0..d'_K of psi' from
+    those d_0..d_{K-1} of psi in ``coeffs``, along the last axis:
+    d'_m = sqrt((m+1)/2) d_{m+1} - sqrt(m/2) d_{m-1}, d_n = 0 outside 0..K-1."""
+    k = coeffs.shape[-1]
+    w = np.sqrt(np.arange(0.5, 0.5 * k + 0.25, 0.5))   # sqrt(m/2), m = 1..K
+    np.multiply(coeffs[..., 1:], w[:-1], out=out[..., :k - 1])
+    out[..., k - 1:] = 0.0
+    out[..., 1:] -= coeffs * w
+    return out
 
 
 def tabulate(points: np.ndarray, n_max: int) -> BasisTable:
     """Single-pass recurrence fill over arbitrary points: every eigenfunction
-    value or derivative is a row of such a table."""
+    value is a row of such a table."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     points = np.ascontiguousarray(points, dtype=float)
-    check_cells(n_max + 2, points.shape[0])
-    # rows u_0..u_{n_max + 1}: the top one only feeds the derivatives
-    values = np.empty((n_max + 2, points.shape[0]))
+    check_cells(n_max + 1, points.shape[0])
+    values = np.empty((n_max + 1, points.shape[0]))
     g = _LOG_PI4 - 0.5 * points * points
     unsafe = g <= _EXP_SAFE
     w = np.where(unsafe, 0.0, np.exp(np.maximum(g, _EXP_SAFE)))
     flags = unsafe if unsafe.any() else None
-    lo = np.ones(points.shape[0])        # v of row n-1 (row 0 to start)
-    hi = _SQRT2 * points                 # v of row n
-    _unscale(lo, g, w, flags, out=values[0])
-    _unscale(hi, g, w, flags, out=values[1])
+    lo, hi = np.zeros_like(points), np.ones_like(points)  # v of rows n-1, n
+    _unscale(hi, g, w, flags, out=values[0])
     # each row is unscaled before the next one is built, since a rescale
     # updates the previous v, g, w and unsafe in place
-    for n in range(1, n_max + 1):
+    for n in range(n_max):
         # sqrt(2/(n+1)) x v_n - sqrt(n/(n+1)) v_{n-1}, in place
         nxt = math.sqrt(2.0 / (n + 1.0)) * points
         nxt *= hi
         nxt -= math.sqrt(n / (n + 1.0)) * lo
-        if (np.maximum.reduce(nxt) > _RESCALE
-                or np.minimum.reduce(nxt) < -_RESCALE):
+        if (np.maximum.reduce(nxt, initial=0.0) > _RESCALE   # or no points
+                or np.minimum.reduce(nxt, initial=0.0) < -_RESCALE):
             big = np.flatnonzero(np.abs(nxt) > _RESCALE)
             nxt[big] *= _INV_RESCALE
             hi[big] *= _INV_RESCALE
@@ -121,12 +127,6 @@ def tabulate(points: np.ndarray, n_max: int) -> BasisTable:
             flags = unsafe if flags is not None and unsafe.any() else None
         lo, hi = hi, nxt
         _unscale(hi, g, w, flags, out=values[n + 1])
-    derivs = np.empty((n_max + 1, points.shape[0]))
-    derivs[0] = -math.sqrt(0.5) * values[1]
-    for n in range(1, n_max + 1):
-        np.multiply(math.sqrt(0.5 * n), values[n - 1], out=derivs[n])
-        derivs[n] -= math.sqrt(0.5 * (n + 1.0)) * values[n + 1]
-    values = values[: n_max + 1]
-    for arr in (points, values, derivs):
+    for arr in (points, values):
         arr.setflags(write=False)
-    return BasisTable(n_max=n_max, points=points, values=values, derivs=derivs)
+    return BasisTable(n_max=n_max, points=points, values=values)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericsError
-from .hermite import BasisTable
+from .hermite import BasisTable, ladder
 
 __all__ = ["AnalyticGaussian", "DensityProfile", "FockState", "Grid",
            "canonical_theta", "default_grid", "density_block", "eval_density",
@@ -245,21 +245,23 @@ class _Scratch:
 
 class _Workspace(_Scratch):
     """A ``_Scratch`` and the rows that ``density_block`` writes, for up to
-    ``rows`` angles: the GEMM products ``p`` (psi) and ``q`` (psi'), real
-    rows over imaginary rows, then ``rho``, ``drho`` and ``dpsi_abs2``, in
-    one buffer of ``_DENSITY_ROWS`` rows per angle; the density products
-    also use the scratch row.  A block of a <= rows angles uses the first
-    a rows of each (2a of ``p`` and ``q``).  Every block overwrites the one
-    before, so arrays that must outlive a block need a workspace of their
-    own."""
+    ``rows`` angles: the GEMM product ``pq`` (psi real, psi imaginary, psi'
+    real, psi' imaginary), then ``rho``, ``drho`` and ``dpsi_abs2``, in one
+    buffer of ``_DENSITY_ROWS`` rows per angle; the density products also
+    use the scratch row.  A block of a <= rows angles uses the first a rows
+    of each and 4a of ``pq``, all written by one product.  Every block
+    overwrites the one before, so arrays that must outlive a block need a
+    workspace of their own."""
 
     def __init__(self, rows: int, points: int):
         super().__init__(rows, points)
-        floats = np.empty((_DENSITY_ROWS * rows, points))
-        self.p, self.q = floats[:2 * rows], floats[2 * rows:4 * rows]
-        self.rho = floats[4 * rows:5 * rows]
-        self.drho = floats[5 * rows:6 * rows]
-        self.dpsi_abs2 = floats[6 * rows:]
+        # 8 doubles after each GEMM row: rows 32 KiB apart share L1 cache
+        # sets, and a short-K GEMM of 32 such rows ran 3-4x slower unpadded
+        width = points + 8
+        floats = np.empty(rows * (4 * width + 3 * points))
+        self.pq = floats[:4 * rows * width].reshape(-1, width)[:, :points]
+        self.rho, self.drho, self.dpsi_abs2 = floats[4 * rows * width:].reshape(
+            3, rows, points)
 
 
 def density_block(state: FockState, thetas, grid: Grid, table: BasisTable,
@@ -267,26 +269,24 @@ def density_block(state: FockState, thetas, grid: Grid, table: BasisTable,
     """rho = |psi|^2, drho = 2 Re(conj(psi) psi') and |psi'|^2 at every angle
     of ``thetas``, as (len(thetas) x M) views into ``ws``, one row per angle.
 
-    psi(x_j) = sum_n c_n exp(i n theta) u_n(x_j); the derivative uses the
-    tabulated ladder derivatives, never finite differences.  The phase is
-    applied with the raw angles.  The real and imaginary rows of the phased
-    coefficients are stacked into one (2A x K) real matrix, so psi and psi'
-    are one GEMM each against the table rows.
+    psi = sum_n d_n u_n with d_n = c_n exp(i n theta) (the raw angles), and
+    psi' = sum_m d'_m u_m with d' from ``hermite.ladder``, never finite
+    differences.  The real and imaginary rows of d (a zero in column K) and
+    d' form one (4A x (K+1)) real matrix: one GEMM against table rows 0..K.
     """
     k = state.coeffs.shape[0]
-    if table.n_max < state.n_max:
+    if table.n_max < k:
         raise NumericsError(
-            f"basis table holds n <= {table.n_max} but state needs {state.n_max}")
+            f"basis table holds n <= {table.n_max} but psi' needs n <= {k}")
     if table.points.shape[0] != grid.count or table.points[0] != grid.points[0]:
         raise NumericsError("basis table was built on a different grid")
-    phases = np.exp(1j * np.multiply.outer(np.asarray(thetas, dtype=float),
-                                           np.arange(k)))
-    phased = state.coeffs * phases
+    phased = state.coeffs * np.exp(np.multiply.outer(thetas, 1j * np.arange(k)))
     a = phased.shape[0]
-    c = np.concatenate((phased.real, phased.imag))
-    p = np.matmul(c, table.values[:k], out=ws.p[:2 * a])
-    q = np.matmul(c, table.derivs[:k], out=ws.q[:2 * a])
-    pr, pi, qr, qi = p[:a], p[a:], q[:a], q[a:]
+    c = np.zeros((4 * a, k + 1))
+    c[:a, :k], c[a:2 * a, :k] = phased.real, phased.imag
+    ladder(c[:2 * a, :k], out=c[2 * a:])
+    pq = np.matmul(c, table.values[:k + 1], out=ws.pq[:4 * a])
+    pr, pi, qr, qi = pq[:a], pq[a:2 * a], pq[2 * a:3 * a], pq[3 * a:]
     tmp = ws.scratch[:a]
     rho = np.multiply(pr, pr, out=ws.rho[:a])
     rho += np.multiply(pi, pi, out=tmp)

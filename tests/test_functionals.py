@@ -1,13 +1,15 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from qsc import hermite
 from qsc.errors import NumericsError
-from qsc.functionals import (ComplexityReport, FockEvaluator, Numerics,
-                             _variance, entropy_power, evaluator_for,
-                             fs_complexity, integrate, report_from_profile)
+from qsc.functionals import (DEFAULT_NUMERICS, ComplexityReport,
+                             FockEvaluator, Numerics, _variance,
+                             entropy_power, evaluator_for, fs_complexity,
+                             integrate, report_from_profile)
 from qsc.state import (AnalyticGaussian, DensityProfile, Grid, default_grid,
                        make_state)
 from conftest import INV_SQRT2, fock
@@ -271,16 +273,30 @@ class TestInvariants:
 
 
 def test_grid_refusal_comes_before_the_basis_table():
-    # the top row of the basis table decides, before the evaluator exists
+    # row N of the basis table decides, before the evaluator exists
     with pytest.raises(NumericsError, match="cannot hold the state"):
         FockEvaluator(fock(60), Numerics(grid_points=64))
 
 
+def test_evaluator_build_holds_one_basis_table():
+    # psi' comes from the same table as psi: building an evaluator of 385
+    # terms peaks near one (N + 2)-row table, not two
+    state = make_state(np.ones(385), renormalize=True)
+    table_bytes = (state.n_max + 2) * DEFAULT_NUMERICS.grid_points * 8
+    tracemalloc.start()
+    try:
+        evaluator_for(state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * table_bytes
+
+
 def test_one_evaluator_runs_the_hermite_recurrence_once(monkeypatch):
     # the grid check reads the table it builds; no second recurrence, on a
-    # grid that holds the state or on one that is refused.  The evaluator
-    # reaches the table through the module attribute, where the
-    # benchmark's tracer counts it.
+    # grid that holds the state or on one that is refused.  The table runs
+    # to N + 1, the top row of psi'.  The evaluator reaches the table
+    # through the module attribute, where the benchmark's tracer counts it.
     counts = []
     table = hermite.tabulate
 
@@ -292,4 +308,4 @@ def test_one_evaluator_runs_the_hermite_recurrence_once(monkeypatch):
     FockEvaluator(fock(60))
     with pytest.raises(NumericsError, match="cannot hold the state"):
         FockEvaluator(fock(60), Numerics(grid_points=64))
-    assert counts == [60, 60]
+    assert counts == [61, 61]

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsc.errors import NumericsError
-from qsc.hermite import tabulate
+from qsc.hermite import ladder, tabulate
 from qsc.state import Grid, default_grid
 
 PI4 = math.pi ** -0.25
@@ -29,16 +29,23 @@ def mp_hermite_fn(n, x):
         return float(val)
 
 
-# Every eigenfunction value and derivative in the package is a row of a
-# basis table; these read row n of a table built up to n at x (a float or an
-# array), so they check the production table itself.
+# Every eigenfunction value in the package is a row of a basis table, and
+# every derivative is the ladder of its coefficients times table rows.
+# ``u`` reads row n of a table built up to n at x (a float or an array);
+# ``du`` applies the ladder (``lad``) to the unit vector e_n and multiplies
+# by rows 0..n+1 of a table built up to n + 1.  Both check the production
+# code.
 
 def u(n, x):
     return tabulate(np.atleast_1d(x), n).values[n]
 
 
+def lad(d):
+    return ladder(d, np.empty(d.shape[:-1] + (d.shape[-1] + 1,), d.dtype))
+
+
 def du(n, x):
-    return tabulate(np.atleast_1d(x), n).derivs[n]
+    return lad(np.eye(n + 1)[n]) @ tabulate(np.atleast_1d(x), n + 1).values
 
 
 def test_ground_state_value():
@@ -110,13 +117,15 @@ def test_table_parity_exact():
 
 
 def test_table_ladder_identity():
+    # row n of ladder(I) @ values is u_n', against the identity on rows
     grid = default_grid(32, grid_points=512)
     table = tabulate(grid.points, 32)
+    derivs = lad(np.eye(32)) @ table.values
     for n in range(32):
         lower = table.values[n - 1] if n else np.zeros(grid.count)
-        ladder = (math.sqrt(n / 2.0) * lower
-                  - math.sqrt((n + 1) / 2.0) * table.values[n + 1])
-        np.testing.assert_allclose(table.derivs[n], ladder, atol=1e-10)
+        rows = (math.sqrt(n / 2.0) * lower
+                - math.sqrt((n + 1) / 2.0) * table.values[n + 1])
+        np.testing.assert_allclose(derivs[n], rows, atol=1e-10)
 
 
 def test_table_row_norms():
@@ -141,6 +150,26 @@ def test_no_overflow_large_n():
     assert np.all(np.isfinite(u(1000, xs)))
     table = tabulate(np.array([-60.0, 0.0, 60.0]), 1000)
     assert np.all(np.isfinite(table.values))
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 5])
+def test_table_on_no_points(n_max):
+    table = tabulate(np.zeros(0), n_max)
+    assert table.values.shape == (n_max + 1, 0)
+
+
+def test_ladder_reaches_one_row_up():
+    # u_0' = -sqrt(1/2) u_1: a single coefficient has a two-term derivative
+    np.testing.assert_array_equal(lad(np.array([1.0])),
+                                  [0.0, -math.sqrt(0.5)])
+    # d'_m = sqrt((m+1)/2) d_{m+1} - sqrt(m/2) d_{m-1}, row by row
+    d0, d1, d2 = 0.5 + 1j, -2.0, 0.25j
+    expected = [math.sqrt(0.5) * d1,
+                d2 - math.sqrt(0.5) * d0,
+                -d1,
+                -math.sqrt(1.5) * d2]
+    np.testing.assert_allclose(lad(np.array([[d0, d1, d2]] * 2)),
+                               [expected] * 2, rtol=1e-15)
 
 
 def test_table_cell_cap():

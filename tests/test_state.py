@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,8 +9,9 @@ from hypothesis import strategies as st
 from qsc.errors import NumericsError
 from qsc.functionals import integrate
 from qsc.hermite import tabulate
-from qsc.state import (DensityProfile, Grid, canonical_theta, default_grid,
-                       eval_density, make_state, rotate)
+from qsc.state import (DensityProfile, Grid, _Workspace, canonical_theta,
+                       default_grid, density_block, eval_density, make_state,
+                       rotate)
 from conftest import INV_SQRT2, fock
 
 
@@ -86,7 +88,7 @@ def test_rotate_identity():
 def test_rotated_eigenstate_density_unchanged():
     # a basis state only acquires a global phase
     grid = default_grid(3, grid_points=512)
-    table = tabulate(grid.points, 3)
+    table = tabulate(grid.points, 4)
     base = eval_density(fock(3), 0.0, grid, table)
     turned = eval_density(fock(3), 1.234, grid, table)
     np.testing.assert_allclose(turned.rho, base.rho, atol=1e-14)
@@ -103,7 +105,7 @@ def test_rotation_composition(alpha, beta):
 
 def test_vacuum_density_is_gaussian():
     grid = default_grid(0)
-    table = tabulate(grid.points, 0)
+    table = tabulate(grid.points, 1)
     prof = eval_density(fock(0), 0.0, grid, table)
     expected = np.exp(-grid.points ** 2) / math.sqrt(math.pi)
     np.testing.assert_allclose(prof.rho, expected, atol=1e-12)
@@ -113,7 +115,7 @@ def test_vacuum_density_is_gaussian():
 def test_density_mass_is_one(theta):
     st_ = make_state([INV_SQRT2, 0.0, INV_SQRT2])
     grid = default_grid(2)
-    table = tabulate(grid.points, 2)
+    table = tabulate(grid.points, 3)
     prof = eval_density(st_, theta, grid, table)
     assert integrate(prof.rho, prof.grid) == pytest.approx(1.0, abs=1e-8)
 
@@ -121,7 +123,7 @@ def test_density_mass_is_one(theta):
 def test_excited_node_survives_rotation():
     # odd-count grid puts a point exactly at the origin
     grid = default_grid(1, grid_points=4097)
-    table = tabulate(grid.points, 1)
+    table = tabulate(grid.points, 2)
     prof = eval_density(fock(1), math.pi / 3, grid, table)
     assert prof.rho[2048] == 0.0
 
@@ -129,7 +131,7 @@ def test_excited_node_survives_rotation():
 def test_pi_shift_reflects_density():
     st_ = make_state(np.array([0.5, 0.5j, 0.5, -0.5]), renormalize=True)
     grid = default_grid(3, grid_points=1024)
-    table = tabulate(grid.points, 3)
+    table = tabulate(grid.points, 4)
     a = eval_density(st_, 0.7, grid, table)
     b = eval_density(st_, 0.7 + math.pi, grid, table)
     np.testing.assert_allclose(b.rho, a.rho[::-1], atol=1e-12)
@@ -138,7 +140,7 @@ def test_pi_shift_reflects_density():
 def test_norm_conservation_random_states():
     rng = np.random.default_rng(42)
     grid = default_grid(12)
-    table = tabulate(grid.points, 12)
+    table = tabulate(grid.points, 13)
     thetas = np.linspace(0.0, math.pi, 10, endpoint=False)
     for _ in range(100):
         raw = rng.normal(size=13) + 1j * rng.normal(size=13)
@@ -152,7 +154,7 @@ def test_drho_matches_finite_differences():
     # fine spacing keeps the O(h^2) difference error below the tolerance
     st_ = make_state([0.3, 0.5, 0.2, 0.7, 0.1], renormalize=True)
     grid = Grid(extent=6.0, count=64001)
-    table = tabulate(grid.points, 4)
+    table = tabulate(grid.points, 5)
     prof = eval_density(st_, 1.1, grid, table)
     fd = np.gradient(prof.rho, grid.dx)
     np.testing.assert_allclose(prof.drho[5:-5], fd[5:-5], atol=1e-6)
@@ -160,12 +162,58 @@ def test_drho_matches_finite_differences():
 
 def test_eval_density_dimension_checks():
     grid = default_grid(1)
-    table = tabulate(grid.points, 1)
+    table = tabulate(grid.points, 2)
     with pytest.raises(NumericsError):
         eval_density(fock(3), 0.0, grid, table)
     other = default_grid(3, grid_points=512)
     with pytest.raises(NumericsError):
         eval_density(fock(1), 0.0, other, table)
+    # psi' of a state up to n = 1 reaches row 2: a table up to 1 is refused
+    short = tabulate(grid.points, 1)
+    with pytest.raises(NumericsError, match="needs n <= 2"):
+        eval_density(fock(1), 0.0, grid, short)
+    with pytest.raises(NumericsError, match="needs n <= 2"):
+        density_block(fock(1), [0.0, 1.0], grid, short,
+                      _Workspace(2, grid.count))
+
+
+def mp_dpsi(coeffs, theta, x):
+    # psi'(x) of sum_n c_n e^{i n theta} u_n(x) from mpmath's Hermite
+    # polynomials and H_n' = 2 n H_{n-1}, not from the ladder identity
+    with mp.workdps(30):
+        x = mp.mpf(x)
+        gauss = mp.e ** (-x * x / 2) / mp.sqrt(mp.sqrt(mp.pi))
+        total = mp.mpc(0)
+        h_prev = mp.mpf(0)
+        for n, c in enumerate(coeffs):
+            h = mp.hermite(n, x)
+            norm = 1 / mp.sqrt(mp.mpf(2) ** n * mp.factorial(n))
+            du = norm * (2 * n * h_prev - x * h) * gauss
+            phase = mp.expj(n * mp.mpf(theta))
+            total += mp.mpc(c.real, c.imag) * phase * du
+            h_prev = h
+        return complex(total)
+
+
+@pytest.mark.parametrize("k", [1, 5, 64, 257])
+def test_psi_prime_rows_match_mpmath(k):
+    # the q rows of density_block, psi' from the ladder coefficients on one
+    # table, at 20 grid points and two angles; within 1e-12 of max|psi'|
+    rng = np.random.default_rng(k)
+    st_ = make_state(rng.normal(size=k) + 1j * rng.normal(size=k),
+                     renormalize=True)
+    grid = default_grid(k - 1, grid_points=512)
+    table = tabulate(grid.points, k)
+    thetas = [0.3, 2.1]
+    ws = _Workspace(2, grid.count)
+    density_block(st_, thetas, grid, table, ws)
+    q = ws.pq[4:6] + 1j * ws.pq[6:8]
+    idx = np.linspace(0, grid.count - 1, 20).round().astype(int)
+    for row, theta in enumerate(thetas):
+        ref = np.array([mp_dpsi(st_.coeffs, theta, grid.points[j])
+                        for j in idx])
+        err = np.max(np.abs(q[row, idx] - ref))
+        assert err <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_profile_from_samples():
