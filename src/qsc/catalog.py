@@ -35,9 +35,10 @@ TRAILING_WARN = 1e-8
 SQUEEZED_DEFICIT = 1e-12
 SQUEEZED_CAP = 4096
 # box projection: largest accepted squared-norm deficit, and the largest
-# change of any coefficient between projections on m and 2m Gauss-Legendre
-# nodes at which the node count stops doubling.  The count starts at the
-# next power of two above the integrand's top wavenumber plus 16 nodes
+# change of any coefficient between the m- and 2m-interval Clenshaw-Curtis
+# rules, both read from one basis table on the 2m + 1 nodes of the finer
+# rule, at which the interval count stops doubling.  The count starts at the
+# next power of two above the integrand's top wavenumber plus 16
 # (_box_start_nodes) and is capped by hermite.MAX_TABLE_CELLS, checked
 # before any nodes are computed.
 BOX_NORM_TOL = 5e-3
@@ -138,9 +139,10 @@ class BoxSpec:
 
 
 def _box_start_nodes(spec: BoxSpec) -> int:
-    """First Gauss-Legendre node count of the box projection: the next power
-    of two at or above sqrt(2 n_fock + 1) + pi n / 2 + 16.  The first two
-    terms bound the wavenumber of sin(pi n (x - 1) / 2) u_k(x) on [-1, 1]."""
+    """First interval count m of the box projection's check rule, whose
+    finer rule has 2m intervals: the next power of two at or above
+    sqrt(2 n_fock + 1) + pi n / 2 + 16.  The first two terms bound the
+    wavenumber of sin(pi n (x - 1) / 2) u_k(x) on [-1, 1]."""
     # a truncation past the cell cap fails the cap at every node count; the
     # clamp only keeps the float formula finite for it
     n_fock = min(spec.n_fock, hermite.MAX_TABLE_CELLS)
@@ -149,46 +151,61 @@ def _box_start_nodes(spec: BoxSpec) -> int:
     return 1 << math.ceil(math.log2(need))
 
 
-def _box_coefficients(spec: BoxSpec, m: int) -> np.ndarray:
-    """Oscillator-basis coefficients of the well eigenstate from m
-    Gauss-Legendre nodes, with the opposite-parity half pinned to zero.
-    Refuses, before computing any node, a count whose basis table would
-    exceed hermite.MAX_TABLE_CELLS."""
-    hermite.check_cells(spec.n_fock + 2, m)
-    nodes, weights = np.polynomial.legendre.leggauss(m)
-    table = hermite.tabulate(nodes, spec.n_fock)
-    coeffs = table.values @ (weights * box_wavefunction(spec.n, nodes))
-    k = np.arange(spec.n_fock + 1)
-    coeffs[(k + spec.n) % 2 == 0] = 0.0      # parity (-1)^(n+1) is exact
-    return coeffs
+def _clenshaw_curtis(m: int):
+    """Nodes cos(pi j / m), j = 0..m, and weights of the m-interval
+    Clenshaw-Curtis rule on [-1, 1], for even m >= 2.  The nodes are
+    computed as sin(pi (m - 2j) / (2m)): odd-symmetric, and those of rule m
+    are bit for bit the even-indexed nodes of rule 2m.  The weights come
+    from one length-m FFT (Waldvogel, BIT 46, 2006)."""
+    j = np.arange(m + 1)
+    nodes = np.sin(np.pi * (m - 2 * j) / (2 * m))
+    odd = np.arange(1.0, m, 2.0)
+    half = m // 2
+    v = np.zeros(m + 1)
+    v[:half] = 2.0 / (odd * (odd - 2.0))
+    v[half] = 1.0 / odd[-1]
+    g = np.full(m, -1.0)
+    g[half] += 2.0 * m
+    g /= m * m - 1.0
+    w = np.fft.ifft(g - v[:-1] - v[:0:-1]).real
+    return nodes, np.append(w, w[0])
 
 
 def box_state(spec: BoxSpec) -> FockState:
     """Project the well eigenstate onto the truncated oscillator basis.
 
-    Coefficients come from Gauss-Legendre quadrature over [-1, 1].  The
+    Coefficients come from Clenshaw-Curtis quadrature over [-1, 1].  The
     integrand sin(pi n (x - 1) / 2) u_k(x) is entire there, with wavenumber
     at most about sqrt(2 n_fock + 1) + pi n / 2, so a few dozen nodes
-    resolve it: the count starts at the next power of two above that bound
-    plus 16 and doubles until the projections on m and 2m nodes agree
-    within 1e-12 in every coefficient; the 2m result is kept.  A count whose
-    basis table of (n_fock + 2) * m cells would exceed
-    hermite.MAX_TABLE_CELLS raises NumericsError before its nodes are
-    computed, which also caps the doubling.  The opposite-parity half is
-    exactly zero and is pinned so.  Raises when the captured norm falls
-    short of 1 - BOX_NORM_TOL (the remedy is a larger truncation).  The
-    kinked well edges make |c_k|^2 decay like k**-5/2, so the squared-norm
-    deficit shrinks only like n_fock**-3/2: about 4e-5 for n = 1 and 1.2e-3
-    for n = 5 at the default truncation of 256.
+    resolve it.  Each step tabulates the basis once, on the 2m + 1 nodes of
+    the 2m-interval rule; the m-interval rule's nodes are the even-indexed
+    ones, so both projections are one product with that table.  m starts at
+    the next power of two above the wavenumber bound plus 16 and doubles
+    until the two projections agree within 1e-12 in every coefficient; the
+    2m result is kept.  A step whose basis table of (n_fock + 2) * (2m + 1)
+    cells would exceed hermite.MAX_TABLE_CELLS raises NumericsError before
+    its nodes are computed, which also caps the doubling.  The
+    opposite-parity half is exactly zero and is pinned so.  Raises when the
+    captured norm falls short of 1 - BOX_NORM_TOL (the remedy is a larger
+    truncation).  The kinked well edges make |c_k|^2 decay like k**-5/2, so
+    the squared-norm deficit shrinks only like n_fock**-3/2: about 4e-5 for
+    n = 1 and 1.2e-3 for n = 5 at the default truncation of 256.
     """
     m = _box_start_nodes(spec)
-    coarse = _box_coefficients(spec, m)
     while True:
-        m *= 2
-        coeffs = _box_coefficients(spec, m)
+        hermite.check_cells(spec.n_fock + 2, 2 * m + 1)
+        nodes, fine_weights = _clenshaw_curtis(2 * m)
+        f = box_wavefunction(spec.n, nodes)
+        # column 0 integrates on every node, column 1 on the even ones
+        weights = np.zeros((2 * m + 1, 2))
+        weights[:, 0] = fine_weights * f
+        weights[::2, 1] = _clenshaw_curtis(m)[1] * f[::2]
+        proj = hermite.tabulate(nodes, spec.n_fock).values @ weights
+        proj[spec.n % 2::2] = 0.0           # parity (-1)^(n+1) is exact
+        coeffs, coarse = proj.T
         if np.max(np.abs(coeffs - coarse)) <= _BOX_NODE_AGREE:
             break
-        coarse = coeffs
+        m *= 2
     coeffs[np.abs(coeffs) < 1e-14] = 0.0
     captured = float(np.sum(coeffs * coeffs))
     deficit = 1.0 - captured

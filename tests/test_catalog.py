@@ -30,6 +30,18 @@ def legendre_rule():
     return rule
 
 
+def count_tables(monkeypatch):
+    """Record the node count of every hermite.tabulate call from now on."""
+    tables = []
+    tabulate = hermite.tabulate
+
+    def counting(points, n_max):
+        tables.append(points.shape[0])
+        return tabulate(points, n_max)
+    monkeypatch.setattr(hermite, "tabulate", counting)
+    return tables
+
+
 @pytest.fixture(scope="module")
 def box256():
     out = {}
@@ -167,6 +179,28 @@ class TestBoxState:
             state = box_state(BoxSpec(n=n, n_fock=n_fock))
         np.testing.assert_allclose(state.coeffs, ref, rtol=0.0, atol=1e-12)
 
+    @pytest.mark.parametrize("m", [2, 8, 64, 128])
+    def test_clenshaw_curtis_rule(self, m):
+        nodes, weights = catalog._clenshaw_curtis(m)
+        assert np.all(weights > 0.0)
+        assert weights.sum() == pytest.approx(2.0, abs=1e-14)
+        for k in range(m + 1):
+            moment = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+            assert abs(weights @ nodes ** k - moment) <= 1e-14, k
+        # the check rule reads the even-indexed columns of the fine table
+        fine_nodes = catalog._clenshaw_curtis(2 * m)[0]
+        assert np.array_equal(nodes, fine_nodes[::2])
+
+    def test_one_basis_table_and_no_eigensolve(self, monkeypatch):
+        def refuse(deg):
+            raise AssertionError("leggauss called")
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", refuse)
+        tables = count_tables(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            box_state(BoxSpec(n=3, n_fock=256))
+        assert tables == [129]
+
     def test_node_doubling_escalates_to_the_cap(self, monkeypatch):
         spec = BoxSpec(n=3, n_fock=256)
         with warnings.catch_warnings():
@@ -175,11 +209,14 @@ class TestBoxState:
             monkeypatch.setattr(catalog, "_box_start_nodes", lambda spec: 8)
             escalated = box_state(spec).coeffs
             np.testing.assert_allclose(escalated, default, rtol=0.0, atol=1e-12)
-            # 8, 16 and 32 nodes do not agree, and the cap refuses 64
+            # the rules on 17 and 33 nodes do not agree with their halves,
+            # so the interval count doubles twice, and the cap refuses 65
             monkeypatch.setattr(hermite, "MAX_TABLE_CELLS",
-                                (spec.n_fock + 2) * 32)
+                                (spec.n_fock + 2) * 33)
+            tables = count_tables(monkeypatch)
             with pytest.raises(NumericsError, match="over the cap"):
                 box_state(spec)
+            assert tables == [17, 33]
 
     def test_position_density_fidelity(self, box256):
         prof = FockEvaluator(box256[2]).profile(0.0)
