@@ -27,8 +27,8 @@ import numpy as np
 
 from . import hermite
 from .errors import NumericsError
-from .functionals import integrate
-from .state import Grid, default_grid, eval_density, make_state
+from .state import (Grid, default_grid, eval_density, full_grid_product,
+                    integrate, make_state)
 
 __all__ = ["DEGENERATE_SIN", "kernel", "transform"]
 
@@ -102,11 +102,14 @@ def equivalence_failures() -> list[str]:
     l1_tol, comp_tol, unit_tol = 1e-5, 1e-4, 1e-6
     rng = np.random.default_rng(2024)
     grid = default_grid(n_max, 1024)
-    table = hermite.tabulate(grid.points, n_max + 1)
+    table = hermite.tabulate(grid.half_points, n_max + 1)
     states = [make_state(rng.normal(size=n_max + 1)
                          + 1j * rng.normal(size=n_max + 1), renormalize=True)
               for _ in range(20)]
-    psi0 = (np.array([s.coeffs for s in states]) @ table.values[:n_max + 1]).T
+    coeffs = np.array([s.coeffs for s in states])
+    psi0 = full_grid_product(
+        coeffs, table, np.empty((len(states), grid.count), complex),
+        np.empty((len(states), table.points.shape[0]), complex)).T
 
     def rho(psi):                   # one row per state
         return np.abs(psi.T) ** 2

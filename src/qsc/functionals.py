@@ -1,25 +1,38 @@
 """Information functionals on density profiles and the composite measures.
 
-Everything reduces through one composite trapezoid rule, ``integrate``,
-along the last (grid) axis with a fixed summation order, so one profile and a
-block of profiles (one row per angle) go through the same code and outputs
-are reproducible bit for bit.  Accuracy comes from resolution (4096 points by
-default), not from a higher-order rule.  The rule is spectrally accurate
-only for smooth, exponentially decaying densities such as those of short Fock
+Everything reduces through one composite trapezoid rule, ``integrate``
+(defined next to ``Grid`` in ``state``), along the last (grid) axis with a
+fixed summation order, so one profile and a block of profiles (one row per
+angle) go through the same code and outputs are reproducible bit for bit.
+Accuracy comes from resolution (4096 points by default), not from a
+higher-order rule.  The rule is spectrally accurate only for smooth,
+exponentially decaying densities such as those of short Fock
 superpositions.  Not every density here is of that kind: a well eigenstate
 has kinked edges, which its Fock projection resolves only through rapidly
 oscillating high-order terms, and a density sampled across a jump is not
 smooth at all.  There the error falls only algebraically with the grid
 spacing.
 
-The Fisher integrand (rho')^2 / rho is finite at simple nodes of the
-wavefunction but numerically 0/0 there; points where rho falls to
-``NODE_EPS * max(rho)`` (1e-13, fixed) or below are replaced by the
-analytic limit 4 |psi'|^2.
+The Fisher information comes from Hall's split of the momentum spread
+(M. J. W. Hall, Phys. Rev. A 62, 012107, 2000): with j = Im(conj(psi)
+psi') the current, pointwise (rho')^2 / rho = 4 |psi'|^2 - 4 j^2 / rho,
+and the integral of 4 |psi'|^2 is 4 <p_theta^2>, which the evaluator
+supplies in closed form as the kinetic term.  So
+
+    I = kinetic - 4 integral of j^2 / rho,
+
+and no quotient is 0/0 at a node: j^2 <= rho |psi'|^2, and j = 0 wherever
+rho = 0.  One clamped row, rho + tiny with tiny the smallest normal float,
+serves both functionals: it divides j^2, and S = -integral of
+rho log(rho + tiny) takes 0 log 0 = 0.  It equals rho wherever
+rho >= 2^-969; below that j^2 underflows to 0 and rho log(rho + tiny) is
+under 1e-289, so it serves as max(rho, tiny), which numpy computes several
+times slower.  A sampled density has no psi; its profile carries j = 0 and
+the finite-difference Fisher integral as its kinetic term.
 
 An angle lattice is filled in blocks of rows.  One fill allocates one
 workspace, sized for a block, and every block of it writes its GEMM
-products, density rows, temporaries and masks into that workspace, which
+products, density rows and temporaries into that workspace, which
 is dropped when the fill returns.  A single angle runs the same code on a
 one-row workspace of its own, so a profile never shares memory with a
 later fill.
@@ -38,10 +51,10 @@ import numpy as np
 
 from . import hermite
 from .errors import NumericsError
-from .state import (_DENSITY_ROWS, AnalyticGaussian, DensityProfile,
+from .state import (_DENSITY_ROWS, _TINY, AnalyticGaussian, DensityProfile,
                     FockState, Grid, _Scratch, _Workspace, canonical_theta,
                     default_grid, density_block, eval_density,
-                    gaussian_sigma_theta, mirror_axis)
+                    gaussian_sigma_theta, integrate, mirror_axis)
 
 __all__ = [
     "ComplexityReport", "FockEvaluator", "GaussianEvaluator", "Numerics",
@@ -51,14 +64,12 @@ __all__ = [
 
 ENTROPY_POWER_GUARD = 350.0
 
-# Node threshold of the Fisher integrand, relative to max(rho) of each row.
-NODE_EPS = 1e-13
-
 # Bytes of the float workspace that one lattice fill holds, on top of the
-# basis table and reused by every block of the fill: ``_DENSITY_ROWS`` + 1
-# rows of grid points per angle, so 8 angles at the default 4096 points.
-# Larger blocks gain little speed once the GEMMs have 16 rows, and every byte
-# adds to the peak memory.
+# basis table and reused by every block of the fill: ``_DENSITY_ROWS`` rows
+# of grid points per angle (four GEMM rows, the odd part's four half rows,
+# whose space the two scratch rows reuse, rho and j), so 8 angles at the
+# default 4096 points.  Larger blocks gain little speed once the GEMMs have
+# 16 rows, and every byte adds to the peak memory.
 BLOCK_BYTES = 2 ** 21
 
 # Largest deviation from 1 of the discrete mass that an evaluator accepts in
@@ -108,47 +119,26 @@ class ComplexityReport:
     cr: float | None = None
 
 
-def integrate(values, grid: Grid):
-    """Composite trapezoid rule over the grid along the last axis, in a fixed
-    summation order: a float for one profile, one value per row of a block."""
-    y = np.asarray(values, dtype=float)
-    if y.shape[-1] != grid.count:
-        raise ValueError("value count does not match grid")
-    return grid.dx * (np.sum(y, axis=-1) - 0.5 * (y[..., 0] + y[..., -1]))
-
-
 # The functions below take a block of profiles (A x M arrays, one row per
-# angle) and reduce along the last axis.  ``_fisher`` and ``_entropy``
-# keep their temporaries in the scratch row and masks of ``ws``, a
-# ``_Scratch`` of at least A rows.
+# angle) and reduce along the last axis.
 
-def _fisher(rho, drho, dpsi_abs2, grid: Grid, ws: _Scratch):
-    """I = integral of (rho')^2 / rho.  At or below ``NODE_EPS * max(rho)``
-    of each row, where the quotient is numerically 0/0, the integrand takes
-    its node limit 4 |psi'|^2.  A row whose max(rho) is not finite and
-    positive is refused."""
+def _fisher_entropy(rho, current, kinetic, grid: Grid, ws: _Scratch):
+    """I = kinetic - 4 integral of j^2 / rho and S = -integral of rho log rho
+    (nats), both on the one clamped row rho + tiny in ``ws``, a ``_Scratch``
+    of at least A rows.  A row whose max(rho) is not finite and positive is
+    refused."""
     peak = rho.max(axis=-1, initial=0.0)
     if not np.all((peak > 0.0) & (peak < math.inf)):     # NaN fails both
         raise NumericsError("degenerate profile: max(rho) is not finite and "
                             "positive")
     a = rho.shape[0]
-    node = np.less_equal(rho, NODE_EPS * peak[..., None], out=ws.mask[:a])
-    integrand = np.square(drho, out=ws.scratch[:a])
-    np.divide(integrand, rho, out=integrand,
-              where=np.logical_not(node, out=ws.keep[:a]))
-    np.multiply(4.0, dpsi_abs2, out=integrand, where=node)
-    return integrate(integrand, grid)
-
-
-def _entropy(rho, grid: Grid, ws: _Scratch):
-    """S = -integral of rho log rho (nats), with 0 log 0 = 0."""
-    a = rho.shape[0]
-    pos = np.greater(rho, 0.0, out=ws.mask[:a])
-    out = ws.scratch[:a]
-    out.fill(0.0)
-    np.log(rho, out=out, where=pos)
-    np.multiply(out, rho, out=out, where=pos)
-    return integrate(np.negative(out, out=out, where=pos), grid)
+    clamped = np.add(rho, _TINY, out=ws.clamped[:a])
+    tmp = np.multiply(current, current, out=ws.temp[:a])
+    tmp /= clamped
+    fisher = kinetic - 4.0 * integrate(tmp, grid)
+    np.log(clamped, out=tmp)
+    tmp *= rho
+    return fisher, -integrate(tmp, grid)
 
 
 def _variance(rho, grid: Grid):
@@ -166,14 +156,14 @@ def entropy_power(entropy: float) -> float:
     return math.exp(2.0 * entropy) / (2.0 * math.pi * math.e)
 
 
-def _reports(thetas, rho, drho, dpsi_abs2, grid: Grid, extensions: bool,
+def _reports(thetas, rho, current, kinetic, grid: Grid, extensions: bool,
              ws: _Scratch) -> list[ComplexityReport]:
-    """Reports of a block of profiles, (A x M) arrays with one row per angle
-    of ``thetas`` (canonical angles), with the temporaries in ``ws``.  The
-    extensions are the disequilibrium D = integral of rho^2 and the variance
-    V, combined as C_LMC = D exp(S) and C_CR = I V."""
-    entropy = _entropy(rho, grid, ws)
-    fisher = _fisher(rho, drho, dpsi_abs2, grid, ws)
+    """Reports of a block of profiles: rho and the current j, (A x M) arrays
+    with one row per angle of ``thetas`` (canonical angles), and the kinetic
+    term of each, with the temporaries in ``ws``.  The extensions are the
+    disequilibrium D = integral of rho^2 and the variance V, combined as
+    C_LMC = D exp(S) and C_CR = I V."""
+    fisher, entropy = _fisher_entropy(rho, current, kinetic, grid, ws)
     if extensions:
         diseq = integrate(rho * rho, grid)
         var = _variance(rho, grid)
@@ -196,22 +186,19 @@ def report_from_profile(profile: DensityProfile,
     """Assemble the full per-angle report from one density profile: the
     block computation with a single row, on temporaries of its own.  With
     ``extensions`` it carries every per-profile measure: I, S, J, C_FS,
-    C_LMC and C_CR.  A sampled profile has no |psi'|^2: its nodes add zero."""
-    dpsi_abs2 = profile.dpsi_abs2
-    if dpsi_abs2 is None:
-        dpsi_abs2 = np.zeros_like(profile.rho)
-    return _reports([profile.theta], profile.rho[None], profile.drho[None],
-                    dpsi_abs2[None], profile.grid, extensions,
+    C_LMC and C_CR."""
+    return _reports([profile.theta], profile.rho[None], profile.current[None],
+                    profile.kinetic, profile.grid, extensions,
                     _Scratch(1, profile.grid.count))[0]
 
 
 class ProfileEvaluator:
     """One state evaluated at many angles.  Subclasses supply ``grid`` and
-    ``density_block(thetas, ws)``: rho, drho and |psi'|^2 as (A x M) views
-    into the workspace ``ws``, one row per angle.  Reports are memoized by
-    the exact float angle; ``reports`` fills the missing angles of a lattice
-    in blocks, all written into one workspace that lives as long as the
-    call.
+    ``density_block(thetas, ws)``: rho and the current j as (A x M) views
+    into the workspace ``ws``, one row per angle, and the kinetic term
+    4 <p_theta^2> of each angle.  Reports are memoized by the exact float
+    angle; ``reports`` fills the missing angles of a lattice in blocks, all
+    written into one workspace that lives as long as the call.
     ``mirror_axis`` is an angle a with cfs(a + t) = cfs(a - t) for all t,
     read from the state, or None when the state shows no such axis."""
 
@@ -239,10 +226,11 @@ class ProfileEvaluator:
     def profile(self, theta: float) -> DensityProfile:
         """The one-row block at ``theta``, in a workspace of its own; the
         stored angle is canonical."""
-        rho, drho, dpsi_abs2 = self.density_block(
+        rho, current, kinetic = self.density_block(
             [theta], _Workspace(1, self.grid.count))
         return DensityProfile(grid=self.grid, theta=canonical_theta(theta),
-                              rho=rho[0], drho=drho[0], dpsi_abs2=dpsi_abs2[0])
+                              rho=rho[0], current=current[0],
+                              kinetic=float(kinetic[0]))
 
     def reports(self, thetas) -> list[ComplexityReport]:
         """Reports of all ``thetas`` in input order; the missing ones are
@@ -274,27 +262,33 @@ class ProfileEvaluator:
 
 def block_rows(grid_points: int) -> int:
     """Angles per lattice block: BLOCK_BYTES over the workspace bytes of
-    one angle, its ``_DENSITY_ROWS`` float rows and the scratch row of
-    ``grid_points`` points.  One lattice fill holds one workspace of this
-    many angles and reuses it for every block."""
+    one angle, its ``_DENSITY_ROWS`` float rows of ``grid_points`` points.
+    One lattice fill holds one workspace of this many angles and reuses it
+    for every block."""
     row_bytes = np.dtype(float).itemsize * grid_points
-    return max(1, BLOCK_BYTES // ((_DENSITY_ROWS + 1) * row_bytes))
+    return max(1, BLOCK_BYTES // (_DENSITY_ROWS * row_bytes))
 
 
 class FockEvaluator(ProfileEvaluator):
     """Fock-pipeline evaluator: caches the grid and basis table of one state.
-    The grid must hold basis row N, the state's top row, whose norm does not
+    The table holds rows 0..N + 1 on the grid's nonnegative half
+    (``Grid.half_points``); ``density_block`` unfolds it by parity.  The
+    grid must hold basis row N, the state's top row, whose norm does not
     depend on the angle.  The mirror axis comes from the coefficients."""
 
     def __init__(self, state: FockState, numerics: Numerics = DEFAULT_NUMERICS):
         super().__init__(numerics)
         self.state = state
-        # its largest array, the (N + 2)-row basis table, before the grid exists
+        # the (N + 2)-row basis table at the full grid width, twice the half
+        # table it builds, before the grid exists
         hermite.check_cells(state.n_max + 2, numerics.grid_points)
         self.grid = default_grid(state.n_max, numerics.grid_points,
                                  numerics.grid_margin)
-        self.table = hermite.tabulate(self.grid.points, state.n_max + 1)
-        self._check_mass(integrate(np.square(self.table.values[-2]), self.grid))
+        self.table = hermite.tabulate(self.grid.half_points, state.n_max + 1)
+        # u_N^2 is even: its full-grid row is the half row and its mirror
+        top = np.square(self.table.values[-2])
+        self._check_mass(integrate(np.concatenate(
+            (top[::-1][:self.grid.count // 2], top)), self.grid))
         self.mirror_axis = mirror_axis(state)
 
     def density_block(self, thetas, ws: _Workspace):
@@ -337,13 +331,11 @@ class GaussianEvaluator(ProfileEvaluator):
         rho = np.divide(-0.5 * s * s, v, out=ws.rho[:a])
         np.exp(rho, out=rho)
         rho /= np.sqrt(2.0 * math.pi * v)
-        drho = np.divide(s, v, out=ws.drho[:a])
-        np.negative(drho, out=drho)
-        drho *= rho
-        # psi = sqrt(rho) up to a global phase, so |psi'|^2 = drho^2 / (4 rho)
-        dpsi_abs2 = np.divide(s * s, 4.0 * v * v, out=ws.dpsi_abs2[:a])
-        dpsi_abs2 *= rho
-        return rho, drho, dpsi_abs2
+        # psi = sqrt(rho) up to a global phase: no current, and
+        # 4 <p^2> = integral of (rho')^2 / rho = 1 / v
+        current = ws.current[:a]
+        current.fill(0.0)
+        return rho, current, 1.0 / v[:, 0]
 
 
 def evaluator_for(state, numerics: Numerics = DEFAULT_NUMERICS):

@@ -1,8 +1,8 @@
 """Orthonormal harmonic-oscillator eigenfunctions (m = hbar = omega = 1).
 
 ``tabulate`` is the one entry point: it fills rows n = 0..n_max at any set
-of points (a grid's points, quadrature nodes) through the normalized
-three-term recurrence on the Gaussian-weighted functions
+of points (the nonnegative half of a grid, quadrature nodes) through the
+normalized three-term recurrence on the Gaussian-weighted functions
 
     u_0(x)     = pi**-0.25 * exp(-x**2 / 2)
     u_1(x)     = sqrt(2) * x * u_0(x)

@@ -220,7 +220,8 @@ class TestMeasure:
         assert exc.value.code == 2
 
     def test_node_threshold_is_not_a_flag(self, capsys):
-        # the node threshold is the constant functionals.NODE_EPS
+        # the Fisher integrand has no node threshold to set: I = kinetic -
+        # 4 int j^2 / rho needs none
         with pytest.raises(SystemExit) as exc:
             main(["measure", "fock:1", "--node-eps", "nan"])
         assert exc.value.code == 2

@@ -80,7 +80,8 @@ class TestTransform:
         state = superposition_state(2, INV_SQRT2)
         psi0 = state.coeffs @ small_table.values[:3].astype(complex)
         out = transform(psi0, 0.3, small_grid)
-        fockside = eval_density(state, 0.3, small_grid, small_table)
+        fockside = eval_density(state, 0.3, small_grid,
+                                tabulate(small_grid.half_points, 12))
         assert l1_distance(np.abs(out) ** 2, fockside.rho, small_grid) < 1e-5
 
     def test_box_momentum_density(self, small_grid):

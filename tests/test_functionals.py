@@ -10,8 +10,8 @@ from qsc.functionals import (DEFAULT_NUMERICS, ComplexityReport,
                              FockEvaluator, Numerics, _variance,
                              entropy_power, evaluator_for, fs_complexity,
                              integrate, report_from_profile)
-from qsc.state import (AnalyticGaussian, DensityProfile, Grid, default_grid,
-                       make_state)
+from qsc.state import (AnalyticGaussian, DensityProfile, Grid, _Workspace,
+                       default_grid, gaussian_sigma_theta, make_state)
 from conftest import INV_SQRT2, fock
 
 # frozen from 30-digit quadrature of the closed-form densities
@@ -26,9 +26,10 @@ CFS_PHI2_MINUS = 14.164241649550173
 def uniform_profile(half_width=1.0, count=2001):
     grid = Grid(extent=half_width, count=count)
     rho = np.full(count, 0.5 / half_width)
-    # interior derivative of the flat density is identically zero
+    # interior derivative of the flat density is identically zero: no
+    # current and no kinetic term
     return DensityProfile(grid=grid, theta=0.0, rho=rho,
-                          drho=np.zeros(count))
+                          current=np.zeros(count), kinetic=0.0)
 
 
 def measures(profile):
@@ -80,9 +81,27 @@ class TestFisher:
         ev = FockEvaluator(fock(0))
         assert measures(ev.profile(0.0)).fisher == pytest.approx(2.0, abs=1e-8)
 
+    @pytest.mark.parametrize("theta", [0.0, 0.7, 2.9])
+    @pytest.mark.parametrize("n", range(7))
+    def test_fock_rows_are_exact(self, n, theta):
+        # j vanishes to rounding on a Fock row, so I = 4<p_theta^2> = 4n + 2
+        assert fs_complexity(fock(n), theta).fisher == pytest.approx(
+            4 * n + 2, rel=1e-13)
+
+    @pytest.mark.parametrize("theta", [0.0, 0.4, 1.3])
+    def test_gaussian_kinetic_term(self, theta):
+        # psi = sqrt(rho): no current, and 4<p^2> = 1 / sigma_theta^2
+        ev = evaluator_for(AnalyticGaussian(1.7))
+        _, current, kinetic = ev.density_block(
+            [theta, theta + 1.0], _Workspace(2, ev.grid.count))
+        assert not current.any()
+        np.testing.assert_array_equal(
+            kinetic, [1.0 / gaussian_sigma_theta(1.7, t)
+                      for t in (theta, theta + 1.0)])
+
     @pytest.mark.parametrize("n", range(1, 11))
     def test_fock_rows(self, n):
-        # node-heavy densities; the integrand limit at each node is exercised
+        # node-heavy densities: every node is a zero of rho and of j
         ev = FockEvaluator(fock(n))
         assert measures(ev.profile(0.9)).fisher == pytest.approx(
             4 * n + 2, rel=1e-6)
@@ -103,7 +122,7 @@ class TestFisher:
     def test_degenerate_profile(self):
         grid = Grid(extent=1.0, count=64)
         prof = DensityProfile(grid=grid, theta=0.0, rho=np.zeros(64),
-                              drho=np.zeros(64))
+                              current=np.zeros(64), kinetic=0.0)
         with pytest.raises(NumericsError, match="degenerate profile"):
             report_from_profile(prof)
 
@@ -243,8 +262,8 @@ class TestInvariants:
         prof = ev.profile(0.55)
         mirrored = DensityProfile(grid=prof.grid, theta=prof.theta,
                                   rho=prof.rho[::-1].copy(),
-                                  drho=-prof.drho[::-1].copy(),
-                                  dpsi_abs2=prof.dpsi_abs2[::-1].copy())
+                                  current=-prof.current[::-1].copy(),
+                                  kinetic=prof.kinetic)
         base, flipped = measures(prof), measures(mirrored)
         for name in ("fisher", "entropy", "lmc", "cr"):
             assert getattr(flipped, name) == pytest.approx(
@@ -252,13 +271,14 @@ class TestInvariants:
 
     @pytest.mark.parametrize("lam", [0.5, 2.0, 3.0])
     def test_scaling_laws(self, lam):
-        # s -> lam * s sends I -> I/lam^2, J -> lam^2 J, cfs unchanged
+        # s -> lam * s sends I -> I/lam^2, J -> lam^2 J, cfs unchanged; the
+        # current and the kinetic term scale as 1/lam^2
         ev = FockEvaluator(fock(1))
         prof = ev.profile(0.0)
         scaled = DensityProfile(
             grid=Grid(extent=lam * prof.grid.extent, count=prof.grid.count),
-            theta=0.0, rho=prof.rho / lam, drho=prof.drho / lam ** 2,
-            dpsi_abs2=prof.dpsi_abs2 / lam ** 3)
+            theta=0.0, rho=prof.rho / lam, current=prof.current / lam ** 2,
+            kinetic=prof.kinetic / lam ** 2)
         base = report_from_profile(prof)
         rep = report_from_profile(scaled)
         assert rep.fisher == pytest.approx(base.fisher / lam ** 2, rel=1e-6)
@@ -280,7 +300,8 @@ def test_grid_refusal_comes_before_the_basis_table():
 
 def test_evaluator_build_holds_one_basis_table():
     # psi' comes from the same table as psi: building an evaluator of 385
-    # terms peaks near one (N + 2)-row table, not two
+    # terms peaks near one (N + 2)-row table, not two (the table holds the
+    # grid's nonnegative half, so it is below one full-width table)
     state = make_state(np.ones(385), renormalize=True)
     table_bytes = (state.n_max + 2) * DEFAULT_NUMERICS.grid_points * 8
     tracemalloc.start()

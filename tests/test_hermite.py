@@ -116,6 +116,32 @@ def test_table_parity_exact():
         assert np.array_equal(table.values[n], sign * table.values[n][::-1])
 
 
+@pytest.mark.parametrize("n_max,count", [(66, 4096), (386, 4096),
+                                         (1001, 4096), (300, 4097)])
+def test_table_parity_on_the_default_grid(n_max, count):
+    # the folded evaluator table rests on u_n(-x) = (-1)^n u_n(x) as float
+    # equality: the left half is the mirrored right half, sign (-1)^n.  At
+    # n = 1001 tail points underflow to +0.0 on both sides, so compare as
+    # floats, not bits
+    grid = default_grid(n_max, grid_points=count)
+    values = tabulate(grid.points, n_max).values
+    left = count // 2
+    for n in range(n_max + 1):
+        assert np.array_equal(values[n][:left],
+                              (-1) ** n * values[n][::-1][:left]), n
+
+
+def test_table_parity_on_clenshaw_curtis_nodes():
+    # the 129 nodes of the box projection at N = 386 are odd-symmetric too
+    from qsc.catalog import _clenshaw_curtis
+    nodes = _clenshaw_curtis(128)[0]
+    assert nodes.shape == (129,) and np.array_equal(nodes, -nodes[::-1])
+    values = tabulate(nodes, 386).values
+    for n in range(387):
+        assert np.array_equal(values[n][:64],
+                              (-1) ** n * values[n][::-1][:64]), n
+
+
 def test_table_ladder_identity():
     # row n of ladder(I) @ values is u_n', against the identity on rows
     grid = default_grid(32, grid_points=512)

@@ -238,11 +238,11 @@ def test_one_workspace_per_lattice_fill(make, workspaces):
 def test_profile_outlives_later_lattice_fills():
     ev = evaluator_for(_random_state(9, 4))
     prof = ev.profile(0.3)
-    before = [prof.rho.copy(), prof.drho.copy(), prof.dpsi_abs2.copy()]
+    before = [prof.rho.copy(), prof.current.copy()]
     rows = block_rows(ev.grid.count)
     ev.reports([0.3] + [k * math.pi / (2 * rows + 3)
                         for k in range(2 * rows + 3)])
-    for kept, now in zip(before, (prof.rho, prof.drho, prof.dpsi_abs2)):
+    for kept, now in zip(before, (prof.rho, prof.current)):
         np.testing.assert_array_equal(now, kept)
 
 
