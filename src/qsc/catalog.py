@@ -38,7 +38,7 @@ SQUEEZED_CAP = 4096
 # change of any coefficient between the m- and 2m-interval Clenshaw-Curtis
 # rules, both read from one basis table on the 2m + 1 nodes of the finer
 # rule, at which the interval count stops doubling.  The count starts at the
-# next power of two above the integrand's top wavenumber plus 16
+# next power of two above the integrand's top wavenumber plus 24
 # (_box_start_nodes) and is capped by hermite.MAX_TABLE_CELLS, checked
 # before any nodes are computed.
 BOX_NORM_TOL = 5e-3
@@ -141,13 +141,17 @@ class BoxSpec:
 def _box_start_nodes(spec: BoxSpec) -> int:
     """First interval count m of the box projection's check rule, whose
     finer rule has 2m intervals: the next power of two at or above
-    sqrt(2 n_fock + 1) + pi n / 2 + 16.  The first two terms bound the
-    wavenumber of sin(pi n (x - 1) / 2) u_k(x) on [-1, 1]."""
+    sqrt(2 n_fock + 1) + pi n / 2 + 24.  The first two terms bound the
+    wavenumber of sin(pi n (x - 1) / 2) u_k(x) on [-1, 1]; the m- and
+    2m-interval rules first agree within _BOX_NODE_AGREE 16 to 23 intervals
+    above that bound (n 1-6, n_fock 128-6000), and 24 covers them all.  A
+    start one doubling too high costs little, since a basis table's cost is
+    mostly per row; one too low costs a second table."""
     # a truncation past the cell cap fails the cap at every node count; the
     # clamp only keeps the float formula finite for it
     n_fock = min(spec.n_fock, hermite.MAX_TABLE_CELLS)
     n = min(spec.n, n_fock)
-    need = math.sqrt(2.0 * n_fock + 1.0) + 0.5 * math.pi * n + 16.0
+    need = math.sqrt(2.0 * n_fock + 1.0) + 0.5 * math.pi * n + 24.0
     return 1 << math.ceil(math.log2(need))
 
 
@@ -180,7 +184,7 @@ def box_state(spec: BoxSpec) -> FockState:
     resolve it.  Each step tabulates the basis once, on the 2m + 1 nodes of
     the 2m-interval rule; the m-interval rule's nodes are the even-indexed
     ones, so both projections are one product with that table.  m starts at
-    the next power of two above the wavenumber bound plus 16 and doubles
+    the next power of two above the wavenumber bound plus 24 and doubles
     until the two projections agree within 1e-12 in every coefficient; the
     2m result is kept.  A step whose basis table of (n_fock + 2) * (2m + 1)
     cells would exceed hermite.MAX_TABLE_CELLS raises NumericsError before

@@ -2,26 +2,35 @@
 
 ``tabulate`` is the one entry point: it fills rows n = 0..n_max at any set
 of points (the nonnegative half of a grid, quadrature nodes) through the
-normalized three-term recurrence on the Gaussian-weighted functions
+normalized three-term recurrence
 
     u_0(x)     = pi**-0.25 * exp(-x**2 / 2)
-    u_1(x)     = sqrt(2) * x * u_0(x)
     u_{n+1}(x) = sqrt(2/(n+1)) * x * u_n(x) - sqrt(n/(n+1)) * u_{n-1}(x)
 
 which stays bounded up to quantum numbers of order 10^3, where the bare
-Hermite polynomials have long since overflowed.  The recurrence carries a
-per-point exponent besides: values are kept as v * exp(g), with v rescaled
-whenever it grows past 2**512, so points inside the classical turning point
-but beyond the float range of exp(-x^2/2) (|x| > 38.6) still come out right
-over the full (n <= 10^3, |x| <= 60) range.  Derivatives have no table of
-their own: by the exact ladder identity
+Hermite polynomials have long since overflowed.  It takes one of two
+routes at each point, by g = log(pi**-0.25) - x**2 / 2:
+
+- near points, where exp(g) is a normal float (g > -690, |x| < 37.14):
+  the recurrence runs on u_n itself, straight into the table rows.  u_0 is
+  normal and u_n only grows with n in the classically forbidden region, so
+  nothing underflows or overflows;
+- far points (|x| > 37.14), where u_0 underflows: the recurrence runs on
+  v_n = u_n exp(-g) with a per-point exponent, v rescaled by 2**-512 and g
+  raised to match whenever |v| passes 2**512, and a row is v exp(g), or
+  exp(g + log|v|) while exp(g) is still below the normal floats.  Values
+  far in the tail (|x| >> sqrt(2n+1)) underflow to zero there, which is
+  harmless because every integrand built from them vanishes as well.  Only
+  large truncations reach such points: at the default margin, the
+  evaluator grid of a state of more than 485 terms.
+
+Both routes are right over the full (n <= 10^3, |x| <= 60) range.
+Derivatives have no table of their own: by the exact ladder identity
 
     u_n'(x) = sqrt(n/2) * u_{n-1}(x) - sqrt((n+1)/2) * u_{n+1}(x)
 
 the derivative of sum_n d_n u_n is sum_m d'_m u_m on the same rows, with
-the coefficients d' of ``ladder``.  Far in the tail (|x| >> sqrt(2n+1))
-the weighted functions underflow to zero silently, which is harmless
-because every integrand built from them vanishes there as well.
+the coefficients d' of ``ladder``.
 """
 
 from __future__ import annotations
@@ -43,7 +52,6 @@ _RESCALE = 2.0 ** 512
 _INV_RESCALE = 2.0 ** -512
 _LOG_RESCALE = 512.0 * np.log(2.0)
 _EXP_SAFE = -690.0       # exp(g) is a normal float above this
-_LOG_TINY = -745.0       # exp below this underflows to zero
 
 
 def check_cells(rows: int, points: int) -> None:
@@ -54,18 +62,6 @@ def check_cells(rows: int, points: int) -> None:
         raise NumericsError(
             f"{rows} rows of {points} points exceed the cap of {MAX_TABLE_CELLS}"
             f" cells: {cells} cells is {cells - MAX_TABLE_CELLS} over the cap")
-
-
-def _unscale(v, g, w, unsafe, out=None):
-    # unsafe: the points where w underflows, or None when there are none
-    out = np.multiply(v, w, out=out)
-    if unsafe is not None:
-        idx = unsafe & (v != 0.0)
-        t = g[idx] + np.log(np.abs(v[idx]))
-        out[idx] = np.where(t < _LOG_TINY, 0.0,
-                            np.copysign(np.exp(np.minimum(t, 0.0)), v[idx]))
-        out[unsafe & (v == 0.0)] = 0.0
-    return out
 
 
 @dataclass(frozen=True)
@@ -93,40 +89,87 @@ def ladder(coeffs, out):
     return out
 
 
+def _near_rows(x, g, rows):
+    # u_n itself into ``rows``, from u_0 = exp(g), a normal float at every
+    # x here
+    np.exp(g, out=rows[0])
+    lo = np.zeros_like(x)               # row -1
+    tmp = np.empty_like(x)
+    for n in range(rows.shape[0] - 1):
+        hi, nxt = rows[n], rows[n + 1]
+        np.multiply(x, math.sqrt(2.0 / (n + 1.0)), out=nxt)
+        nxt *= hi
+        np.multiply(lo, math.sqrt(n / (n + 1.0)), out=tmp)
+        nxt -= tmp
+        lo = hi
+
+
+def _far_rows(x, g, values, cols):
+    # u_n = v_n exp(g) into ``values[:, cols]``, v rescaled by 2**-512
+    # whenever it passes 2**512.  Every x here starts with exp(g) below the
+    # normal floats; idx lists the points where it still is, and those take
+    # exp(g + log|v|) instead, which underflows to zero far in the tail
+    w = np.zeros_like(x)
+    idx = np.arange(x.shape[0])
+    lo, hi, nxt = np.zeros_like(x), np.ones_like(x), np.empty_like(x)
+    tmp, row = np.empty_like(x), np.empty_like(x)
+    # row n is written before row n + 1 is built, since a rescale updates
+    # v_n, g and w in place
+    for n in range(values.shape[0]):
+        if n:
+            # sqrt(2/n) x v_{n-1} - sqrt((n-1)/n) v_{n-2}
+            np.multiply(x, math.sqrt(2.0 / n), out=nxt)
+            nxt *= hi
+            np.multiply(lo, math.sqrt((n - 1.0) / n), out=tmp)
+            nxt -= tmp
+            if (np.maximum.reduce(nxt) > _RESCALE
+                    or np.minimum.reduce(nxt) < -_RESCALE):
+                big = np.flatnonzero(np.abs(nxt) > _RESCALE)
+                nxt[big] *= _INV_RESCALE
+                hi[big] *= _INV_RESCALE
+                g[big] += _LOG_RESCALE
+                w[big] = np.exp(g[big])       # read only where normal
+                idx = np.flatnonzero(g <= _EXP_SAFE)
+            lo, hi, nxt = hi, nxt, lo
+        np.multiply(hi, w, out=row)
+        if idx.size:
+            v = hi[idx]
+            row[idx] = np.copysign(np.exp(g[idx] + np.log(np.abs(v))), v)
+        values[n, cols] = row
+
+
 def tabulate(points: np.ndarray, n_max: int) -> BasisTable:
-    """Single-pass recurrence fill over arbitrary points: every eigenfunction
-    value is a row of such a table."""
+    """Rows u_0..u_{n_max} at ``points``, one column per point: every
+    eigenfunction value in the package is a row of such a table.
+
+    Near points (|x| < 37.14) take the direct recurrence, four array
+    operations per row written into the table; far points take the rescaled
+    one (see the module docstring).  A column depends on its own point
+    only, so it equals the one-point table of that point bit for bit.  The
+    direct recurrence runs over the columns from the first near point to
+    the last: on sorted points, such as every grid and node set of the
+    package, far points lie outside that span; otherwise the far route
+    overwrites the far columns inside it.
+    """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     points = np.ascontiguousarray(points, dtype=float)
     check_cells(n_max + 1, points.shape[0])
     values = np.empty((n_max + 1, points.shape[0]))
     g = _LOG_PI4 - 0.5 * points * points
-    unsafe = g <= _EXP_SAFE
-    w = np.where(unsafe, 0.0, np.exp(np.maximum(g, _EXP_SAFE)))
-    flags = unsafe if unsafe.any() else None
-    lo, hi = np.zeros_like(points), np.ones_like(points)  # v of rows n-1, n
-    _unscale(hi, g, w, flags, out=values[0])
-    # each row is unscaled before the next one is built, since a rescale
-    # updates the previous v, g, w and unsafe in place
-    for n in range(n_max):
-        # sqrt(2/(n+1)) x v_n - sqrt(n/(n+1)) v_{n-1}, in place
-        nxt = math.sqrt(2.0 / (n + 1.0)) * points
-        nxt *= hi
-        nxt -= math.sqrt(n / (n + 1.0)) * lo
-        if (np.maximum.reduce(nxt, initial=0.0) > _RESCALE   # or no points
-                or np.minimum.reduce(nxt, initial=0.0) < -_RESCALE):
-            big = np.flatnonzero(np.abs(nxt) > _RESCALE)
-            nxt[big] *= _INV_RESCALE
-            hi[big] *= _INV_RESCALE
-            g[big] += _LOG_RESCALE
-            unsafe[big] = g[big] <= _EXP_SAFE
-            w[big] = np.where(unsafe[big], 0.0,
-                              np.exp(np.maximum(g[big], _EXP_SAFE)))
-            # a rescale only raises g, so unsafe points can only go away
-            flags = unsafe if flags is not None and unsafe.any() else None
-        lo, hi = hi, nxt
-        _unscale(hi, g, w, flags, out=values[n + 1])
+    safe = g > _EXP_SAFE
+    if safe.any():
+        first, last = np.flatnonzero(safe)[[0, -1]]
+        span = slice(first, last + 1)
+        _near_rows(points[span], g[span], values[:, span])
+    far = np.flatnonzero(~safe)
+    if far.size:
+        # one run of far points, the right end of a half grid, is written
+        # as a slice, which is faster than an index
+        cols = (slice(far[0], far[-1] + 1) if far[-1] - far[0] == far.size - 1
+                else far)
+        with np.errstate(divide="ignore"):      # log(0) is -inf: u = 0
+            _far_rows(points[far], g[far], values, cols)
     for arr in (points, values):
         arr.setflags(write=False)
     return BasisTable(n_max=n_max, points=points, values=values)

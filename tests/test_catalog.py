@@ -196,10 +196,14 @@ class TestBoxState:
             raise AssertionError("leggauss called")
         monkeypatch.setattr(np.polynomial.legendre, "leggauss", refuse)
         tables = count_tables(monkeypatch)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            box_state(BoxSpec(n=3, n_fock=256))
-        assert tables == [129]
+        # one table each: at (1, 1024) the 64- and 128-interval rules
+        # disagree, so the start is 128 intervals
+        for n, n_fock, nodes in [(3, 256, 129), (1, 1024, 257)]:
+            tables.clear()
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                box_state(BoxSpec(n=n, n_fock=n_fock))
+            assert tables == [nodes], (n, n_fock)
 
     def test_node_doubling_escalates_to_the_cap(self, monkeypatch):
         spec = BoxSpec(n=3, n_fock=256)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -65,6 +66,48 @@ def test_frozen_oracle_values(key, expected):
 @pytest.mark.parametrize("n,x", [(3, 0.31), (12, -4.2), (77, 6.25), (150, 1.0)])
 def test_against_live_oracle(n, x):
     assert u(n, x) == pytest.approx([mp_hermite_fn(n, x)], rel=1e-11, abs=1e-250)
+
+
+# exp(-x^2/2) leaves the normal floats at |x| = 37.14, where tabulate
+# switches from the direct recurrence to the rescaled one
+BOUNDARY_POINTS = [-37.5, -37.2, -37.1, -36.9, 36.9, 37.1, 37.2, 37.5]
+
+
+@pytest.mark.parametrize("x", BOUNDARY_POINTS)
+def test_both_routes_at_their_boundary(x):
+    values = tabulate(np.array([x]), 700).values[:, 0]
+    for n in (0, 1, 50, 700):
+        assert values[n] == pytest.approx(mp_hermite_fn(n, x), rel=1e-11,
+                                          abs=0.0), n
+
+
+@pytest.mark.parametrize("order", ["sorted", "shuffled"])
+def test_mixed_table_columns_are_one_point_tables(order):
+    # a column depends on its own point only, whichever route it takes and
+    # wherever it sits among the other points
+    xs = np.array(sorted(BOUNDARY_POINTS + [-60.0, -5.0, 0.0, 5.0, 60.0]))
+    if order == "shuffled":
+        xs = np.random.default_rng(3).permutation(xs)
+    values = tabulate(xs, 700).values
+    for j, x in enumerate(xs):
+        assert np.array_equal(values[:, j],
+                              tabulate(np.array([x]), 700).values[:, 0]), x
+
+
+def test_far_columns_share_the_one_table():
+    # default_grid(1200) reaches x = 55, so a third of its half points take
+    # the rescaled route; they write into the table itself, never through a
+    # second table of their own (665 x 1202 cells here)
+    points = default_grid(1200).half_points
+    tabulate(points, 1201)              # warm up numpy's own allocations
+    tracemalloc.start()
+    try:
+        table = tabulate(points, 1201)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.count_nonzero(points > 37.2) > 600
+    assert peak <= table.values.nbytes + 16 * points.nbytes
 
 
 def test_negative_index_rejected():
