@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import sys
@@ -290,7 +291,10 @@ def cmd_selftest(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on the first call: ``main`` reuses
+    it, since parsing leaves a parser as it found it."""
     parser = argparse.ArgumentParser(
         prog="qsc",
         description="Fisher-Shannon complexity of 1D quantum states over "

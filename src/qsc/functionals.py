@@ -349,6 +349,9 @@ def evaluator_for(state, numerics: Numerics = DEFAULT_NUMERICS):
 
 def fs_complexity(state, theta: float, numerics: Numerics = DEFAULT_NUMERICS,
                   extensions: bool = False) -> ComplexityReport:
-    """Fisher-Shannon complexity report of a state at one angle."""
+    """Fisher-Shannon complexity report of a state at one angle, evaluated
+    at the canonical angle it reports: a rotation by pi mirrors the density,
+    so every angle has the measures of its canonical one, and an angle far
+    outside [0, pi) would lose its phases to rounding."""
     ev = evaluator_for(state, numerics)
-    return report_from_profile(ev.profile(theta), extensions)
+    return report_from_profile(ev.profile(canonical_theta(theta)), extensions)

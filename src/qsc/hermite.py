@@ -14,7 +14,9 @@ routes at each point, by g = log(pi**-0.25) - x**2 / 2:
 - near points, where exp(g) is a normal float (g > -690, |x| < 37.14):
   the recurrence runs on u_n itself, straight into the table rows.  u_0 is
   normal and u_n only grows with n in the classically forbidden region, so
-  nothing underflows or overflows;
+  nothing underflows or overflows.  A row costs four ufunc calls over the
+  near points and no other Python work: the coefficients of every row are
+  computed once per table;
 - far points (|x| > 37.14), where u_0 underflows: the recurrence runs on
   v_n = u_n exp(-g) with a per-point exponent, v rescaled by 2**-512 and g
   raised to match whenever |v| passes 2**512, and a row is v exp(g), or
@@ -91,16 +93,21 @@ def ladder(coeffs, out):
 
 def _near_rows(x, g, rows):
     # u_n itself into ``rows``, from u_0 = exp(g), a normal float at every
-    # x here
+    # x here.  Row n + 1 is (x a) u_n - u_{n-1} b, in that order, with
+    # a = sqrt(2/(n+1)) and b = sqrt(n/(n+1)); numpy's sqrt is correctly
+    # rounded, as math.sqrt is, so the lists hold the same floats
     np.exp(g, out=rows[0])
+    m = np.arange(1.0, rows.shape[0])
+    a = np.sqrt(2.0 / m).tolist()
+    b = np.sqrt((m - 1.0) / m).tolist()
+    mul, sub = np.multiply, np.subtract
     lo = np.zeros_like(x)               # row -1
     tmp = np.empty_like(x)
-    for n in range(rows.shape[0] - 1):
-        hi, nxt = rows[n], rows[n + 1]
-        np.multiply(x, math.sqrt(2.0 / (n + 1.0)), out=nxt)
-        nxt *= hi
-        np.multiply(lo, math.sqrt(n / (n + 1.0)), out=tmp)
-        nxt -= tmp
+    for hi, nxt, an, bn in zip(rows, rows[1:], a, b):
+        mul(x, an, nxt)
+        mul(nxt, hi, nxt)
+        mul(lo, bn, tmp)
+        sub(nxt, tmp, nxt)
         lo = hi
 
 
@@ -142,9 +149,10 @@ def tabulate(points: np.ndarray, n_max: int) -> BasisTable:
     """Rows u_0..u_{n_max} at ``points``, one column per point: every
     eigenfunction value in the package is a row of such a table.
 
-    Near points (|x| < 37.14) take the direct recurrence, four array
-    operations per row written into the table; far points take the rescaled
-    one (see the module docstring).  A column depends on its own point
+    Near points (|x| < 37.14) take the direct recurrence, four ufunc calls
+    per row written into the table (on a few hundred points their call
+    overhead is most of a row's cost); far points take the rescaled one
+    (see the module docstring).  A column depends on its own point
     only, so it equals the one-point table of that point bit for bit.  The
     direct recurrence runs over the columns from the first near point to
     the last: on sorted points, such as every grid and node set of the

@@ -227,6 +227,19 @@ class TestMeasure:
         assert exc.value.code == 2
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("theta", ["1e17", "1e6", "-0.3",
+                                       repr(1.5 * math.pi)])
+    def test_measure_evaluates_the_angle_it_reports(self, capsys, theta):
+        # the phases are applied at the canonical angle, not the raw one,
+        # whose phases lose every digit to rounding at 1e17
+        code, out, _ = run_cli(capsys, "measure", "super:1,0,1", "--theta", theta)
+        assert code == 0
+        printed = repr(json.loads(out)["theta"])
+        assert 0.0 <= float(printed) < math.pi
+        _, expected, _ = run_cli(capsys, "measure", "super:1,0,1",
+                                 "--theta", printed)
+        assert out == expected
+
     @pytest.mark.parametrize("literal,k", [("super:,1", 0), ("super:1,,2", 1),
                                            ("super:1,0,", 2)])
     def test_empty_coefficient_is_named(self, capsys, literal, k):
@@ -437,6 +450,34 @@ def test_selftest_takes_no_numerics_flags(capsys, flag):
         main(["selftest", *flag])
     assert exc.value.code == 2
     assert capsys.readouterr().out == ""
+
+
+def test_main_is_reentrant_on_the_one_parser(capsys):
+    # main parses every call with the parser of the process: no command's
+    # flags or defaults leak into the next one, nor does a refused one
+    assert build_parser() is build_parser()
+    for argv, count in ((("box", "--n-max", "2", "--json"), 2),
+                        (("box", "--json"), 5)):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert len(json.loads(out)) == count
+    table1 = [f"table1:fock_{n}" for n in range(1, 11)]
+    code, out, _ = run_cli(capsys, "table1", "--json")
+    assert code == 0
+    assert [r["id"] for r in json.loads(out)] == table1
+    code, out, _ = run_cli(capsys, "reproduce", "--json")
+    assert code == 1
+    ids = [r["id"] for r in json.loads(out)]
+    assert len(ids) == 31 and ids[:10] == table1
+    assert ids[-1] == "box:position_n=5"
+    first = run_cli(capsys, "measure", "fock:1")
+    assert first[0] == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["measure", "--bogus"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert run_cli(capsys, "measure", "fock:" + "9" * 30)[0] == 3
+    assert run_cli(capsys, "measure", "fock:1") == first
 
 
 def test_flag_defaults_are_the_numerics_defaults():

@@ -94,6 +94,35 @@ def test_mixed_table_columns_are_one_point_tables(order):
                               tabulate(np.array([x]), 700).values[:, 0]), x
 
 
+def scalar_recurrence(xs, row0, n_max):
+    """Rows 0..n_max from ``row0``, one Python float at a time: row n + 1 is
+    (x a) u_n - u_{n-1} b, with a = sqrt(2/(n+1)) and b = sqrt(n/(n+1))."""
+    lo, hi, rows = [0.0] * len(xs), list(row0), [list(row0)]
+    for n in range(n_max):
+        a, b = math.sqrt(2.0 / (n + 1.0)), math.sqrt(n / (n + 1.0))
+        lo, hi = hi, [(x * a) * h - l * b for x, h, l in zip(xs, hi, lo)]
+        rows.append(hi)
+    return np.array(rows)
+
+
+# just inside |x| = 37.1406467, past which exp(-x^2/2) / pi**0.25 leaves
+# the normal floats and the rescaled route takes over
+NEAR_EDGE = [s * (37.1406466 - k * 1e-7) for k in range(3) for s in (-1, 1)]
+
+
+@pytest.mark.parametrize("points,n_max", [
+    (np.array(NEAR_EDGE + [-37.1, -5.0, -0.0, 0.0, 1e-300, 2.5, 36.9]), 700),
+    (default_grid(385).half_points, 386),     # the evaluator table of fock:385
+], ids=["edge", "fock_385"])
+def test_near_rows_follow_the_scalar_recurrence(points, n_max):
+    # the direct recurrence rounds as the scalar loop does, in the same
+    # order, bit for bit: a faster loop may not move a rounding
+    assert np.all(PI4 * np.exp(-0.5 * points * points) > 2.0 ** -1022)
+    values = tabulate(points, n_max).values
+    expected = scalar_recurrence(points.tolist(), values[0].tolist(), n_max)
+    assert np.array_equal(values.view(np.uint64), expected.view(np.uint64))
+
+
 def test_far_columns_share_the_one_table():
     # default_grid(1200) reaches x = 55, so a third of its half points take
     # the rescaled route; they write into the table itself, never through a
