@@ -196,8 +196,12 @@ class ProfileEvaluator:
     """One state evaluated at many angles.  Subclasses supply ``grid`` and
     ``density_block(thetas, ws)``: rho and the current j as (A x M) views
     into the workspace ``ws``, one row per angle, and the kinetic term
-    4 <p_theta^2> of each angle.  Reports are memoized by the exact float
-    angle; ``reports`` fills the missing angles of a lattice in blocks, all
+    4 <p_theta^2> of each angle.  Every angle is evaluated, and reported,
+    at its canonical angle in [0, pi): a rotation by pi mirrors the
+    density, so every angle has the measures of its canonical one, and an
+    angle far outside [0, pi) would lose its phases to rounding.  Reports
+    are memoized by the exact float angle given; ``reports`` fills the
+    missing angles of a lattice in blocks, all
     written into one workspace that lives as long as the call.
     ``mirror_axis`` is an angle a with cfs(a + t) = cfs(a - t) for all t,
     read from the state, or None when the state shows no such axis."""
@@ -224,11 +228,12 @@ class ProfileEvaluator:
                 "points or another margin")
 
     def profile(self, theta: float) -> DensityProfile:
-        """The one-row block at ``theta``, in a workspace of its own; the
-        stored angle is canonical."""
+        """The one-row block at the canonical angle of ``theta``, in a
+        workspace of its own."""
+        theta = canonical_theta(theta)
         rho, current, kinetic = self.density_block(
             [theta], _Workspace(1, self.grid.count))
-        return DensityProfile(grid=self.grid, theta=canonical_theta(theta),
+        return DensityProfile(grid=self.grid, theta=theta,
                               rho=rho[0], current=current[0],
                               kinetic=float(kinetic[0]))
 
@@ -246,8 +251,9 @@ class ProfileEvaluator:
         return [self.report(t) for t in thetas]
 
     def _block_reports(self, block, ws: _Workspace):
-        return _reports([canonical_theta(t) for t in block],
-                        *self.density_block(block, ws), self.grid, False, ws)
+        thetas = [canonical_theta(t) for t in block]
+        return _reports(thetas, *self.density_block(thetas, ws), self.grid,
+                        False, ws)
 
     def report(self, theta: float) -> ComplexityReport:
         hit = self._cache.get(theta)
@@ -350,8 +356,6 @@ def evaluator_for(state, numerics: Numerics = DEFAULT_NUMERICS):
 def fs_complexity(state, theta: float, numerics: Numerics = DEFAULT_NUMERICS,
                   extensions: bool = False) -> ComplexityReport:
     """Fisher-Shannon complexity report of a state at one angle, evaluated
-    at the canonical angle it reports: a rotation by pi mirrors the density,
-    so every angle has the measures of its canonical one, and an angle far
-    outside [0, pi) would lose its phases to rounding."""
+    at the canonical angle it reports (see ``ProfileEvaluator``)."""
     ev = evaluator_for(state, numerics)
-    return report_from_profile(ev.profile(canonical_theta(theta)), extensions)
+    return report_from_profile(ev.profile(theta), extensions)

@@ -2,31 +2,31 @@
 
 ``tabulate`` is the one entry point: it fills rows n = 0..n_max at any set
 of points (the nonnegative half of a grid, quadrature nodes) through the
-normalized three-term recurrence
+normalized three-term recurrence (Bunck, BIT 49, 2009)
 
     u_0(x)     = pi**-0.25 * exp(-x**2 / 2)
     u_{n+1}(x) = sqrt(2/(n+1)) * x * u_n(x) - sqrt(n/(n+1)) * u_{n-1}(x)
 
 which stays bounded up to quantum numbers of order 10^3, where the bare
-Hermite polynomials have long since overflowed.  It takes one of two
-routes at each point, by g = log(pi**-0.25) - x**2 / 2:
+Hermite polynomials have long since overflowed.  One loop runs it for
+every point, four ufunc calls per row written into the table.  Each
+column holds u_n = s_n 2**e, s_n in the table and one binary exponent e
+per column (an "X-number", Fukushima, J. Geodesy 86, 2012).  With
+g = log(pi**-0.25) - x**2 / 2:
 
-- near points, where exp(g) is a normal float (g > -690, |x| < 37.14):
-  the recurrence runs on u_n itself, straight into the table rows.  u_0 is
-  normal and u_n only grows with n in the classically forbidden region, so
-  nothing underflows or overflows.  A row costs four ufunc calls over the
-  near points and no other Python work: the coefficients of every row are
-  computed once per table;
-- far points (|x| > 37.14), where u_0 underflows: the recurrence runs on
-  v_n = u_n exp(-g) with a per-point exponent, v rescaled by 2**-512 and g
-  raised to match whenever |v| passes 2**512, and a row is v exp(g), or
-  exp(g + log|v|) while exp(g) is still below the normal floats.  Values
-  far in the tail (|x| >> sqrt(2n+1)) underflow to zero there, which is
-  harmless because every integrand built from them vanishes as well.  Only
-  large truncations reach such points: at the default margin, the
-  evaluator grid of a state of more than 485 terms.
+- near points, where exp(g) is a normal float (g > -690, |x| < 37.14),
+  keep e = 0, so s_n is u_n itself.  u_0 is normal and u_n only grows
+  with n in the classically forbidden region, so nothing underflows or
+  overflows;
+- far points (|x| > 37.14), where u_0 underflows, start from
+  s_0 = exp(g - e log 2) in [1, 2).  Every few rows e takes over the
+  binary exponent of s (frexp and ldexp, both exact), and the finished
+  rows become ldexp(s, e), which rounds once: into the subnormals, or to
+  zero far in the tail (|x| >> sqrt(2n+1)), which is harmless because
+  every integrand built from them vanishes as well.  Only large
+  truncations reach such points: at the default margin, the evaluator
+  grid of a state of more than 485 terms.
 
-Both routes are right over the full (n <= 10^3, |x| <= 60) range.
 Derivatives have no table of their own: by the exact ladder identity
 
     u_n'(x) = sqrt(n/2) * u_{n-1}(x) - sqrt((n+1)/2) * u_{n+1}(x)
@@ -50,10 +50,12 @@ __all__ = ["BasisTable", "MAX_TABLE_CELLS", "check_cells", "ladder", "tabulate"]
 MAX_TABLE_CELLS = 1 << 27
 
 _LOG_PI4 = -0.25 * np.log(np.pi)
-_RESCALE = 2.0 ** 512
-_INV_RESCALE = 2.0 ** -512
-_LOG_RESCALE = 512.0 * np.log(2.0)
+_LN2 = math.log(2.0)
 _EXP_SAFE = -690.0       # exp(g) is a normal float above this
+# past |x| = 2**20, x**2 / 2 outweighs the n log(1 + sqrt(2) |x|) that s can
+# gain on every row the cell cap allows, so u_n is 0.0 there; g is taken at
+# that |x|, which keeps x**2 and e finite
+_X_CLAMP = 2.0 ** 20
 
 
 def check_cells(rows: int, points: int) -> None:
@@ -91,93 +93,83 @@ def ladder(coeffs, out):
     return out
 
 
-def _near_rows(x, g, rows):
-    # u_n itself into ``rows``, from u_0 = exp(g), a normal float at every
-    # x here.  Row n + 1 is (x a) u_n - u_{n-1} b, in that order, with
-    # a = sqrt(2/(n+1)) and b = sqrt(n/(n+1)); numpy's sqrt is correctly
-    # rounded, as math.sqrt is, so the lists hold the same floats
-    np.exp(g, out=rows[0])
-    m = np.arange(1.0, rows.shape[0])
-    a = np.sqrt(2.0 / m).tolist()
-    b = np.sqrt((m - 1.0) / m).tolist()
+def _recur(x, lo, hi, rows, a, b, tmp):
+    # rows n + 1, n + 2, ... into ``rows`` from lo = s_{n-1} and hi = s_n.
+    # Row n + 1 is (x a) s_n - s_{n-1} b, in that order, with
+    # a = sqrt(2/(n+1)) and b = sqrt(n/(n+1)), given as lists of floats
+    # (numpy's sqrt is correctly rounded, as math.sqrt is): four ufunc calls
+    # over all points (on a few hundred points their call overhead is most
+    # of a row's cost) and no other Python work
     mul, sub = np.multiply, np.subtract
-    lo = np.zeros_like(x)               # row -1
-    tmp = np.empty_like(x)
-    for hi, nxt, an, bn in zip(rows, rows[1:], a, b):
+    for nxt, an, bn in zip(rows, a, b):
         mul(x, an, nxt)
         mul(nxt, hi, nxt)
         mul(lo, bn, tmp)
         sub(nxt, tmp, nxt)
-        lo = hi
+        lo, hi = hi, nxt
+    return lo, hi
 
 
-def _far_rows(x, g, values, cols):
-    # u_n = v_n exp(g) into ``values[:, cols]``, v rescaled by 2**-512
-    # whenever it passes 2**512.  Every x here starts with exp(g) below the
-    # normal floats; idx lists the points where it still is, and those take
-    # exp(g + log|v|) instead, which underflows to zero far in the tail
-    w = np.zeros_like(x)
-    idx = np.arange(x.shape[0])
-    lo, hi, nxt = np.zeros_like(x), np.ones_like(x), np.empty_like(x)
-    tmp, row = np.empty_like(x), np.empty_like(x)
-    # row n is written before row n + 1 is built, since a rescale updates
-    # v_n, g and w in place
-    for n in range(values.shape[0]):
-        if n:
-            # sqrt(2/n) x v_{n-1} - sqrt((n-1)/n) v_{n-2}
-            np.multiply(x, math.sqrt(2.0 / n), out=nxt)
-            nxt *= hi
-            np.multiply(lo, math.sqrt((n - 1.0) / n), out=tmp)
-            nxt -= tmp
-            if (np.maximum.reduce(nxt) > _RESCALE
-                    or np.minimum.reduce(nxt) < -_RESCALE):
-                big = np.flatnonzero(np.abs(nxt) > _RESCALE)
-                nxt[big] *= _INV_RESCALE
-                hi[big] *= _INV_RESCALE
-                g[big] += _LOG_RESCALE
-                w[big] = np.exp(g[big])       # read only where normal
-                idx = np.flatnonzero(g <= _EXP_SAFE)
-            lo, hi, nxt = hi, nxt, lo
-        np.multiply(hi, w, out=row)
-        if idx.size:
-            v = hi[idx]
-            row[idx] = np.copysign(np.exp(g[idx] + np.log(np.abs(v))), v)
-        values[n, cols] = row
+def _ldexp_rows(rows, e):
+    # s 2**e in place, a row at a time: over a 2-D view numpy's ufunc loop
+    # takes buffers of up to 64 KiB per operand
+    for row in rows:
+        np.ldexp(row, e, out=row)
 
 
 def tabulate(points: np.ndarray, n_max: int) -> BasisTable:
     """Rows u_0..u_{n_max} at ``points``, one column per point: every
     eigenfunction value in the package is a row of such a table.
 
-    Near points (|x| < 37.14) take the direct recurrence, four ufunc calls
-    per row written into the table (on a few hundred points their call
-    overhead is most of a row's cost); far points take the rescaled one
-    (see the module docstring).  A column depends on its own point
-    only, so it equals the one-point table of that point bit for bit.  The
-    direct recurrence runs over the columns from the first near point to
-    the last: on sorted points, such as every grid and node set of the
-    package, far points lie outside that span; otherwise the far route
-    overwrites the far columns inside it.
+    One recurrence fills every column as s_n 2**e with a binary exponent e
+    per column (see the module docstring): e = 0 at near points
+    (|x| < 37.14), where the rows are u_n as computed; at far points the
+    rows run in chunks short enough that s stays below 2**901, and e takes
+    over the exponent of s between chunks.  A column depends on its own
+    point only, so it equals the one-point table of that point bit for
+    bit.  Finite points past |x| = 2**20 give rows of 0.0.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     points = np.ascontiguousarray(points, dtype=float)
     check_cells(n_max + 1, points.shape[0])
     values = np.empty((n_max + 1, points.shape[0]))
-    g = _LOG_PI4 - 0.5 * points * points
-    safe = g > _EXP_SAFE
-    if safe.any():
-        first, last = np.flatnonzero(safe)[[0, -1]]
-        span = slice(first, last + 1)
-        _near_rows(points[span], g[span], values[:, span])
-    far = np.flatnonzero(~safe)
+    x = np.minimum(np.abs(points), _X_CLAMP)
+    g = _LOG_PI4 - 0.5 * x * x
+    far = np.flatnonzero(g <= _EXP_SAFE)
+    # the far columns and the near ones between them, whose e stays 0: one
+    # run at the right end of a half grid, and a slice is written in place
+    span = slice(far[0], far[-1] + 1) if far.size else slice(0, 0)
+    is_far = g[span] <= _EXP_SAFE
+    e = np.where(is_far, np.floor(g[span] / _LN2), 0.0).astype(np.int64)
+    g[span] -= e * _LN2
+    np.exp(g, out=values[0])
+    # |s| grows by at most a factor 1 + sqrt(2)|x| per row, from below 2 at
+    # the start of a chunk: ``step`` rows keep it below 2**901
+    step = n_max or 1
     if far.size:
-        # one run of far points, the right end of a half grid, is written
-        # as a slice, which is faster than an index
-        cols = (slice(far[0], far[-1] + 1) if far[-1] - far[0] == far.size - 1
-                else far)
-        with np.errstate(divide="ignore"):      # log(0) is -inf: u = 0
-            _far_rows(points[far], g[far], values, cols)
+        grow = math.log1p(math.sqrt(2.0) * np.max(np.abs(points[far])))
+        step = max(1, int(900.0 * _LN2 / grow))
+    m = np.arange(1.0, n_max + 1)
+    a, b = np.sqrt(2.0 / m), np.sqrt((m - 1.0) / m)
+    lo, hi = np.zeros_like(points), values[0]          # rows -1 and 0
+    tmp = np.empty_like(points)
+    done = 0                    # far rows from here on still hold s
+    for start in range(0, n_max, step):
+        stop = min(start + step, n_max)
+        lo, hi = _recur(points, lo, hi, values[start + 1:stop + 1],
+                        a[start:stop].tolist(), b[start:stop].tolist(), tmp)
+        if stop < n_max:
+            # rows done..stop - 2 are finished; the two that carry on give
+            # their common binary exponent to e
+            _ldexp_rows(values[done:stop - 1, span], e)
+            k = np.frexp(np.maximum(np.abs(lo[span]), np.abs(hi[span])))[1]
+            k *= is_far
+            _ldexp_rows((lo[span], hi[span]), -k)
+            e += k
+            done = stop - 1
+    if far.size:
+        _ldexp_rows(values[done:, span], e)
     for arr in (points, values):
         arr.setflags(write=False)
     return BasisTable(n_max=n_max, points=points, values=values)

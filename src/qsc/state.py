@@ -390,10 +390,11 @@ def density_block(state: FockState, thetas, grid: Grid, table: BasisTable,
 
 def eval_density(state: FockState, theta: float, grid: Grid,
                  table: BasisTable) -> DensityProfile:
-    """The density profile at one angle: a one-row ``density_block`` in a
-    workspace of its own.  The stored angle is canonicalized to [0, pi)."""
+    """The density profile at the canonical angle of ``theta`` in [0, pi):
+    a one-row ``density_block`` in a workspace of its own."""
+    theta = canonical_theta(theta)
     rho, current, kinetic = density_block(state, [theta], grid, table,
                                           _Workspace(1, grid.count))
-    return DensityProfile(grid=grid, theta=canonical_theta(theta),
+    return DensityProfile(grid=grid, theta=theta,
                           rho=rho[0], current=current[0],
                           kinetic=float(kinetic[0]))

@@ -11,7 +11,8 @@ from qsc.functionals import (DEFAULT_NUMERICS, ComplexityReport,
                              entropy_power, evaluator_for, fs_complexity,
                              integrate, report_from_profile)
 from qsc.state import (AnalyticGaussian, DensityProfile, Grid, _Workspace,
-                       default_grid, gaussian_sigma_theta, make_state)
+                       canonical_theta, default_grid, eval_density,
+                       gaussian_sigma_theta, make_state)
 from conftest import INV_SQRT2, fock
 
 # frozen from 30-digit quadrature of the closed-form densities
@@ -330,3 +331,33 @@ def test_one_evaluator_runs_the_hermite_recurrence_once(monkeypatch):
     with pytest.raises(NumericsError, match="cannot hold the state"):
         FockEvaluator(fock(60), Numerics(grid_points=64))
     assert counts == [61, 61]
+
+
+@pytest.mark.parametrize("theta", [1e17, 1e6, -0.3, 1.5 * math.pi])
+@pytest.mark.parametrize("state", [
+    make_state([1.0, 0.0, 1.0], renormalize=True),
+    AnalyticGaussian(sigma=2.0),
+], ids=["super_1_0_1", "gauss_analytic"])
+def test_evaluator_evaluates_the_angle_it_reports(state, theta):
+    # the phases are applied at the canonical angle, not the raw one, whose
+    # phases lose every digit to rounding at 1e17; every evaluator is new,
+    # so no report comes from the cache of another angle
+    canon = canonical_theta(theta)
+    assert canon != theta
+    expected = evaluator_for(state).report(canon)
+    assert expected.theta == canon
+    assert evaluator_for(state).report(theta) == expected
+    assert evaluator_for(state).reports([theta]) == [expected]
+    profile = evaluator_for(state).profile(theta)
+    assert profile.theta == canon
+    assert np.array_equal(profile.rho, evaluator_for(state).profile(canon).rho)
+    assert fs_complexity(state, theta) == expected
+    if isinstance(state, AnalyticGaussian):
+        return
+    ev = evaluator_for(state)
+    raw = eval_density(state, theta, ev.grid, ev.table)
+    at_canon = eval_density(state, canon, ev.grid, ev.table)
+    assert raw.theta == canon
+    for name in ("rho", "current"):
+        assert np.array_equal(getattr(raw, name), getattr(at_canon, name))
+    assert raw.kinetic == at_canon.kinetic

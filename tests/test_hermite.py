@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -68,8 +69,8 @@ def test_against_live_oracle(n, x):
     assert u(n, x) == pytest.approx([mp_hermite_fn(n, x)], rel=1e-11, abs=1e-250)
 
 
-# exp(-x^2/2) leaves the normal floats at |x| = 37.14, where tabulate
-# switches from the direct recurrence to the rescaled one
+# exp(-x^2/2) leaves the normal floats at |x| = 37.14, past which a column
+# carries a binary exponent of its own
 BOUNDARY_POINTS = [-37.5, -37.2, -37.1, -36.9, 36.9, 37.1, 37.2, 37.5]
 
 
@@ -106,27 +107,36 @@ def scalar_recurrence(xs, row0, n_max):
 
 
 # just inside |x| = 37.1406467, past which exp(-x^2/2) / pi**0.25 leaves
-# the normal floats and the rescaled route takes over
+# the normal floats and a column carries a binary exponent
 NEAR_EDGE = [s * (37.1406466 - k * 1e-7) for k in range(3) for s in (-1, 1)]
 
 
-@pytest.mark.parametrize("points,n_max", [
-    (np.array(NEAR_EDGE + [-37.1, -5.0, -0.0, 0.0, 1e-300, 2.5, 36.9]), 700),
-    (default_grid(385).half_points, 386),     # the evaluator table of fock:385
-], ids=["edge", "fock_385"])
-def test_near_rows_follow_the_scalar_recurrence(points, n_max):
-    # the direct recurrence rounds as the scalar loop does, in the same
-    # order, bit for bit: a faster loop may not move a rounding
-    assert np.all(PI4 * np.exp(-0.5 * points * points) > 2.0 ** -1022)
-    values = tabulate(points, n_max).values
-    expected = scalar_recurrence(points.tolist(), values[0].tolist(), n_max)
+@pytest.mark.parametrize("points,n_max,mixed", [
+    (np.array(NEAR_EDGE + [-37.1, -5.0, -0.0, 0.0, 1e-300, 2.5, 36.9]), 700,
+     False),
+    (default_grid(385).half_points, 386, False),  # the table of fock:385
+    (default_grid(1200).half_points, 1201, True),  # of fock:1200, a third far
+], ids=["edge", "fock_385", "fock_1200"])
+def test_near_rows_follow_the_scalar_recurrence(points, n_max, mixed):
+    # the recurrence rounds as the scalar loop does, in the same order, bit
+    # for bit, at every point where u_0 is normal: a faster loop may not
+    # move a rounding, and far columns in the same table may not either
+    near = PI4 * np.exp(-0.5 * points * points) > 2.0 ** -1022
+    # u_0 is normal up to |x| = 37.64, but a column carries an exponent from
+    # g = log(pi**-0.25) - x^2/2 <= -690 on, |x| >= 37.1406467
+    near &= math.log(PI4) - 0.5 * points * points > -690.0
+    assert mixed or np.all(near)
+    assert not mixed or 0 < np.count_nonzero(near) < points.shape[0]
+    values = tabulate(points, n_max).values[:, near]
+    expected = scalar_recurrence(points[near].tolist(), values[0].tolist(),
+                                 n_max)
     assert np.array_equal(values.view(np.uint64), expected.view(np.uint64))
 
 
 def test_far_columns_share_the_one_table():
-    # default_grid(1200) reaches x = 55, so a third of its half points take
-    # the rescaled route; they write into the table itself, never through a
-    # second table of their own (665 x 1202 cells here)
+    # default_grid(1200) reaches x = 55, so a third of its half points carry
+    # a binary exponent; their rows are scaled in place in the table itself,
+    # never through a second table of their own (665 x 1202 cells here)
     points = default_grid(1200).half_points
     tabulate(points, 1201)              # warm up numpy's own allocations
     tracemalloc.start()
@@ -137,6 +147,61 @@ def test_far_columns_share_the_one_table():
         tracemalloc.stop()
     assert np.count_nonzero(points > 37.2) > 600
     assert peak <= table.values.nbytes + 16 * points.nbytes
+
+
+def mp_u(n, x):
+    """u_n(x) to 40 digits, from the closed form."""
+    with mp.workdps(40):
+        x = mp.mpf(x)
+        return (mp.hermite(n, x) * mp.exp(-x * x / 2)
+                / mp.sqrt(mp.mpf(2) ** n * mp.factorial(n) * mp.sqrt(mp.pi)))
+
+
+@pytest.mark.parametrize("n_terms", [1200, 2000])
+def test_far_columns_match_mpmath(n_terms):
+    # 40 seeded (n, x) in the columns past |x| = 37.14 of an evaluator
+    # table; below 1e-290 a value has lost digits to the subnormals
+    points = default_grid(n_terms).half_points
+    values = tabulate(points, n_terms + 1).values
+    far = np.flatnonzero(points > 37.14)
+    assert far.size > 600
+    rng = np.random.default_rng(n_terms)
+    checked = 0
+    for n, j in zip(rng.integers(0, n_terms + 2, 40), rng.choice(far, 40)):
+        expected = mp_u(int(n), float(points[j]))
+        if abs(expected) > 1e-290:
+            checked += 1
+            assert values[n, j] == pytest.approx(float(expected), rel=1e-12,
+                                                 abs=0.0), (n, points[j])
+    assert checked >= 10
+
+
+def test_one_far_point_deep_into_the_rows():
+    # u_0(60) is 1.4e-782, far below the floats, while u_1500 and u_3000
+    # are of order 1e-38 and 0.1: twenty chunks of exponent hand-over
+    values = tabulate(np.array([60.0]), 3000).values[:, 0]
+    assert np.all(np.isfinite(values))
+    assert values[0] == 0.0
+    for n in (1500, 3000):
+        assert values[n] == pytest.approx(float(mp_u(n, 60.0)), rel=1e-12,
+                                          abs=0.0), n
+
+
+@pytest.mark.parametrize("points,n_max", [
+    # x * x overflows past |x| = 1.3e154
+    ([2e154, 1e200, 3e300, -3e300], 50),
+    # s grows by about 809 of the 901 bits a chunk allows here
+    ([1e3, -1e6], 300),
+], ids=["square_overflows", "chunk_bound"])
+def test_huge_points_give_zero_rows(points, n_max):
+    # every finite point up to |x| = 1e300 gives finite rows, all 0.0 here,
+    # and no floating-point warning
+    points = np.array(points)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = tabulate(points, n_max).values
+    assert np.all(np.isfinite(values))
+    assert np.all(values == 0.0)
 
 
 def test_negative_index_rejected():

@@ -132,9 +132,13 @@ def test_pi_shift_reflects_density():
     st_ = make_state(np.array([0.5, 0.5j, 0.5, -0.5]), renormalize=True)
     grid = default_grid(3, grid_points=1024)
     table = tabulate(grid.half_points, 4)
-    a = eval_density(st_, 0.7, grid, table)
-    b = eval_density(st_, 0.7 + math.pi, grid, table)
-    np.testing.assert_allclose(b.rho, a.rho[::-1], atol=1e-12)
+    # density_block applies the phases at the angles given; eval_density
+    # evaluates the canonical angle, so theta + pi gives theta's density
+    rho = density_block(st_, [0.7, 0.7 + math.pi], grid, table,
+                        _Workspace(2, grid.count))[0]
+    np.testing.assert_allclose(rho[1], rho[0][::-1], atol=1e-12)
+    shifted = eval_density(st_, 0.7 + math.pi, grid, table)
+    np.testing.assert_allclose(shifted.rho, rho[0], atol=1e-12)
 
 
 def test_norm_conservation_random_states():
