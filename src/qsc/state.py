@@ -64,6 +64,11 @@ class Grid:
         if self.count < 2:
             raise ValueError("grid needs at least 2 points")
         m = self.count
+        # the largest intermediate of the points below
+        if not math.isfinite(self.extent * (m - 1)):
+            raise NumericsError(
+                f"a grid of {m} points on +-{self.extent:.6g} overflows "
+                "its points; it needs a smaller margin")
         pts = self.extent * (2.0 * np.arange(m) - (m - 1)) / (m - 1)
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)

@@ -6,9 +6,12 @@ smooth: it has a cusp wherever the rotated wavefunction gains a real node
 periodic trapezoid rule on an n-point lattice (the plain lattice mean),
 refined by doubling until successive estimates agree; across such cusps the
 rule converges only as O(h^2), not spectrally.  The minimum measure scans a
-coarse periodic lattice and then runs a derivative-free golden-section
-refinement inside the bracketing interval: the curve can carry several local
-minima, so scan-then-bracket is the robust choice.  Each measure has one
+coarse periodic lattice, evaluates a lattice MFS_FINE times finer over the
+two scan cells around its best sample, and refines the best fine sample by
+Brent's method: the curve can carry several local minima, so
+scan-then-bracket is the robust choice, and each minimum is a smooth
+interior point (the cusps point up), where parabolic steps converge
+superlinearly.  Each measure has one
 owner: ``analyze`` the global one (its ``gfs``, with the lattice reports
 beside it), ``min_fs`` the minimum.
 
@@ -41,12 +44,15 @@ from .state import canonical_theta
 
 __all__ = ["SweepResult", "analyze", "min_fs", "sweep"]
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+# a golden step: the share of the larger side of the bracket it covers
+_GOLDEN_STEP = (3.0 - math.sqrt(5.0)) / 2.0
 
-# lattice sizes: the first and the largest gfs lattice, and the mfs scan
+# lattice sizes: the first and the largest gfs lattice, and the mfs scan;
+# the mfs refinement lattice is MFS_FINE times finer than the scan
 GFS_START = 32
 GFS_MAX_RESOLUTION = 1024
 MFS_SCAN = 128
+MFS_FINE = 8
 
 
 @dataclass(frozen=True)
@@ -123,54 +129,92 @@ def _gfs(ev):
     return estimate, converged, res
 
 
-def _golden_min(f, lo: float, hi: float, tol: float):
-    """Golden-section minimization on [lo, hi]; returns the best point seen.
-    Stops once the bracket is within ``tol`` or no longer shrinks (it has
-    reached the float spacing, which a tiny ``tol`` would never undercut)."""
-    h = hi - lo
-    c = hi - _INV_PHI * h
-    d = lo + _INV_PHI * h
-    fc = f(c)
-    fd = f(d)
-    best_x, best_f = (c, fc) if fc <= fd else (d, fd)
+def _brent_min(f, seeds, values, tol: float):
+    """Brent's minimization of ``f`` (R. P. Brent, *Algorithms for
+    Minimization without Derivatives*, 1973, ch. 5) in the bracket of three
+    ``seeds`` a < x < b, h apart, whose ``values`` are known and lowest at
+    x, so the first step is the parabola through them.  A parabolic step is
+    taken only inside the bracket and shorter than half the step before
+    last (h stands for the two steps before the first); otherwise a golden
+    step into the larger side.  No point is evaluated closer than tol / 4
+    to the best one, and a point only as low as the best one closes the
+    bracket instead of replacing it, so stretches flat to rounding end the
+    search.  Returns the best point seen and its value.  Stops once the
+    bracket is within ``tol`` or no longer shrinks (it has reached the
+    float spacing, which a tiny ``tol`` would never undercut)."""
+    (a, x, b), (fa, fx, fb) = seeds, values
+    # x the lowest point, w the next, v the third
+    w, fw, v, fv = (a, fa, b, fb) if fa <= fb else (b, fb, a, fa)
+    least = 0.25 * tol
+    earlier = step = 0.5 * (b - a)
     prev = math.inf
-    while tol < h < prev:
-        prev = h
-        if fc < fd:
-            hi, d, fd = d, c, fc
-            h = hi - lo
-            c = hi - _INV_PHI * h
-            fc = f(c)
-            if fc < best_f:
-                best_x, best_f = c, fc
+    while tol < b - a < prev:
+        prev = b - a
+        mid = 0.5 * (a + b)
+        # the vertex of the parabola through x, w, v is x + p / q
+        r = (x - w) * (fx - fv)
+        q = (x - v) * (fx - fw)
+        p = (x - v) * q - (x - w) * r
+        q = 2.0 * (q - r)
+        if q > 0.0:
+            p = -p
+        q = abs(q)
+        if (abs(earlier) > least and abs(p) < abs(0.5 * q * earlier)
+                and q * (a - x) < p < q * (b - x)):
+            earlier, step = step, p / q
+            if x + step - a < 2.0 * least or b - (x + step) < 2.0 * least:
+                step = math.copysign(least, mid - x)
         else:
-            lo, c, fc = c, d, fd
-            h = hi - lo
-            d = lo + _INV_PHI * h
-            fd = f(d)
-            if fd < best_f:
-                best_x, best_f = d, fd
-    return best_x, best_f
+            earlier = (a - x) if x >= mid else (b - x)
+            step = _GOLDEN_STEP * earlier
+        u = x + (step if abs(step) >= least else math.copysign(least, step))
+        fu = f(u)
+        if fu < fx:
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+    return x, fx
 
 
 def min_fs(state, numerics: Numerics = DEFAULT_NUMERICS) -> tuple[float, float]:
     """Minimum Fisher-Shannon measure and its canonical arg-min angle.
 
-    Scans the MFS_SCAN lattice, then refines by golden section to the
-    ``mfs_theta_tol`` within pi/MFS_SCAN of its best sample (ties break
-    toward smaller theta), keeping the sample unless the refinement is
-    lower.  One search settles in one basin: when a node event splits the
-    two cells around the best sample into two basins, it can report the
-    higher one."""
+    Scans the MFS_SCAN lattice and takes its best sample theta_k (ties
+    break toward smaller theta).  The 2 MFS_FINE - 1 angles theta_k +
+    i pi / (MFS_FINE MFS_SCAN), 0 < |i| < MFS_FINE, are evaluated as one
+    lattice; with theta_k and its two scan neighbours they make a fine
+    lattice over the two scan cells around theta_k.  Brent's method then
+    refines to the ``mfs_theta_tol`` in the two fine cells around the best
+    interior fine sample, seeded with it and its neighbours.  The result is
+    never above the scan.  One search settles in one basin: when a node
+    event splits the fine cells around the best fine sample into two
+    basins, it can report the higher one."""
     ev = evaluator_for(state, numerics)
     thetas, values = _lattice_values(ev, MFS_SCAN)
+    n = len(values)
     k = int(np.argmin(values))
-    x, fx = _golden_min(ev.cfs, thetas[k] - math.pi / MFS_SCAN,
-                        thetas[k] + math.pi / MFS_SCAN,
-                        ev.numerics.mfs_theta_tol)
-    if fx < values[k]:
-        return canonical_theta(x), fx
-    return canonical_theta(thetas[k]), values[k]
+    h = math.pi / (MFS_SCAN * MFS_FINE)
+    xs = [thetas[k] + i * h for i in range(-MFS_FINE, MFS_FINE + 1)]
+    # theta_k and its scan neighbours keep their scan values
+    fresh = [r.cfs for r in ev.reports(xs[1:MFS_FINE] + xs[MFS_FINE + 1:-1])]
+    fs = ([values[(k - 1) % n]] + fresh[:MFS_FINE - 1] + [values[k]]
+          + fresh[MFS_FINE - 1:] + [values[(k + 1) % n]])
+    # theta_k is interior and no end is below it
+    j = 1 + int(np.argmin(fs[1:-1]))
+    x, fx = _brent_min(ev.cfs, xs[j - 1:j + 2], fs[j - 1:j + 2],
+                       ev.numerics.mfs_theta_tol)
+    return canonical_theta(x), fx
 
 
 def analyze(state, numerics: Numerics = DEFAULT_NUMERICS) -> SweepResult:

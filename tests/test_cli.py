@@ -164,6 +164,23 @@ class TestMeasure:
         assert out == ""
         assert "cannot hold the state" in err
 
+    @pytest.mark.parametrize("argv", [("measure", "fock:1"),
+                                      ("gfs", "gauss:sigma=2,analytic"),
+                                      ("mfs", "super:1,0,1")])
+    @pytest.mark.parametrize("margin, message", [
+        ("1e305", "overflows its points"),
+        ("1e300", "cannot hold the state")])
+    def test_grid_whose_points_overflow_is_refused_without_a_warning(
+            self, capsys, argv, margin, message):
+        # extent x (count - 1) passes the largest float from a margin of
+        # about 4.4e304 at 4096 points
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, *argv, "--grid-margin", margin)
+        assert code == 3
+        assert out == ""
+        assert message in err
+
     @pytest.mark.parametrize("literal", ["fock:1", "gauss:sigma=2,analytic"])
     def test_grid_past_the_cell_cap_is_refused_before_it_exists(
             self, capsys, monkeypatch, literal):
@@ -355,9 +372,9 @@ class TestMeasures:
 
     def test_gfs_runs_no_golden_section_search(self, capsys, monkeypatch):
         def unreachable(*args, **kwargs):
-            raise AssertionError("gfs ran a golden-section search")
+            raise AssertionError("gfs ran the minimum search")
         monkeypatch.setattr(importlib.import_module("qsc.sweep"),
-                            "_golden_min", unreachable)
+                            "_brent_min", unreachable)
         code, out, _ = run_cli(capsys, "gfs", "super:1,0,1")
         assert code == 0
         assert json.loads(out) == {

@@ -10,7 +10,7 @@ import pytest
 
 import qsc
 from qsc.catalog import parse_state_literal, superposition_state
-from qsc.functionals import (FockEvaluator, Numerics,
+from qsc.functionals import (FockEvaluator, Numerics, ProfileEvaluator,
                              block_rows, evaluator_for, fs_complexity)
 from qsc.state import AnalyticGaussian, _Workspace, make_state, rotate
 from qsc.sweep import (MFS_SCAN, SweepResult, _gfs, _lattice_values, analyze,
@@ -391,3 +391,83 @@ def test_min_fs_is_never_above_its_scan_and_is_the_curve_at_its_angle(make):
     _, scan = _lattice_values(ev, MFS_SCAN)
     assert mfs <= min(scan)
     assert ev.cfs(theta_star) == pytest.approx(mfs, rel=1e-12)
+
+
+def test_refinement_makes_few_single_angle_evaluations(monkeypatch):
+    # Brent's method from the fine lattice's best sample; measured at most
+    # 5 on these states and 4 on super:1,0,1 (golden section made 25).
+    # Curves within about 1e-9 of C_FS = 1 are flat to rounding near their
+    # minimum, where the parabola has nothing to fit and golden steps take
+    # over: up to 13 in 1000 real 2-8-term draws.
+    calls = []
+    cfs = ProfileEvaluator.cfs
+
+    def counting_cfs(ev, theta):
+        calls.append(theta)
+        return cfs(ev, theta)
+    monkeypatch.setattr(ProfileEvaluator, "cfs", counting_cfs)
+    rng = np.random.default_rng(5)
+    states = [make_state(rng.normal(size=int(rng.integers(2, 9))),
+                         renormalize=True) for _ in range(20)]
+    for state in [_literal("super:1,0,1")] + states:
+        calls.clear()
+        min_fs(state)
+        assert 1 <= len(calls) <= 10
+
+
+def _golden_reference(f, lo, hi, tol):
+    """The lowest value golden section sees on [lo, hi], down to ``tol``."""
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    c, d = hi - inv_phi * (hi - lo), lo + inv_phi * (hi - lo)
+    fc, fd = f(c), f(d)
+    best = min(fc, fd)
+    while hi - lo > tol:
+        if fc < fd:
+            hi, d, fd = d, c, fc
+            c = hi - inv_phi * (hi - lo)
+            fc = f(c)
+            best = min(best, fc)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + inv_phi * (hi - lo)
+            fd = f(d)
+            best = min(best, fd)
+    return best
+
+
+def _draws(count: int):
+    """The first ``count`` states of the seed-12345 rule: K = 2..64 terms,
+    real coefficients on odd draws and complex ones on even draws."""
+    rng = np.random.default_rng(12345)
+    for i in range(count):
+        k = int(rng.integers(2, 65))
+        c = (rng.normal(size=k) if i % 2
+             else rng.normal(size=k) + 1j * rng.normal(size=k))
+        yield make_state(c, renormalize=True)
+
+
+def test_min_fs_against_an_in_bracket_reference():
+    # The reference scans 513 angles over the two scan cells around the best
+    # scan sample theta_k, on the same evaluator and grid, then searches
+    # its best cell to 1e-10: it isolates the error of the search within
+    # the bracket min_fs refines.  On these 40 draws min_fs sits more than
+    # 1e-10 relative above it on 2 states, by at most 2.85e-5 (draw 31, in
+    # the other of two basins 8.6e-3 apart); golden section in the two scan
+    # cells missed 3, by up to 5.1e-5.  The bound keeps a 40 percent margin
+    # on the measured worst gap.
+    gaps = []
+    for state in _draws(40):
+        _, mfs = min_fs(state)
+        ev = evaluator_for(state)
+        thetas, values = _lattice_values(ev, MFS_SCAN)
+        k = int(np.argmin(values))
+        h = math.pi / (MFS_SCAN * 256)
+        lattice = [thetas[k] + i * h for i in range(-256, 257)]
+        samples = [r.cfs for r in ev.reports(lattice)]
+        b = int(np.argmin(samples))
+        reference = min(samples[b], _golden_reference(
+            ev.cfs, lattice[b] - h, lattice[b] + h, 1e-10))
+        gaps.append((mfs - reference) / reference)
+    assert min(gaps) > -1e-13
+    assert sum(gap > 1e-10 for gap in gaps) <= 2
+    assert max(gaps) <= 4e-5
