@@ -321,6 +321,38 @@ def _parse_complex(token: str, k: int) -> complex:
     return value
 
 
+# the fields of a gauss: or box: literal: how each value is read and what
+# it must be, or None for a bare flag
+_FIELDS = {
+    "gauss": {"sigma": (float, "a number"), "N": (int, "an integer"),
+              "analytic": None},
+    "box": {"n": (int, "an integer"), "N": (int, "an integer")},
+}
+
+
+def _read_fields(kind: str, body: str) -> dict:
+    """The fields of a ``gauss:`` or ``box:`` body by name, each value read
+    as its ``_FIELDS`` entry says, and True for a flag.  An empty, unknown,
+    repeated or unreadable field is a parse error."""
+    table = _FIELDS[kind]
+    fields = {}
+    for part in body.split(",") if body else ():
+        name, sep, text = (s.strip() for s in part.partition("="))
+        if not sep and table.get(name.lower(), False) is None:
+            name = name.lower()         # a flag, read in any case as the kind
+        if name in fields:
+            raise ParseError(f"{kind}: {name} given twice")
+        # a flag takes no value, any other field needs one
+        if name not in table or (table[name] is None) == bool(sep):
+            raise ParseError(f"{kind}: bad field {part.strip()!r}")
+        spec = table[name]
+        try:
+            fields[name] = True if spec is None else spec[0](text)
+        except ValueError:
+            raise ParseError(f"{kind}: {name} must be {spec[1]}") from None
+    return fields
+
+
 def parse_state_literal(text: str,
                         grid_points: int = DEFAULT_NUMERICS.grid_points):
     """Parse ``fock:n``, ``super:c0,c1,...``, ``gauss:sigma=S[,N=..|,analytic]``
@@ -329,11 +361,11 @@ def parse_state_literal(text: str,
     Superposition coefficients are renormalized, so shortened decimals like
     0.70710678 are accepted.  A bare ``gauss:`` literal takes the Fock route
     with an automatically chosen truncation; ``analytic`` selects the
-    closed-form Gaussian family instead.  An empty coefficient and a field
-    given twice are parse errors.  A ``fock:`` or ``gauss:`` truncation N
-    whose basis table of (N + 2) rows of ``grid_points`` would pass
-    hermite.MAX_TABLE_CELLS raises NumericsError before any coefficient
-    exists.
+    closed-form Gaussian family instead.  An empty coefficient or field and
+    a field given twice are parse errors.  A ``fock:`` or ``gauss:``
+    truncation N whose basis table of (N + 2) rows of ``grid_points`` would
+    pass hermite.MAX_TABLE_CELLS raises NumericsError before any
+    coefficient exists.
     """
     kind, sep, body = text.partition(":")
     if not sep:
@@ -359,71 +391,29 @@ def parse_state_literal(text: str,
                                enumerate(body.split(","))], renormalize=True)
         except ValueError as exc:
             raise ParseError(str(exc)) from None
-    if kind in ("gauss", "box"):
-        fields = {}
-        analytic = False
-        for part in body.split(","):
-            part = part.strip()
-            if not part:
-                continue
-            if part.lower() == "analytic":
-                if analytic:
-                    raise ParseError(f"{kind}: analytic given twice")
-                analytic = True
-                continue
-            key, sep, val = part.partition("=")
-            if not sep:
-                raise ParseError(f"expected key=value, got {part!r}")
-            key = key.strip()
-            if key in fields:
-                raise ParseError(f"{kind}: {key} given twice")
-            fields[key] = val.strip()
-
-        def take_int(key):
-            try:
-                return int(fields.pop(key))
-            except ValueError:
-                raise ParseError(f"{kind}: {key} must be an integer") from None
-
-        if kind == "gauss":
-            if analytic and "N" in fields:
-                raise ParseError("gauss: takes either N= or analytic, not both")
-            if "sigma" not in fields:
-                raise ParseError("gauss: needs sigma=")
-            try:
-                sigma = float(fields.pop("sigma"))
-            except ValueError:
-                raise ParseError("gauss: sigma must be a number") from None
-            if not math.isfinite(sigma):
-                raise ParseError("gauss: sigma must be finite")
-            trunc = take_int("N") if "N" in fields else None
-            if fields:
-                raise ParseError(f"gauss: unknown fields {sorted(fields)}")
-            if sigma <= 0:
-                raise ParseError("gauss: sigma must be positive")
-            if analytic:
-                try:
-                    return AnalyticGaussian(sigma)
-                except ValueError as exc:
-                    raise ParseError(f"gauss: {exc}") from None
+    if kind not in _FIELDS:
+        raise ParseError(f"unknown state kind {kind!r}")
+    fields = _read_fields(kind, body)
+    need = "sigma" if kind == "gauss" else "n"
+    if need not in fields:
+        raise ParseError(f"{kind}: needs {need}=")
+    try:
+        if kind == "box":
+            return box_state(BoxSpec(n=fields["n"],
+                                     n_fock=fields.get("N", BoxSpec.n_fock)))
+        sigma, trunc = fields["sigma"], fields.get("N")
+        if not 0.0 < sigma < math.inf:
+            raise ParseError("gauss: sigma must be finite and positive")
+        if fields.get("analytic"):
             if trunc is not None:
-                hermite.check_cells(trunc + 2, grid_points)
-            try:
-                if trunc is None:
-                    trunc = choose_squeezed_truncation(sigma)
-                return squeezed_vacuum_fock(sigma, trunc)
-            except ValueError as exc:       # an odd N=, or one below 2
-                raise ParseError(f"gauss: {exc}") from None
-        if analytic:
-            raise ParseError("box: has no analytic route")
-        if "n" not in fields:
-            raise ParseError("box: needs n=")
-        n = take_int("n")
-        trunc = take_int("N") if "N" in fields else BoxSpec.n_fock
-        if fields:
-            raise ParseError(f"box: unknown fields {sorted(fields)}")
-        try:
-            return box_state(BoxSpec(n=n, n_fock=trunc))
-        except ValueError as exc:
-            raise ParseError(f"box: {exc}") from None
-    raise ParseError(f"unknown state kind {kind!r}")
+                raise ParseError("gauss: takes either N= or analytic, not both")
+            return AnalyticGaussian(sigma)
+        if trunc is None:
+            return squeezed_vacuum_fock(sigma, choose_squeezed_truncation(sigma))
+        # the cap first: an oversized N is a numerics error, odd or not
+        hermite.check_cells(trunc + 2, grid_points)
+        if trunc < 2 or trunc % 2:
+            raise ParseError("gauss: N must be even and >= 2")
+        return squeezed_vacuum_fock(sigma, trunc)
+    except ValueError as exc:
+        raise ParseError(f"{kind}: {exc}") from None

@@ -52,7 +52,7 @@ import numpy as np
 from . import hermite
 from .errors import NumericsError
 from .state import (_DENSITY_ROWS, _TINY, AnalyticGaussian, DensityProfile,
-                    FockState, Grid, _Scratch, _Workspace, canonical_theta,
+                    FockState, Grid, _Workspace, canonical_theta,
                     default_grid, density_block, eval_density,
                     gaussian_sigma_theta, integrate, mirror_axis)
 
@@ -122,18 +122,18 @@ class ComplexityReport:
 # The functions below take a block of profiles (A x M arrays, one row per
 # angle) and reduce along the last axis.
 
-def _fisher_entropy(rho, current, kinetic, grid: Grid, ws: _Scratch):
+def _fisher_entropy(rho, current, kinetic, grid: Grid, scratch):
     """I = kinetic - 4 integral of j^2 / rho and S = -integral of rho log rho
-    (nats), both on the one clamped row rho + tiny in ``ws``, a ``_Scratch``
-    of at least A rows.  A row whose max(rho) is not finite and positive is
-    refused."""
+    (nats), both on the one clamped row rho + tiny, written with a temporary
+    into ``scratch``, (2 x rows x M) for rows >= A.  A row whose max(rho) is
+    not finite and positive is refused."""
     peak = rho.max(axis=-1, initial=0.0)
     if not np.all((peak > 0.0) & (peak < math.inf)):     # NaN fails both
         raise NumericsError("degenerate profile: max(rho) is not finite and "
                             "positive")
     a = rho.shape[0]
-    clamped = np.add(rho, _TINY, out=ws.clamped[:a])
-    tmp = np.multiply(current, current, out=ws.temp[:a])
+    clamped = np.add(rho, _TINY, out=scratch[0, :a])
+    tmp = np.multiply(current, current, out=scratch[1, :a])
     tmp /= clamped
     fisher = kinetic - 4.0 * integrate(tmp, grid)
     np.log(clamped, out=tmp)
@@ -157,13 +157,14 @@ def entropy_power(entropy: float) -> float:
 
 
 def _reports(thetas, rho, current, kinetic, grid: Grid, extensions: bool,
-             ws: _Scratch) -> list[ComplexityReport]:
+             scratch) -> list[ComplexityReport]:
     """Reports of a block of profiles: rho and the current j, (A x M) arrays
     with one row per angle of ``thetas`` (canonical angles), and the kinetic
-    term of each, with the temporaries in ``ws``.  The extensions are the
+    term of each, with the temporaries in ``scratch`` (see
+    ``_fisher_entropy``).  The extensions are the
     disequilibrium D = integral of rho^2 and the variance V, combined as
     C_LMC = D exp(S) and C_CR = I V."""
-    fisher, entropy = _fisher_entropy(rho, current, kinetic, grid, ws)
+    fisher, entropy = _fisher_entropy(rho, current, kinetic, grid, scratch)
     if extensions:
         diseq = integrate(rho * rho, grid)
         var = _variance(rho, grid)
@@ -187,9 +188,11 @@ def report_from_profile(profile: DensityProfile,
     block computation with a single row, on temporaries of its own.  With
     ``extensions`` it carries every per-profile measure: I, S, J, C_FS,
     C_LMC and C_CR."""
+    # two scratch rows, not a second whole one-row workspace: glibc handed
+    # that back to the kernel at every call, doubling a short state's cost
     return _reports([profile.theta], profile.rho[None], profile.current[None],
                     profile.kinetic, profile.grid, extensions,
-                    _Scratch(1, profile.grid.count))[0]
+                    np.empty((2, 1, profile.grid.count)))[0]
 
 
 class ProfileEvaluator:
@@ -253,7 +256,7 @@ class ProfileEvaluator:
     def _block_reports(self, block, ws: _Workspace):
         thetas = [canonical_theta(t) for t in block]
         return _reports(thetas, *self.density_block(thetas, ws), self.grid,
-                        False, ws)
+                        False, ws.scratch)
 
     def report(self, theta: float) -> ComplexityReport:
         hit = self._cache.get(theta)

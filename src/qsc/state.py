@@ -27,8 +27,8 @@ NORM_TOL = 1e-10
 MIRROR_TOL = 1e-12
 _TINY = np.finfo(float).tiny
 # Float rows of grid points per angle in the buffer of a ``_Workspace``:
-# the four GEMM rows, the odd part's four half rows (whose space the two
-# scratch rows of its ``_Scratch`` reuse), rho and the current j
+# the four GEMM rows, the odd part's four half rows (whose space its two
+# scratch rows reuse), rho and the current j
 _DENSITY_ROWS = 8
 # Gaussian widths whose sigma^4 and sigma^-4 are normal floats, so the
 # rotated variance neither overflows nor loses its smaller term to underflow
@@ -283,36 +283,18 @@ class DensityProfile:
                    kinetic=float(integrate(ratio, grid)))
 
 
-class _Scratch:
-    """The two float rows per angle that the functionals write, for up to
-    ``rows`` angles on ``points`` grid points: ``clamped``, rho + tiny
-    (tiny the smallest normal float), and ``temp``.  A block of a <= rows
-    angles uses the first a rows of each.  ``report_from_profile`` takes
-    one of these alone: the profile it reads already holds a one-row
-    workspace.  A second whole one per angle let glibc give both back to
-    the kernel and fault them in again at every step in a process that had
-    filled no lattice yet, which doubled the cost of a single-angle
-    evaluation of a short state.  ``floats``, when given, is the memory the
-    rows live in."""
-
-    def __init__(self, rows: int, points: int, floats=None):
-        if floats is None:
-            floats = np.empty(2 * rows * points)
-        self.clamped, self.temp = floats[:2 * rows * points].reshape(
-            2, rows, points)
-
-
-class _Workspace(_Scratch):
+class _Workspace:
     """The rows that ``density_block`` writes, for up to ``rows`` angles,
     in one buffer of ``_DENSITY_ROWS`` rows of grid points per angle: the
     GEMM rows ``pq`` (psi real, psi imaginary, psi' real, psi' imaginary,
     on the full grid), the odd part ``odd`` of those four rows on the
     grid's nonnegative half, then ``rho`` and ``current``.  The odd part is
-    dead once ``pq`` is written, so the two scratch rows per angle of the
-    ``_Scratch`` live in its space.  A block of a <= rows angles uses the
-    first a rows of ``rho``, ``current`` and the scratch rows and 4a of
-    ``pq`` and ``odd``.  Every block overwrites the one before, so arrays
-    that must outlive a block need a workspace of their own."""
+    dead once ``pq`` is written, so ``scratch``, the two rows per angle
+    that the functionals write (2 x rows x M), lives in its space.  A block
+    of a <= rows angles uses the first a rows of ``rho``, ``current`` and
+    each scratch row and 4a of ``pq`` and ``odd``.  Every block overwrites
+    the one before, so arrays that must outlive a block need a workspace
+    of their own."""
 
     def __init__(self, rows: int, points: int):
         # 8 doubles after each GEMM row and odd-part row: rows 32 KiB apart
@@ -324,7 +306,8 @@ class _Workspace(_Scratch):
         cut, odd_end = 4 * rows * width, 4 * rows * (width + half + 8)
         self.pq = floats[:cut].reshape(-1, width)[:, :points]
         self.odd = floats[cut:odd_end].reshape(-1, half + 8)[:, :half]
-        super().__init__(rows, points, floats[cut:odd_end])
+        self.scratch = floats[cut:cut + 2 * rows * points].reshape(
+            2, rows, points)
         self.rho, self.current = floats[odd_end:].reshape(2, rows, points)
 
 
@@ -385,7 +368,7 @@ def density_block(state: FockState, thetas, grid: Grid, table: BasisTable,
     ladder(c[:2 * a, :k], out=c[2 * a:])
     pq = full_grid_product(c, table, ws.pq[:4 * a], ws.odd[:4 * a])
     pr, pi, qr, qi = pq[:a], pq[a:2 * a], pq[2 * a:3 * a], pq[3 * a:]
-    tmp = ws.temp[:a]
+    tmp = ws.scratch[1, :a]
     rho = np.multiply(pr, pr, out=ws.rho[:a])
     rho += np.multiply(pi, pi, out=tmp)
     current = np.multiply(pr, qi, out=ws.current[:a])

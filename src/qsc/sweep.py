@@ -89,12 +89,6 @@ def _lattice_reports(ev, n: int):
     return thetas, half + half[-2:0:-1], len(half)
 
 
-def _lattice_values(ev, n: int):
-    """The lattice of ``n`` angles about the mirror axis, and cfs on it."""
-    thetas, reports, _ = _lattice_reports(ev, n)
-    return thetas, [r.cfs for r in reports]
-
-
 def sweep(state, n_theta: int,
           numerics: Numerics = DEFAULT_NUMERICS) -> SweepResult:
     """Evaluate the complexity report on the periodic lattice k pi / n_theta,
@@ -116,17 +110,20 @@ def sweep(state, n_theta: int,
 
 def _gfs(ev):
     """Periodic-trapezoid average of cfs with resolution doubling, to the
-    evaluator's ``gfs_rel_tol``."""
+    evaluator's ``gfs_rel_tol``: the estimate, whether it converged, and
+    the ``_lattice_reports`` of the last lattice."""
     tol = ev.numerics.gfs_rel_tol
     res = GFS_START
-    estimate = float(np.mean(_lattice_values(ev, res)[1]))
+    lattice = _lattice_reports(ev, res)
+    estimate = float(np.mean([r.cfs for r in lattice[1]]))
     converged = False
     while res < GFS_MAX_RESOLUTION and not converged:
         res *= 2
-        refined = float(np.mean(_lattice_values(ev, res)[1]))
+        lattice = _lattice_reports(ev, res)
+        refined = float(np.mean([r.cfs for r in lattice[1]]))
         converged = abs(refined - estimate) <= tol * max(abs(refined), 1e-300)
         estimate = refined
-    return estimate, converged, res
+    return estimate, converged, lattice
 
 
 def _brent_min(f, seeds, values, tol: float):
@@ -201,7 +198,8 @@ def min_fs(state, numerics: Numerics = DEFAULT_NUMERICS) -> tuple[float, float]:
     event splits the fine cells around the best fine sample into two
     basins, it can report the higher one."""
     ev = evaluator_for(state, numerics)
-    thetas, values = _lattice_values(ev, MFS_SCAN)
+    thetas, reports, _ = _lattice_reports(ev, MFS_SCAN)
+    values = [r.cfs for r in reports]
     n = len(values)
     k = int(np.argmin(values))
     h = math.pi / (MFS_SCAN * MFS_FINE)
@@ -221,16 +219,14 @@ def analyze(state, numerics: Numerics = DEFAULT_NUMERICS) -> SweepResult:
     """Global-measure bundle: the lattice reports, the global measure, its
     convergence flag and resolution (the minimum measure is ``min_fs``'s).
 
-    One evaluator (hence one report cache) backs the refinement and the
-    reports.  The lattice is the gfs lattice: about the state's mirror axis
-    when it has one, its mirrored half built from the evaluated half with
-    the angles replaced.
+    The reports are those of the refinement's last lattice: about the
+    state's mirror axis when it has one, its mirrored half built from the
+    evaluated half with the angles replaced.
     """
-    ev = evaluator_for(state, numerics)
-    gfs_value, converged, resolution = _gfs(ev)
-    thetas, reports, done = _lattice_reports(ev, resolution)
+    gfs_value, converged, (thetas, reports, done) = _gfs(
+        evaluator_for(state, numerics))
     reports[done:] = [replace(r, theta=canonical_theta(t))
                       for r, t in zip(reports[done:], thetas[done:])]
     return SweepResult(thetas=np.array(thetas), reports=tuple(reports),
                        gfs=gfs_value, converged=converged,
-                       resolution=resolution)
+                       resolution=len(thetas))

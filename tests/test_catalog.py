@@ -349,7 +349,8 @@ class TestStateLiterals:
         "nope", "fock:x", "fock:-1", "super:", "super:0,zz",
         "gauss:sigma=0", "gauss:", "gauss:sigma=1,N=64,analytic",
         "gauss:sigma=1,bogus=2", "box:", "box:n=1,junk=3", "box:n=0",
-        "box:n=1,analytic",
+        "box:n=1,analytic", "box:n=1,,N=300", "gauss:sigma=2,",
+        "gauss:,sigma=2,analytic",
     ])
     def test_bad_literals(self, bad):
         with pytest.raises(ParseError):

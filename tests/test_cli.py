@@ -89,6 +89,7 @@ class TestMeasure:
         assert code == 2
         assert out == ""
         assert "even" in err
+        assert "gauss: N must be even" in err
 
     @pytest.mark.parametrize("literal", [
         "box:n=1,N=100000000",     # its first node count is over the cell cap

@@ -13,7 +13,7 @@ from qsc.catalog import parse_state_literal, superposition_state
 from qsc.functionals import (FockEvaluator, Numerics, ProfileEvaluator,
                              block_rows, evaluator_for, fs_complexity)
 from qsc.state import AnalyticGaussian, _Workspace, make_state, rotate
-from qsc.sweep import (MFS_SCAN, SweepResult, _gfs, _lattice_values, analyze,
+from qsc.sweep import (MFS_SCAN, SweepResult, _gfs, _lattice_reports, analyze,
                        min_fs, sweep)
 from conftest import INV_SQRT2, fock
 
@@ -334,9 +334,25 @@ def test_a_state_without_mirror_axis():
 
 def test_gfs_evaluates_half_the_lattice():
     ev = evaluator_for(_rotated_real_state(6, 3))
-    _, _, resolution = _gfs(ev)
+    _, _, (thetas, _, _) = _gfs(ev)
+    resolution = len(thetas)
     # the coarser lattices reuse the angles of the finest one
     assert len(ev._cache) == resolution // 2 + 1
+
+
+def test_analyze_walks_each_gfs_lattice_once(monkeypatch):
+    # the reports of analyze are those of the refinement's last lattice,
+    # not a second walk of it
+    sizes = []
+    walk = sys.modules["qsc.sweep"]._lattice_reports
+
+    def counting_walk(ev, n):
+        sizes.append(n)
+        return walk(ev, n)
+    monkeypatch.setattr(sys.modules["qsc.sweep"], "_lattice_reports",
+                        counting_walk)
+    assert analyze(_literal("super:1,0,1")).resolution == 1024
+    assert sizes == [32, 64, 128, 256, 512, 1024]
 
 
 def test_pre_rotation_leaves_gfs_and_mfs_unchanged_to_rounding():
@@ -388,7 +404,7 @@ def test_min_fs_is_never_above_its_scan_and_is_the_curve_at_its_angle(make):
     state = make()
     theta_star, mfs = min_fs(state)
     ev = evaluator_for(state)
-    _, scan = _lattice_values(ev, MFS_SCAN)
+    scan = [r.cfs for r in _lattice_reports(ev, MFS_SCAN)[1]]
     assert mfs <= min(scan)
     assert ev.cfs(theta_star) == pytest.approx(mfs, rel=1e-12)
 
@@ -459,7 +475,8 @@ def test_min_fs_against_an_in_bracket_reference():
     for state in _draws(40):
         _, mfs = min_fs(state)
         ev = evaluator_for(state)
-        thetas, values = _lattice_values(ev, MFS_SCAN)
+        thetas, reports, _ = _lattice_reports(ev, MFS_SCAN)
+        values = [r.cfs for r in reports]
         k = int(np.argmin(values))
         h = math.pi / (MFS_SCAN * 256)
         lattice = [thetas[k] + i * h for i in range(-256, 257)]
