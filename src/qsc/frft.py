@@ -27,8 +27,7 @@ import numpy as np
 
 from . import hermite
 from .errors import NumericsError
-from .state import (Grid, default_grid, eval_density, full_grid_product,
-                    integrate, make_state)
+from .state import Grid, default_grid, eval_density, integrate, make_state
 
 __all__ = ["DEGENERATE_SIN", "kernel", "transform"]
 
@@ -107,9 +106,8 @@ def equivalence_failures() -> list[str]:
                          + 1j * rng.normal(size=n_max + 1), renormalize=True)
               for _ in range(20)]
     coeffs = np.array([s.coeffs for s in states])
-    psi0 = full_grid_product(
-        coeffs, table, np.empty((len(states), grid.count), complex),
-        np.empty((len(states), table.points.shape[0]), complex)).T
+    # the kernel's input from a table on the full grid, not the parity fold
+    psi0 = (coeffs @ hermite.tabulate(grid.points, n_max).values).T
 
     def rho(psi):                   # one row per state
         return np.abs(psi.T) ** 2

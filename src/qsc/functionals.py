@@ -33,9 +33,17 @@ the finite-difference Fisher integral as its kinetic term.
 An angle lattice is filled in blocks of rows.  One fill allocates one
 workspace, sized for a block, and every block of it writes its GEMM
 products, density rows and temporaries into that workspace, which
-is dropped when the fill returns.  A single angle runs the same code on a
-one-row workspace of its own, so a profile never shares memory with a
-later fill.
+is dropped when the fill returns.  The workspace is folded
+(``state._Workspace``): each row is the half x >= 0 and the half x <= 0,
+each at ascending |x| and padded, so every pass after the GEMMs, the
+parity combine, rho, j and the functionals, is one flat ufunc over
+contiguous runs of a whole block.  The sums run over the real points in
+the natural order, x < 0 then x >= 0, so a folded row sums to the bits of
+its natural row at 4096 and 4097 points.  A single angle runs the same
+code on a one-row workspace of its own, so a profile never shares memory
+with a later fill; its ``DensityProfile`` is unfolded to the natural
+order, and ``report_from_profile`` folds it back, so an angle has the same
+bits on a lattice and alone.
 
 LMC and Cramer-Rao composites are extensions beyond the core measure set
 (standard definitions C_LMC = D * exp(S), C_CR = V * I) and are tagged as
@@ -45,16 +53,17 @@ such in every user-facing output.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import hermite
 from .errors import NumericsError
 from .state import (_DENSITY_ROWS, _TINY, AnalyticGaussian, DensityProfile,
-                    FockState, Grid, _Workspace, canonical_theta,
-                    default_grid, density_block, eval_density,
-                    gaussian_sigma_theta, integrate, mirror_axis)
+                    FockState, Grid, _fold, _integrate_folded, _profile,
+                    _Workspace, canonical_theta, default_grid,
+                    density_block, eval_density, gaussian_sigma_theta,
+                    integrate, mirror_axis)
 
 __all__ = [
     "ComplexityReport", "FockEvaluator", "GaussianEvaluator", "Numerics",
@@ -66,10 +75,11 @@ ENTROPY_POWER_GUARD = 350.0
 
 # Bytes of the float workspace that one lattice fill holds, on top of the
 # basis table and reused by every block of the fill: ``_DENSITY_ROWS`` rows
-# of grid points per angle (four GEMM rows, the odd part's four half rows,
-# whose space the two scratch rows reuse, rho and j), so 8 angles at the
-# default 4096 points.  Larger blocks gain little speed once the GEMMs have
-# 16 rows, and every byte adds to the peak memory.
+# of grid points per angle (16 padded half rows: psi and psi' on both
+# sides, whose space the functionals' two temporaries reuse, their odd
+# part, rho and j), so 8 angles at the default 4096 points.  Larger blocks
+# gain little speed once the GEMMs have 16 rows, and every byte adds to the
+# peak memory.
 BLOCK_BYTES = 2 ** 21
 
 # Largest deviation from 1 of the discrete mass that an evaluator accepts in
@@ -119,26 +129,28 @@ class ComplexityReport:
     cr: float | None = None
 
 
-# The functions below take a block of profiles (A x M arrays, one row per
-# angle) and reduce along the last axis.
-
 def _fisher_entropy(rho, current, kinetic, grid: Grid, scratch):
     """I = kinetic - 4 integral of j^2 / rho and S = -integral of rho log rho
-    (nats), both on the one clamped row rho + tiny, written with a temporary
-    into ``scratch``, (2 x rows x M) for rows >= A.  A row whose max(rho) is
-    not finite and positive is refused."""
-    peak = rho.max(axis=-1, initial=0.0)
+    (nats) of a block of folded profiles (2 x A x W, one row per angle; see
+    ``state._Workspace``), both on the one clamped row rho + tiny, written
+    with a temporary into ``scratch``, (2 x n x W) for n >= 2A (the
+    block's ``psi``), and both integrals summed in one pass.  Every pass
+    covers the pads, where rho = j = 0: j^2 / (rho + tiny) and, in place
+    of the clamped row, rho log(rho + tiny) leave them zero.  A row whose
+    max(rho) is not finite and positive is refused."""
+    peak = rho.max(axis=(0, 2), initial=0.0)
     if not np.all((peak > 0.0) & (peak < math.inf)):     # NaN fails both
         raise NumericsError("degenerate profile: max(rho) is not finite and "
                             "positive")
-    a = rho.shape[0]
-    clamped = np.add(rho, _TINY, out=scratch[0, :a])
-    tmp = np.multiply(current, current, out=scratch[1, :a])
+    pair = scratch[:, :2 * rho.shape[1]].reshape(2, *rho.shape)
+    clamped, tmp = pair
+    np.add(rho, _TINY, out=clamped)
+    np.multiply(current, current, out=tmp)
     tmp /= clamped
-    fisher = kinetic - 4.0 * integrate(tmp, grid)
-    np.log(clamped, out=tmp)
-    tmp *= rho
-    return fisher, -integrate(tmp, grid)
+    np.log(clamped, out=clamped)
+    clamped *= rho
+    entropy, ratio = _integrate_folded(pair.swapaxes(0, 1), grid)
+    return kinetic - 4.0 * ratio, -entropy
 
 
 def _variance(rho, grid: Grid):
@@ -156,56 +168,57 @@ def entropy_power(entropy: float) -> float:
     return math.exp(2.0 * entropy) / (2.0 * math.pi * math.e)
 
 
-def _reports(thetas, rho, current, kinetic, grid: Grid, extensions: bool,
+def _reports(thetas, rho, current, kinetic, grid: Grid,
              scratch) -> list[ComplexityReport]:
-    """Reports of a block of profiles: rho and the current j, (A x M) arrays
-    with one row per angle of ``thetas`` (canonical angles), and the kinetic
-    term of each, with the temporaries in ``scratch`` (see
-    ``_fisher_entropy``).  The extensions are the
-    disequilibrium D = integral of rho^2 and the variance V, combined as
-    C_LMC = D exp(S) and C_CR = I V."""
+    """Reports of a block of folded profiles: rho and the current j,
+    (2 x A x W) arrays with one row per angle of ``thetas`` (canonical
+    angles), and the kinetic term of each, with the temporaries in
+    ``scratch`` (see ``_fisher_entropy``)."""
     fisher, entropy = _fisher_entropy(rho, current, kinetic, grid, scratch)
-    if extensions:
-        diseq = integrate(rho * rho, grid)
-        var = _variance(rho, grid)
     reports = []
-    for k, theta in enumerate(thetas):
-        f, s = float(fisher[k]), float(entropy[k])
+    for theta, f, s in zip(thetas, fisher.tolist(), entropy.tolist()):
         power = entropy_power(s)
-        lmc = cr = None
-        if extensions:
-            lmc = float(diseq[k]) * math.exp(s)
-            cr = f * float(var[k])
         reports.append(ComplexityReport(
             theta=theta, fisher=f, entropy=s, entropy_power=power,
-            cfs=f * power, lmc=lmc, cr=cr))
+            cfs=f * power))
     return reports
 
 
 def report_from_profile(profile: DensityProfile,
                         extensions: bool = False) -> ComplexityReport:
     """Assemble the full per-angle report from one density profile: the
-    block computation with a single row, on temporaries of its own.  With
-    ``extensions`` it carries every per-profile measure: I, S, J, C_FS,
-    C_LMC and C_CR."""
-    # two scratch rows, not a second whole one-row workspace: glibc handed
-    # that back to the kernel at every call, doubling a short state's cost
-    return _reports([profile.theta], profile.rho[None], profile.current[None],
-                    profile.kinetic, profile.grid, extensions,
-                    np.empty((2, 1, profile.grid.count)))[0]
+    block computation with the profile folded into a single row, on
+    temporaries of its own.  With ``extensions`` it carries every
+    per-profile measure: I, S, J, C_FS, C_LMC and C_CR, from the
+    disequilibrium D = integral of rho^2 and the variance V as
+    C_LMC = D exp(S) and C_CR = I V."""
+    grid = profile.grid
+    # folded rho and j, then the two temporaries: not a second whole
+    # one-row workspace, which glibc handed back to the kernel at every
+    # call, doubling a short state's cost
+    rows = _fold((profile.rho, profile.current), grid, spare=2)
+    report = _reports([profile.theta], rows[0], rows[1], profile.kinetic,
+                      grid, rows[2:].reshape(2, 2, -1))[0]
+    if not extensions:
+        return report
+    rho = profile.rho
+    return replace(report, lmc=float(integrate(rho * rho, grid))
+                   * math.exp(report.entropy),
+                   cr=report.fisher * float(_variance(rho, grid)))
 
 
 class ProfileEvaluator:
     """One state evaluated at many angles.  Subclasses supply ``grid`` and
-    ``density_block(thetas, ws)``: rho and the current j as (A x M) views
-    into the workspace ``ws``, one row per angle, and the kinetic term
-    4 <p_theta^2> of each angle.  Every angle is evaluated, and reported,
-    at its canonical angle in [0, pi): a rotation by pi mirrors the
-    density, so every angle has the measures of its canonical one, and an
-    angle far outside [0, pi) would lose its phases to rounding.  Reports
-    are memoized by the exact float angle given; ``reports`` fills the
-    missing angles of a lattice in blocks, all
-    written into one workspace that lives as long as the call.
+    ``density_block(thetas, ws)``: rho and the current j as folded
+    (2 x A x W) views into the workspace ``ws`` (see ``state._Workspace``),
+    one row per angle, and the kinetic term 4 <p_theta^2> of each angle.
+    Every angle is evaluated, and reported, at its canonical angle in
+    [0, pi): a rotation by pi mirrors the density, so every angle has the
+    measures of its canonical one, and an angle far outside [0, pi) would
+    lose its phases to rounding.  Reports are memoized by the exact float
+    angle given; ``reports`` fills the missing angles of a lattice in
+    blocks of nearly equal size, all written into one workspace that lives
+    as long as the call.
     ``mirror_axis`` is an angle a with cfs(a + t) = cfs(a - t) for all t,
     read from the state, or None when the state shows no such axis."""
 
@@ -232,31 +245,30 @@ class ProfileEvaluator:
 
     def profile(self, theta: float) -> DensityProfile:
         """The one-row block at the canonical angle of ``theta``, in a
-        workspace of its own."""
+        workspace of its own, unfolded."""
         theta = canonical_theta(theta)
-        rho, current, kinetic = self.density_block(
-            [theta], _Workspace(1, self.grid.count))
-        return DensityProfile(grid=self.grid, theta=theta,
-                              rho=rho[0], current=current[0],
-                              kinetic=float(kinetic[0]))
+        return _profile(self.grid, theta, self.density_block(
+            [theta], _Workspace(1, self.grid.count)))
 
     def reports(self, thetas) -> list[ComplexityReport]:
-        """Reports of all ``thetas`` in input order; the missing ones are
-        evaluated in blocks of ``block_rows`` rows, every block in the same
-        workspace."""
+        """Reports of all ``thetas`` in input order; the n missing ones are
+        evaluated in ceil(n / ``block_rows``) blocks of nearly equal size,
+        every block in the same workspace.  A row's GEMM result does not
+        depend on the size of its block."""
         todo = [t for t in thetas if t not in self._cache]
         if todo:
-            rows = block_rows(self.grid.count)
-            ws = _Workspace(min(rows, len(todo)), self.grid.count)
-            for start in range(0, len(todo), rows):
-                block = todo[start:start + rows]
+            n, rows = len(todo), block_rows(self.grid.count)
+            blocks = -(-n // rows)
+            ws = _Workspace(min(rows, n), self.grid.count)
+            for b in range(blocks):
+                block = todo[b * n // blocks:(b + 1) * n // blocks]
                 self._cache.update(zip(block, self._block_reports(block, ws)))
         return [self.report(t) for t in thetas]
 
     def _block_reports(self, block, ws: _Workspace):
         thetas = [canonical_theta(t) for t in block]
         return _reports(thetas, *self.density_block(thetas, ws), self.grid,
-                        False, ws.scratch)
+                        ws.block(len(thetas))[0])
 
     def report(self, theta: float) -> ComplexityReport:
         hit = self._cache.get(theta)
@@ -270,8 +282,9 @@ class ProfileEvaluator:
 
 
 def block_rows(grid_points: int) -> int:
-    """Angles per lattice block: BLOCK_BYTES over the workspace bytes of
-    one angle, its ``_DENSITY_ROWS`` float rows of ``grid_points`` points.
+    """Angles per lattice block, at most: BLOCK_BYTES over the workspace
+    bytes of one angle, about ``_DENSITY_ROWS`` float rows of
+    ``grid_points`` points.
     One lattice fill holds one workspace of this many angles and reuses it
     for every block."""
     row_bytes = np.dtype(float).itemsize * grid_points
@@ -330,19 +343,22 @@ class GaussianEvaluator(ProfileEvaluator):
         with np.errstate(over="ignore", invalid="ignore"):
             rho = self.density_block([0.0, 0.5 * math.pi],
                                      _Workspace(2, self.grid.count))[0]
-        self._check_mass(integrate(rho, self.grid))
+        self._check_mass(_integrate_folded(rho, self.grid))
 
     def density_block(self, thetas, ws: _Workspace):
-        # one variance per row from the scalar formula, broadcast along the grid
+        # one variance per row from the scalar formula, broadcast along the
+        # half grid; s * s is even on the antisymmetric grid, so the side
+        # x <= 0 is a copy of the side x >= 0
         v = np.array([[gaussian_sigma_theta(self.sigma, t)] for t in thetas])
         a = v.shape[0]
-        s = self.grid.points
-        rho = np.divide(-0.5 * s * s, v, out=ws.rho[:a])
-        np.exp(rho, out=rho)
-        rho /= np.sqrt(2.0 * math.pi * v)
+        s = self.grid.half_points
+        _, _, rho, current = ws.block(a)
+        plus = np.divide(-0.5 * s * s, v, out=rho[0, :, :s.shape[0]])
+        np.exp(plus, out=plus)
+        plus /= np.sqrt(2.0 * math.pi * v)
+        rho[1] = rho[0]
         # psi = sqrt(rho) up to a global phase: no current, and
         # 4 <p^2> = integral of (rho')^2 / rho = 1 / v
-        current = ws.current[:a]
         current.fill(0.0)
         return rho, current, 1.0 / v[:, 0]
 

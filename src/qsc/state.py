@@ -18,18 +18,21 @@ from .hermite import BasisTable, ladder
 
 __all__ = ["AnalyticGaussian", "DensityProfile", "FockState", "Grid",
            "canonical_theta", "default_grid", "density_block", "eval_density",
-           "full_grid_product", "gaussian_sigma_theta", "integrate",
-           "make_state", "mirror_axis", "rotate"]
+           "gaussian_sigma_theta", "integrate", "make_state", "mirror_axis",
+           "rotate"]
 
 NORM_TOL = 1e-10
 # Largest imaginary residual, relative to the largest coefficient, that
 # ``mirror_axis`` forgives: the rounding of the phases, no more
 MIRROR_TOL = 1e-12
 _TINY = np.finfo(float).tiny
-# Float rows of grid points per angle in the buffer of a ``_Workspace``:
-# the four GEMM rows, the odd part's four half rows (whose space its two
-# scratch rows reuse), rho and the current j
+# Rows of grid points per angle in a ``_Workspace``, about: its 16 padded
+# half rows (psi and psi' on both sides, their odd part, rho and j)
 _DENSITY_ROWS = 8
+# Doubles after each half row of a ``_Workspace``: rows a power of two of
+# bytes apart share L1 cache sets, and a short-K GEMM of 32 rows 32 KiB
+# apart ran 3-4x slower unpadded
+_PAD = 8
 # Gaussian widths whose sigma^4 and sigma^-4 are normal floats, so the
 # rotated variance neither overflows nor loses its smaller term to underflow
 SIGMA_MIN = float(_TINY) ** 0.25
@@ -284,78 +287,106 @@ class DensityProfile:
 
 
 class _Workspace:
-    """The rows that ``density_block`` writes, for up to ``rows`` angles,
-    in one buffer of ``_DENSITY_ROWS`` rows of grid points per angle: the
-    GEMM rows ``pq`` (psi real, psi imaginary, psi' real, psi' imaginary,
-    on the full grid), the odd part ``odd`` of those four rows on the
-    grid's nonnegative half, then ``rho`` and ``current``.  The odd part is
-    dead once ``pq`` is written, so ``scratch``, the two rows per angle
-    that the functionals write (2 x rows x M), lives in its space.  A block
-    of a <= rows angles uses the first a rows of ``rho``, ``current`` and
-    each scratch row and 4a of ``pq`` and ``odd``.  Every block overwrites
-    the one before, so arrays that must outlive a block need a workspace
-    of their own."""
+    """The rows that ``density_block`` writes, for up to ``rows`` angles, in
+    the folded layout: every row is a pair of half rows, side 0 the grid
+    points x >= 0 and side 1 the points x <= 0, each at ascending |x| and
+    padded to ``_PAD`` more doubles, W in all.  A block of a <= rows angles
+    writes into the contiguous views ``block(a)``: ``psi`` (2 x 4a x W,
+    side first) holds the rows psi real, psi imaginary, psi' real and
+    psi' imaginary, ``odd`` (4a x W) the odd part of those rows, ``rho``
+    and ``current`` (2 x a x W) one row per angle.  That is 16 half rows,
+    about 8 rows of grid points, per angle.  ``psi`` is dead once rho and j
+    are written, so the functionals take their two temporaries there.
+
+    On an odd grid x = 0 belongs to side 0 only, and column 0 of side 1 is
+    never summed (``_integrate_folded``).  The pads are zeroed here and no
+    GEMM writes them; every later pass keeps them zero, so they add no NaN
+    and no floating-point warning to any block.  Every block overwrites the
+    one before, so arrays that must outlive a block need a workspace of
+    their own."""
 
     def __init__(self, rows: int, points: int):
-        # 8 doubles after each GEMM row and odd-part row: rows 32 KiB apart
-        # share L1 cache sets, and a short-K GEMM of 32 such rows ran 3-4x
-        # slower unpadded
-        width = points + 8
         half = points - points // 2
-        floats = np.empty(rows * (4 * width + 4 * (half + 8) + 2 * points))
-        cut, odd_end = 4 * rows * width, 4 * rows * (width + half + 8)
-        self.pq = floats[:cut].reshape(-1, width)[:, :points]
-        self.odd = floats[cut:odd_end].reshape(-1, half + 8)[:, :half]
-        self.scratch = floats[cut:cut + 2 * rows * points].reshape(
-            2, rows, points)
-        self.rho, self.current = floats[odd_end:].reshape(2, rows, points)
+        self.rows = rows
+        self.floats = np.empty((16 * rows, half + _PAD))
+        self.floats[:, half:] = 0.0
+
+    def block(self, a: int):
+        """The views (psi, odd, rho, current) of a block of ``a`` angles."""
+        f, r = self.floats, self.rows
+        return (f[:8 * a].reshape(2, 4 * a, -1), f[8 * r:8 * r + 4 * a],
+                f[12 * r:12 * r + 2 * a].reshape(2, a, -1),
+                f[14 * r:14 * r + 2 * a].reshape(2, a, -1))
 
 
-def full_grid_product(coeffs, table: BasisTable, out, odd):
-    """Write into ``out`` (R x M) the product of ``coeffs`` (R x n) with
-    the basis rows 0..n-1 on the full grid of M points, from ``table``, the
-    rows on the grid's nonnegative half (h points); ``odd`` (R x h) takes
-    the odd part.
-
-    u_n(-x) = (-1)^n u_n(x), and ``tabulate`` meets it as float equality
-    on an antisymmetric grid.  So the even columns of ``coeffs`` against
-    the even rows give the even part E, the odd ones against the odd rows
-    the odd part O, and the sum is E + O at x >= 0 and E - O at -x.
-    """
-    n = coeffs.shape[-1]
-    h = table.points.shape[0]
-    left = out.shape[-1] - h            # the points x < 0
-    split = np.concatenate((coeffs[:, 0::2], coeffs[:, 1::2]), axis=-1)
-    evens = (n + 1) // 2
-    even = np.matmul(split[:, :evens], table.values[0:n:2], out=out[:, left:])
-    np.matmul(split[:, evens:], table.values[1:n:2], out=odd)
-    # out[:, j] for j < left is the point -x of half column h - 1 - j
-    np.subtract(even[:, h - left:], odd[:, h - left:],
-                out=out[:, :left][:, ::-1])
-    even += odd
+def _fold(rows, grid: Grid, spare: int) -> np.ndarray:
+    """The natural ``rows`` (M points each) as one-row folded blocks
+    (2 x 1 x W), pads zeroed, then ``spare`` such blocks left unwritten:
+    a (len(rows) + spare) x 2 x 1 x W array."""
+    h, left = grid.count - grid.count // 2, grid.count // 2
+    out = np.empty((len(rows) + spare, 2, 1, h + _PAD))
+    out[:len(rows), ..., h:] = 0.0
+    for folded, values in zip(out, rows):
+        folded[0, 0, :h] = values[left:]
+        folded[1, 0, :h] = values[:h][::-1]
     return out
+
+
+def _unfold(folded, grid: Grid) -> np.ndarray:
+    """The natural rows, grid points in ascending order, of ``folded``
+    rows (2 x ... x W, side first), as a copy."""
+    h = grid.count - grid.count // 2
+    return np.concatenate((folded[1, ..., grid.count % 2:h][..., ::-1],
+                           folded[0, ..., :h]), axis=-1)
+
+
+def _profile(grid: Grid, theta: float, block) -> DensityProfile:
+    """The profile at ``theta`` of a one-row ``density_block`` result."""
+    rho, current, kinetic = block
+    return DensityProfile(grid=grid, theta=theta,
+                          rho=_unfold(rho[:, 0], grid),
+                          current=_unfold(current[:, 0], grid),
+                          kinetic=float(kinetic[0]))
+
+
+def _integrate_folded(values, grid: Grid):
+    """``integrate`` of folded rows (2 x ... x W, side first), one value
+    per row, in the same summation order: the points x < 0, then x >= 0.
+    numpy's pairwise sum of a row of 4096 or 4097 points splits it exactly
+    there, so each value is the natural row's bit for bit."""
+    h = grid.count - grid.count // 2
+    # natural points 0 and M - 1
+    ends = values[..., h - 1]
+    total = np.add.reduce(values[1, ..., grid.count % 2:h][..., ::-1],
+                          axis=-1)
+    total += np.add.reduce(values[0, ..., :h], axis=-1)
+    return grid.dx * (total - 0.5 * (ends[1] + ends[0]))
 
 
 def density_block(state: FockState, thetas, grid: Grid, table: BasisTable,
                   ws: _Workspace):
     """rho = |psi|^2 and the current j = Im(conj(psi) psi') at every angle
-    of ``thetas``, as (len(thetas) x M) views into ``ws``, one row per
-    angle, and the kinetic term 4 <p_theta^2> of each angle
+    of ``thetas``, as folded (2 x len(thetas) x W) views into ``ws`` (see
+    ``_Workspace``), and the kinetic term 4 <p_theta^2> of each angle
     (``FockState.kinetic``).
 
     psi = sum_n d_n u_n with d_n = c_n exp(i n theta) (the raw angles), and
     psi' = sum_m d'_m u_m with d' from ``hermite.ladder``, never finite
     differences.  The real and imaginary rows of d (a zero in column K) and
-    d' form one (4A x (K+1)) real matrix; ``full_grid_product`` multiplies
-    it by rows 0..K of ``table``, built on ``grid.half_points``, into the
-    rows pr, pi, qr, qi of ``ws.pq``, and j = pr qi - pi qr.
+    d' form one (4A x (K+1)) real matrix.  u_n(-x) = (-1)^n u_n(x), and
+    ``tabulate`` meets it as float equality on an antisymmetric grid, so
+    its even columns times the even rows of ``table`` (built on
+    ``grid.half_points``) give the even part E of the rows pr, pi, qr, qi
+    and its odd columns times the odd rows the odd part O.  Side 0 of the
+    block's ``psi`` is E + O, side 1 E - O, and j = pr qi - pi qr.
     """
     k = state.coeffs.shape[0]
     if table.n_max < k:
         raise NumericsError(
             f"basis table holds n <= {table.n_max} but psi' needs n <= {k}")
     half = grid.half_points
-    if (table.points.shape[0] != half.shape[0] or table.points[0] != half[0]
+    h = half.shape[0]
+    if (table.points.shape[0] != h or table.points[0] != half[0]
             or table.points[-1] != half[-1]):
         raise NumericsError("basis table was not built on the nonnegative "
                             "half of this grid")
@@ -366,12 +397,19 @@ def density_block(state: FockState, thetas, grid: Grid, table: BasisTable,
     c = np.zeros((4 * a, k + 1))
     c[:a, :k], c[a:2 * a, :k] = phased.real, phased.imag
     ladder(c[:2 * a, :k], out=c[2 * a:])
-    pq = full_grid_product(c, table, ws.pq[:4 * a], ws.odd[:4 * a])
-    pr, pi, qr, qi = pq[:a], pq[a:2 * a], pq[2 * a:3 * a], pq[3 * a:]
-    tmp = ws.scratch[1, :a]
-    rho = np.multiply(pr, pr, out=ws.rho[:a])
+    split = np.concatenate((c[:, 0::2], c[:, 1::2]), axis=-1)
+    evens = (k + 2) // 2
+    psi, odd, rho, current = ws.block(a)
+    np.matmul(split[:, :evens], table.values[0:k + 1:2], out=psi[0, :, :h])
+    np.matmul(split[:, evens:], table.values[1:k + 1:2], out=odd[:, :h])
+    np.subtract(psi[0], odd, out=psi[1])
+    psi[0] += odd
+    pr, pi, qr, qi = (psi[:, i * a:(i + 1) * a] for i in range(4))
+    # odd is dead once the combine is done
+    tmp = odd[:2 * a].reshape(2, a, -1)
+    np.multiply(pr, pr, out=rho)
     rho += np.multiply(pi, pi, out=tmp)
-    current = np.multiply(pr, qi, out=ws.current[:a])
+    np.multiply(pr, qi, out=current)
     current -= np.multiply(pi, qr, out=tmp)
     return rho, current, state.kinetic(phases[:, 2])
 
@@ -379,10 +417,7 @@ def density_block(state: FockState, thetas, grid: Grid, table: BasisTable,
 def eval_density(state: FockState, theta: float, grid: Grid,
                  table: BasisTable) -> DensityProfile:
     """The density profile at the canonical angle of ``theta`` in [0, pi):
-    a one-row ``density_block`` in a workspace of its own."""
+    a one-row ``density_block`` in a workspace of its own, unfolded."""
     theta = canonical_theta(theta)
-    rho, current, kinetic = density_block(state, [theta], grid, table,
-                                          _Workspace(1, grid.count))
-    return DensityProfile(grid=grid, theta=theta,
-                          rho=rho[0], current=current[0],
-                          kinetic=float(kinetic[0]))
+    return _profile(grid, theta, density_block(state, [theta], grid, table,
+                                               _Workspace(1, grid.count)))

@@ -33,7 +33,7 @@ index order, keeping outputs deterministic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -221,12 +221,15 @@ def analyze(state, numerics: Numerics = DEFAULT_NUMERICS) -> SweepResult:
 
     The reports are those of the refinement's last lattice: about the
     state's mirror axis when it has one, its mirrored half built from the
-    evaluated half with the angles replaced.
+    evaluated half with the angles replaced (lattice reports carry no
+    extension measures).
     """
     gfs_value, converged, (thetas, reports, done) = _gfs(
         evaluator_for(state, numerics))
-    reports[done:] = [replace(r, theta=canonical_theta(t))
-                      for r, t in zip(reports[done:], thetas[done:])]
+    reports[done:] = [ComplexityReport(
+        theta=canonical_theta(t), fisher=r.fisher, entropy=r.entropy,
+        entropy_power=r.entropy_power, cfs=r.cfs)
+        for r, t in zip(reports[done:], thetas[done:])]
     return SweepResult(thetas=np.array(thetas), reports=tuple(reports),
                        gfs=gfs_value, converged=converged,
                        resolution=len(thetas))

@@ -361,3 +361,49 @@ def test_evaluator_evaluates_the_angle_it_reports(state, theta):
     for name in ("rho", "current"):
         assert np.array_equal(getattr(raw, name), getattr(at_canon, name))
     assert raw.kinetic == at_canon.kinetic
+
+
+@pytest.mark.parametrize("points", [600, 601, 4096, 4097])
+@pytest.mark.parametrize("terms, complex_", [(1, False), (5, True),
+                                             (64, False), (257, True)])
+def test_lattice_and_single_angle_reports_agree_bit_for_bit(terms, complex_,
+                                                            points):
+    # min_fs compares values of the lattice (ev.reports) and of single
+    # angles (ev.cfs) with a strict <, so an angle must give the same bits
+    # on both routes: blocks of every size, raw angles outside [0, pi),
+    # even and odd grids, those of 600 and 601 points where a folded row's
+    # pairwise sum is not its natural row's
+    rng = np.random.default_rng(terms)
+    raw = rng.normal(size=terms)
+    if complex_:
+        raw = raw + 1j * rng.normal(size=terms)
+    ev = FockEvaluator(make_state(raw, renormalize=True),
+                       Numerics(grid_points=points))
+    thetas = [k * math.pi / 19 - 1.0 for k in range(21)]
+    for theta, report in zip(thetas, ev.reports(thetas)):
+        single = report_from_profile(ev.profile(theta))
+        assert (single.fisher, single.entropy, single.cfs) == (
+            report.fisher, report.entropy, report.cfs), theta
+
+
+@pytest.mark.parametrize("points", [4096, 4097])
+def test_gaussian_lattice_and_single_angle_reports_agree_bit_for_bit(points):
+    ev = evaluator_for(AnalyticGaussian(1.7), Numerics(grid_points=points))
+    thetas = [k * math.pi / 19 - 1.0 for k in range(21)]
+    for theta, report in zip(thetas, ev.reports(thetas)):
+        single = report_from_profile(ev.profile(theta))
+        assert (single.fisher, single.entropy, single.cfs) == (
+            report.fisher, report.entropy, report.cfs), theta
+
+
+def test_workspace_pads_stay_zero_across_blocks():
+    # the pads of the folded rows are zeroed once, and every pass over a
+    # block, of any size, leaves them zero and raises no float error
+    ev = FockEvaluator(make_state(np.arange(1.0, 6.0), renormalize=True),
+                       Numerics(grid_points=601))
+    ws = _Workspace(8, ev.grid.count)
+    half = ev.grid.half_points.shape[0]
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        for a in (8, 3, 7, 1, 8):
+            ev._block_reports([0.3 * k for k in range(a)], ws)
+            assert not ws.floats[:, half:].any()

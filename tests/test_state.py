@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from qsc.errors import NumericsError
 from qsc.functionals import integrate
 from qsc.hermite import ladder, tabulate
-from qsc.state import (DensityProfile, Grid, _Workspace, canonical_theta,
-                       default_grid, density_block, eval_density, make_state,
-                       rotate)
+from qsc.state import (DensityProfile, Grid, _unfold, _Workspace,
+                       canonical_theta, default_grid, density_block,
+                       eval_density, make_state, rotate)
 from conftest import INV_SQRT2, fock
 
 
@@ -134,8 +134,8 @@ def test_pi_shift_reflects_density():
     table = tabulate(grid.half_points, 4)
     # density_block applies the phases at the angles given; eval_density
     # evaluates the canonical angle, so theta + pi gives theta's density
-    rho = density_block(st_, [0.7, 0.7 + math.pi], grid, table,
-                        _Workspace(2, grid.count))[0]
+    rho = _unfold(density_block(st_, [0.7, 0.7 + math.pi], grid, table,
+                                _Workspace(2, grid.count))[0], grid)
     np.testing.assert_allclose(rho[1], rho[0][::-1], atol=1e-12)
     shifted = eval_density(st_, 0.7 + math.pi, grid, table)
     np.testing.assert_allclose(shifted.rho, rho[0], atol=1e-12)
@@ -162,8 +162,9 @@ def test_drho_matches_finite_differences():
     grid = Grid(extent=6.0, count=64001)
     table = tabulate(grid.half_points, 5)
     ws = _Workspace(1, grid.count)
-    rho, current, _ = density_block(st_, [1.1], grid, table, ws)
-    pr, pi, qr, qi = ws.pq[:4]
+    rho, current = (_unfold(x, grid)
+                    for x in density_block(st_, [1.1], grid, table, ws)[:2])
+    pr, pi, qr, qi = _unfold(ws.block(1)[0], grid)
     drho = 2.0 * (pr * qr + pi * qi)
     fd = np.gradient(rho[0], grid.dx)
     np.testing.assert_allclose(drho[5:-5], fd[5:-5], atol=1e-6)
@@ -219,8 +220,9 @@ def test_psi_prime_rows_match_mpmath(k):
     table = tabulate(grid.half_points, k)
     thetas = [0.3, 2.1]
     ws = _Workspace(2, grid.count)
-    _, current, _ = density_block(st_, thetas, grid, table, ws)
-    q = ws.pq[4:6] + 1j * ws.pq[6:8]
+    current = _unfold(density_block(st_, thetas, grid, table, ws)[1], grid)
+    pq = _unfold(ws.block(2)[0], grid)
+    q = pq[4:6] + 1j * pq[6:8]
     idx = np.linspace(0, grid.count - 1, 20).round().astype(int)
     for row, theta in enumerate(thetas):
         psi, dpsi = np.array([mp_psi(st_.coeffs, theta, grid.points[j])
@@ -243,16 +245,17 @@ def test_folded_rows_match_the_full_table(points, k):
     grid = default_grid(k - 1, grid_points=points)
     thetas = [0.0, 0.45, 2.6]
     ws = _Workspace(len(thetas), grid.count)
-    rho, current, _ = density_block(st_, thetas, grid,
-                                    tabulate(grid.half_points, k), ws)
+    rho, current = (_unfold(x, grid) for x in density_block(
+        st_, thetas, grid, tabulate(grid.half_points, k), ws)[:2])
     phased = st_.coeffs * np.exp(1j * np.outer(thetas, np.arange(k)))
     c = np.zeros((2 * len(thetas), k + 1), complex)
     c[:len(thetas), :k] = phased
     ladder(phased, out=c[len(thetas):])
     ref = c @ tabulate(grid.points, k).values
     a = len(thetas)
-    got = np.concatenate((ws.pq[:a] + 1j * ws.pq[a:2 * a],
-                          ws.pq[2 * a:3 * a] + 1j * ws.pq[3 * a:4 * a]))
+    pq = _unfold(ws.block(a)[0], grid)
+    got = np.concatenate((pq[:a] + 1j * pq[a:2 * a],
+                          pq[2 * a:3 * a] + 1j * pq[3 * a:4 * a]))
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
     psi, dpsi = ref[:a], ref[a:]
     np.testing.assert_allclose(rho, np.abs(psi) ** 2, rtol=0,
@@ -276,7 +279,8 @@ def test_kinetic_closed_form_matches_the_grid_integral():
         _, _, kinetic = density_block(st_, thetas, grid,
                                       tabulate(grid.half_points, k), ws)
         a = len(thetas)
-        dpsi_abs2 = ws.pq[2 * a:3 * a] ** 2 + ws.pq[3 * a:4 * a] ** 2
+        pq = _unfold(ws.block(a)[0], grid)
+        dpsi_abs2 = pq[2 * a:3 * a] ** 2 + pq[3 * a:4 * a] ** 2
         np.testing.assert_allclose(kinetic, 4.0 * integrate(dpsi_abs2, grid),
                                    rtol=1e-12)
 
