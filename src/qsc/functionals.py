@@ -35,15 +35,16 @@ workspace, sized for a block, and every block of it writes its GEMM
 products, density rows and temporaries into that workspace, which
 is dropped when the fill returns.  The workspace is folded
 (``state._Workspace``): each row is the half x >= 0 and the half x <= 0,
-each at ascending |x| and padded, so every pass after the GEMMs, the
-parity combine, rho, j and the functionals, is one flat ufunc over
-contiguous runs of a whole block.  The sums run over the real points in
-the natural order, x < 0 then x >= 0, so a folded row sums to the bits of
-its natural row at 4096 and 4097 points.  A single angle runs the same
-code on a one-row workspace of its own, so a profile never shares memory
-with a later fill; its ``DensityProfile`` is unfolded to the natural
-order, and ``report_from_profile`` folds it back, so an angle has the same
-bits on a lattice and alone.
+each at ascending |x| and padded.  The GEMMs write the two halves, directly
+for a short state and through a parity combine for a long one, and every
+later pass, rho, j and the functionals, is one flat ufunc over contiguous
+runs of a whole block.  The sums run over the real points in the natural
+order, the x < 0 points in one pairwise sum, then the x >= 0 points in
+another.  A single angle runs the same density code on a one-row workspace
+of its own, so a profile never shares memory with a later fill; its
+``DensityProfile`` is unfolded to the natural order, and
+``report_from_profile`` sums the natural rows in the same two halves, so
+an angle has the same bits on a lattice and alone.
 
 LMC and Cramer-Rao composites are extensions beyond the core measure set
 (standard definitions C_LMC = D * exp(S), C_CR = V * I) and are tagged as
@@ -60,8 +61,8 @@ import numpy as np
 from . import hermite
 from .errors import NumericsError
 from .state import (_DENSITY_ROWS, _TINY, AnalyticGaussian, DensityProfile,
-                    FockState, Grid, _fold, _integrate_folded, _profile,
-                    _Workspace, canonical_theta, default_grid,
+                    FockState, Grid, _integrate_folded, _integrate_halves,
+                    _profile, _Workspace, canonical_theta, default_grid,
                     density_block, eval_density, gaussian_sigma_theta,
                     integrate, mirror_axis)
 
@@ -129,27 +130,27 @@ class ComplexityReport:
     cr: float | None = None
 
 
-def _fisher_entropy(rho, current, kinetic, grid: Grid, scratch):
+def _fisher_entropy(rho, current, kinetic, pair, sums):
     """I = kinetic - 4 integral of j^2 / rho and S = -integral of rho log rho
-    (nats) of a block of folded profiles (2 x A x W, one row per angle; see
-    ``state._Workspace``), both on the one clamped row rho + tiny, written
-    with a temporary into ``scratch``, (2 x n x W) for n >= 2A (the
-    block's ``psi``), and both integrals summed in one pass.  Every pass
-    covers the pads, where rho = j = 0: j^2 / (rho + tiny) and, in place
-    of the clamped row, rho log(rho + tiny) leave them zero.  A row whose
+    (nats) of a block of profiles, one row per angle: rho and j folded
+    (2 x A x W; see ``state._Workspace``) or natural (1 x A x M).  Both
+    integrands are written on the one clamped row rho + tiny into ``pair``
+    (2 x rho.shape), and ``sums`` integrates them in one pass, in the
+    summation order of the layout.  On folded rows every pass covers the
+    pads, where rho = j = 0: j^2 / (rho + tiny) and, in place of the
+    clamped row, rho log(rho + tiny) leave them zero.  A row whose
     max(rho) is not finite and positive is refused."""
     peak = rho.max(axis=(0, 2), initial=0.0)
     if not np.all((peak > 0.0) & (peak < math.inf)):     # NaN fails both
         raise NumericsError("degenerate profile: max(rho) is not finite and "
                             "positive")
-    pair = scratch[:, :2 * rho.shape[1]].reshape(2, *rho.shape)
     clamped, tmp = pair
     np.add(rho, _TINY, out=clamped)
     np.multiply(current, current, out=tmp)
     tmp /= clamped
     np.log(clamped, out=clamped)
     clamped *= rho
-    entropy, ratio = _integrate_folded(pair.swapaxes(0, 1), grid)
+    entropy, ratio = sums(pair)
     return kinetic - 4.0 * ratio, -entropy
 
 
@@ -168,13 +169,11 @@ def entropy_power(entropy: float) -> float:
     return math.exp(2.0 * entropy) / (2.0 * math.pi * math.e)
 
 
-def _reports(thetas, rho, current, kinetic, grid: Grid,
-             scratch) -> list[ComplexityReport]:
-    """Reports of a block of folded profiles: rho and the current j,
-    (2 x A x W) arrays with one row per angle of ``thetas`` (canonical
-    angles), and the kinetic term of each, with the temporaries in
-    ``scratch`` (see ``_fisher_entropy``)."""
-    fisher, entropy = _fisher_entropy(rho, current, kinetic, grid, scratch)
+def _reports(thetas, rho, current, kinetic, pair,
+             sums) -> list[ComplexityReport]:
+    """Reports of a block of profiles, one row per angle of ``thetas``
+    (canonical angles); the other arguments are ``_fisher_entropy``'s."""
+    fisher, entropy = _fisher_entropy(rho, current, kinetic, pair, sums)
     reports = []
     for theta, f, s in zip(thetas, fisher.tolist(), entropy.tolist()):
         power = entropy_power(s)
@@ -187,21 +186,19 @@ def _reports(thetas, rho, current, kinetic, grid: Grid,
 def report_from_profile(profile: DensityProfile,
                         extensions: bool = False) -> ComplexityReport:
     """Assemble the full per-angle report from one density profile: the
-    block computation with the profile folded into a single row, on
-    temporaries of its own.  With ``extensions`` it carries every
-    per-profile measure: I, S, J, C_FS, C_LMC and C_CR, from the
-    disequilibrium D = integral of rho^2 and the variance V as
-    C_LMC = D exp(S) and C_CR = I V."""
+    block computation on its natural rows, with temporaries of its own,
+    each integral summed as a lattice block sums its folded row.  With
+    ``extensions`` it carries every per-profile measure: I, S, J, C_FS,
+    C_LMC and C_CR, from the disequilibrium D = integral of rho^2 and the
+    variance V as C_LMC = D exp(S) and C_CR = I V."""
     grid = profile.grid
-    # folded rho and j, then the two temporaries: not a second whole
-    # one-row workspace, which glibc handed back to the kernel at every
-    # call, doubling a short state's cost
-    rows = _fold((profile.rho, profile.current), grid, spare=2)
-    report = _reports([profile.theta], rows[0], rows[1], profile.kinetic,
-                      grid, rows[2:].reshape(2, 2, -1))[0]
+    rho = profile.rho
+    report = _reports(
+        [profile.theta], rho[None, None], profile.current[None, None],
+        profile.kinetic, np.empty((2, 1, 1, grid.count)),
+        lambda pair: _integrate_halves(pair[:, 0], grid))[0]
     if not extensions:
         return report
-    rho = profile.rho
     return replace(report, lmc=float(integrate(rho * rho, grid))
                    * math.exp(report.entropy),
                    cr=report.fisher * float(_variance(rho, grid)))
@@ -266,9 +263,15 @@ class ProfileEvaluator:
         return [self.report(t) for t in thetas]
 
     def _block_reports(self, block, ws: _Workspace):
+        # the two temporaries take the block's psi rows, dead once rho and
+        # j are written
         thetas = [canonical_theta(t) for t in block]
-        return _reports(thetas, *self.density_block(thetas, ws), self.grid,
-                        ws.block(len(thetas))[0])
+        rho, current, kinetic = self.density_block(thetas, ws)
+        psi = ws.block(len(thetas))[0]
+        return _reports(
+            thetas, rho, current, kinetic,
+            psi[:, :2 * len(thetas)].reshape(2, *rho.shape),
+            lambda pair: _integrate_folded(pair.swapaxes(0, 1), self.grid))
 
     def report(self, theta: float) -> ComplexityReport:
         hit = self._cache.get(theta)

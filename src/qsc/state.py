@@ -33,6 +33,12 @@ _DENSITY_ROWS = 8
 # bytes apart share L1 cache sets, and a short-K GEMM of 32 rows 32 KiB
 # apart ran 3-4x slower unpadded
 _PAD = 8
+# Fewest terms K whose density block splits its product by parity: two
+# products of half the size, then a combine over four half rows per side.
+# Below it, two products of full size write the two sides directly, since
+# at these K the combine costs more than the halved GEMM saves (per angle
+# of an 8-angle block, measured in BENCH_short_products.json)
+_SPLIT_TERMS = 24
 # Gaussian widths whose sigma^4 and sigma^-4 are normal floats, so the
 # rotated variance neither overflows nor loses its smaller term to underflow
 SIGMA_MIN = float(_TINY) ** 0.25
@@ -293,8 +299,9 @@ class _Workspace:
     padded to ``_PAD`` more doubles, W in all.  A block of a <= rows angles
     writes into the contiguous views ``block(a)``: ``psi`` (2 x 4a x W,
     side first) holds the rows psi real, psi imaginary, psi' real and
-    psi' imaginary, ``odd`` (4a x W) the odd part of those rows, ``rho``
-    and ``current`` (2 x a x W) one row per angle.  That is 16 half rows,
+    psi' imaginary, ``odd`` (4a x W) the odd part of those rows when the
+    product is split by parity and a temporary in any case, ``rho`` and
+    ``current`` (2 x a x W) one row per angle.  That is 16 half rows,
     about 8 rows of grid points, per angle.  ``psi`` is dead once rho and j
     are written, so the functionals take their two temporaries there.
 
@@ -317,19 +324,6 @@ class _Workspace:
         return (f[:8 * a].reshape(2, 4 * a, -1), f[8 * r:8 * r + 4 * a],
                 f[12 * r:12 * r + 2 * a].reshape(2, a, -1),
                 f[14 * r:14 * r + 2 * a].reshape(2, a, -1))
-
-
-def _fold(rows, grid: Grid, spare: int) -> np.ndarray:
-    """The natural ``rows`` (M points each) as one-row folded blocks
-    (2 x 1 x W), pads zeroed, then ``spare`` such blocks left unwritten:
-    a (len(rows) + spare) x 2 x 1 x W array."""
-    h, left = grid.count - grid.count // 2, grid.count // 2
-    out = np.empty((len(rows) + spare, 2, 1, h + _PAD))
-    out[:len(rows), ..., h:] = 0.0
-    for folded, values in zip(out, rows):
-        folded[0, 0, :h] = values[left:]
-        folded[1, 0, :h] = values[:h][::-1]
-    return out
 
 
 def _unfold(folded, grid: Grid) -> np.ndarray:
@@ -363,6 +357,18 @@ def _integrate_folded(values, grid: Grid):
     return grid.dx * (total - 0.5 * (ends[1] + ends[0]))
 
 
+def _integrate_halves(values, grid: Grid):
+    """``integrate`` of natural rows, one value per row, summed as
+    ``_integrate_folded`` sums the same rows folded, bit for bit at every
+    grid count: the points x < 0, then the points x >= 0, each in a
+    pairwise sum of its own.  A single pairwise sum of a row splits it
+    there only at some counts, 4096 and 4097 among them."""
+    left = grid.count // 2
+    total = np.add.reduce(values[..., :left], axis=-1)
+    total += np.add.reduce(values[..., left:], axis=-1)
+    return grid.dx * (total - 0.5 * (values[..., 0] + values[..., -1]))
+
+
 def density_block(state: FockState, thetas, grid: Grid, table: BasisTable,
                   ws: _Workspace):
     """rho = |psi|^2 and the current j = Im(conj(psi) psi') at every angle
@@ -373,12 +379,15 @@ def density_block(state: FockState, thetas, grid: Grid, table: BasisTable,
     psi = sum_n d_n u_n with d_n = c_n exp(i n theta) (the raw angles), and
     psi' = sum_m d'_m u_m with d' from ``hermite.ladder``, never finite
     differences.  The real and imaginary rows of d (a zero in column K) and
-    d' form one (4A x (K+1)) real matrix.  u_n(-x) = (-1)^n u_n(x), and
-    ``tabulate`` meets it as float equality on an antisymmetric grid, so
-    its even columns times the even rows of ``table`` (built on
-    ``grid.half_points``) give the even part E of the rows pr, pi, qr, qi
-    and its odd columns times the odd rows the odd part O.  Side 0 of the
-    block's ``psi`` is E + O, side 1 E - O, and j = pr qi - pi qr.
+    d' form one (4A x (K+1)) real matrix, times the rows 0..K of ``table``
+    (built on ``grid.half_points``).  u_n(-x) = (-1)^n u_n(x), and
+    ``tabulate`` meets it as float equality on an antisymmetric grid.
+    Below ``_SPLIT_TERMS`` terms the matrix times those rows is side 0 of
+    the block's ``psi``, the rows pr, pi, qr, qi at x >= 0, and with its
+    odd columns negated side 1.  From ``_SPLIT_TERMS`` on its even columns
+    times the even rows give the even part E of those rows and its odd
+    columns times the odd rows the odd part O, two products of half the
+    size; side 0 is E + O and side 1 E - O.  j = pr qi - pi qr.
     """
     k = state.coeffs.shape[0]
     if table.n_max < k:
@@ -397,15 +406,23 @@ def density_block(state: FockState, thetas, grid: Grid, table: BasisTable,
     c = np.zeros((4 * a, k + 1))
     c[:a, :k], c[a:2 * a, :k] = phased.real, phased.imag
     ladder(c[:2 * a, :k], out=c[2 * a:])
-    split = np.concatenate((c[:, 0::2], c[:, 1::2]), axis=-1)
-    evens = (k + 2) // 2
     psi, odd, rho, current = ws.block(a)
-    np.matmul(split[:, :evens], table.values[0:k + 1:2], out=psi[0, :, :h])
-    np.matmul(split[:, evens:], table.values[1:k + 1:2], out=odd[:, :h])
-    np.subtract(psi[0], odd, out=psi[1])
-    psi[0] += odd
+    if k < _SPLIT_TERMS:
+        rows = table.values[:k + 1]
+        np.matmul(c, rows, out=psi[0, :, :h])
+        c[:, 1::2] *= -1.0
+        np.matmul(c, rows, out=psi[1, :, :h])
+    else:
+        split = np.concatenate((c[:, 0::2], c[:, 1::2]), axis=-1)
+        evens = (k + 2) // 2
+        np.matmul(split[:, :evens], table.values[0:k + 1:2],
+                  out=psi[0, :, :h])
+        np.matmul(split[:, evens:], table.values[1:k + 1:2],
+                  out=odd[:, :h])
+        np.subtract(psi[0], odd, out=psi[1])
+        psi[0] += odd
     pr, pi, qr, qi = (psi[:, i * a:(i + 1) * a] for i in range(4))
-    # odd is dead once the combine is done
+    # odd is free on the short route and dead after the combine
     tmp = odd[:2 * a].reshape(2, a, -1)
     np.multiply(pr, pr, out=rho)
     rho += np.multiply(pi, pi, out=tmp)

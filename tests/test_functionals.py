@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qsc import hermite
 from qsc.errors import NumericsError
@@ -10,9 +12,9 @@ from qsc.functionals import (DEFAULT_NUMERICS, ComplexityReport,
                              FockEvaluator, Numerics, _variance,
                              entropy_power, evaluator_for, fs_complexity,
                              integrate, report_from_profile)
-from qsc.state import (AnalyticGaussian, DensityProfile, Grid, _Workspace,
-                       canonical_theta, default_grid, eval_density,
-                       gaussian_sigma_theta, make_state)
+from qsc.state import (_SPLIT_TERMS, AnalyticGaussian, DensityProfile, Grid,
+                       _Workspace, canonical_theta, default_grid,
+                       eval_density, gaussian_sigma_theta, make_state)
 from conftest import INV_SQRT2, fock
 
 # frozen from 30-digit quadrature of the closed-form densities
@@ -364,15 +366,16 @@ def test_evaluator_evaluates_the_angle_it_reports(state, theta):
 
 
 @pytest.mark.parametrize("points", [600, 601, 4096, 4097])
-@pytest.mark.parametrize("terms, complex_", [(1, False), (5, True),
-                                             (64, False), (257, True)])
+@pytest.mark.parametrize("terms, complex_", [
+    (1, False), (5, True), (_SPLIT_TERMS - 1, True), (_SPLIT_TERMS, True),
+    (64, False), (257, True)])
 def test_lattice_and_single_angle_reports_agree_bit_for_bit(terms, complex_,
                                                             points):
     # min_fs compares values of the lattice (ev.reports) and of single
     # angles (ev.cfs) with a strict <, so an angle must give the same bits
-    # on both routes: blocks of every size, raw angles outside [0, pi),
-    # even and odd grids, those of 600 and 601 points where a folded row's
-    # pairwise sum is not its natural row's
+    # on both routes: both density products, blocks of every size, raw
+    # angles outside [0, pi), even and odd grids, those of 600 and 601
+    # points where a row's single pairwise sum is not that of its halves
     rng = np.random.default_rng(terms)
     raw = rng.normal(size=terms)
     if complex_:
@@ -407,3 +410,35 @@ def test_workspace_pads_stay_zero_across_blocks():
         for a in (8, 3, 7, 1, 8):
             ev._block_reports([0.3 * k for k in range(a)], ws)
             assert not ws.floats[:, half:].any()
+
+
+# Rounding slack of the three laws below: the vacuum meets each with
+# equality, and 3000 drawn states, near-vacuum ones among them, read at
+# most 1.3e-15 under a bound
+LAW_SLACK = 1e-12
+
+
+@st.composite
+def short_states(draw):
+    terms = draw(st.integers(2, 16))
+    parts = st.lists(st.floats(-1.0, 1.0), min_size=terms, max_size=terms)
+    raw = np.array(draw(parts))
+    if draw(st.booleans()):
+        raw = raw + 1j * np.array(draw(parts))
+    assume(raw.any())
+    return make_state(raw, renormalize=True)
+
+
+@given(state=short_states())
+@settings(max_examples=30, deadline=None)
+def test_uncertainty_laws_hold_on_an_angle_lattice(state):
+    # Stam, C_FS = I J >= 1; Bialynicki-Birula-Mycielski,
+    # S_theta + S_{theta + pi/2} >= 1 + ln pi; Cramer-Rao, V I >= 1
+    ev = FockEvaluator(state)
+    thetas = [k * math.pi / 32 for k in range(32)]
+    reports = ev.reports(thetas)
+    for k, (theta, report) in enumerate(zip(thetas, reports)):
+        assert report.cfs >= 1.0 - LAW_SLACK, theta
+        assert (report.entropy + reports[(k + 16) % 32].entropy
+                >= 1.0 + math.log(math.pi) - LAW_SLACK), theta
+        assert measures(ev.profile(theta)).cr >= 1.0 - LAW_SLACK, theta

@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 from qsc.errors import NumericsError
 from qsc.functionals import integrate
 from qsc.hermite import ladder, tabulate
-from qsc.state import (DensityProfile, Grid, _unfold, _Workspace,
-                       canonical_theta, default_grid, density_block,
-                       eval_density, make_state, rotate)
+from qsc.state import (_PAD, _SPLIT_TERMS, DensityProfile, Grid,
+                       _integrate_folded, _integrate_halves, _unfold,
+                       _Workspace, canonical_theta, default_grid,
+                       density_block, eval_density, make_state, rotate)
 from conftest import INV_SQRT2, fock
 
 
@@ -234,9 +235,11 @@ def test_psi_prime_rows_match_mpmath(k):
 
 
 @pytest.mark.parametrize("points", [2, 3, 4096, 4097])
-@pytest.mark.parametrize("k", [1, 2, 9, 64, 257])
+@pytest.mark.parametrize("k", [1, 2, 9, _SPLIT_TERMS - 1, _SPLIT_TERMS, 64,
+                               257])
 def test_folded_rows_match_the_full_table(points, k):
-    # psi and psi' rows from the half-line table and the parity combine,
+    # psi and psi' rows from the half-line table, by the two full-width
+    # products below _SPLIT_TERMS terms and by the parity combine from it,
     # against the same coefficients times a full-grid table, within 1e-13
     # of the largest reference value; rho and j follow from those rows
     rng = np.random.default_rng(100 * k + points)
@@ -263,6 +266,24 @@ def test_folded_rows_match_the_full_table(points, k):
     np.testing.assert_allclose(
         current, (np.conj(psi) * dpsi).imag, rtol=0,
         atol=1e-13 * np.max(np.abs(psi)) * np.max(np.abs(dpsi)))
+
+
+@pytest.mark.parametrize("points",
+                         [2, 3, 17, 127, 600, 601, 1001, 4096, 4097, 8193])
+def test_folded_and_natural_rows_sum_to_the_same_bits(points):
+    # a lattice block sums folded rows and a single angle's report its
+    # natural rows: the same bits at every count, where one pairwise sum of
+    # a natural row gives other bits at 601 and 1001 points
+    grid = Grid(extent=5.0, count=points)
+    rng = np.random.default_rng(points)
+    rows = np.exp(rng.normal(scale=6.0, size=(40, points)))
+    h, left = points - points // 2, points // 2
+    folded = np.zeros((2, len(rows), h + _PAD))
+    folded[0, :, :h] = rows[:, left:]
+    folded[1, :, :h] = rows[:, :h][:, ::-1]
+    halves = _integrate_halves(rows, grid)
+    assert np.array_equal(_integrate_folded(folded, grid), halves)
+    np.testing.assert_allclose(halves, integrate(rows, grid), rtol=1e-13)
 
 
 def test_kinetic_closed_form_matches_the_grid_integral():
