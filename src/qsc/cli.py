@@ -214,10 +214,11 @@ def _reference_rows(numerics: Numerics, sections):
                 add(f"mfs:phi2_{tag}", 6.79, min_fs(phi2[sign], numerics)[1],
                     0.01, "abs")
     if "box" in sections:
+        # the evaluator's stored table, as ``qsc box`` evaluates the wells
         for n in range(1, 6):
-            state = box_state(BoxSpec(n=n))
-            add(f"box:position_n={n}", box_cfs_position(n),
-                fs_complexity(state, 0.0, numerics).cfs, 0.01, "rel")
+            ev = evaluator_for(box_state(BoxSpec(n=n)), numerics)
+            add(f"box:position_n={n}", box_cfs_position(n), ev.cfs(0.0),
+                0.01, "rel")
     return rows
 
 

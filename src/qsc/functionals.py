@@ -46,6 +46,17 @@ of its own, so a profile never shares memory with a later fill; its
 ``report_from_profile`` sums the natural rows in the same two halves, so
 an angle has the same bits on a lattice and alone.
 
+An evaluator holds its state's basis table, which every block reuses.
+``fs_complexity``, one angle of a FockState, holds none: it takes the
+table's rows in chunks of ``CHUNK_BYTES`` as the recurrence finishes
+them, adds each chunk's products to its one-row block and drops the chunk.
+So its memory does not grow with the table, 6.3 MB at 385 terms on the
+default grid, and the rows are read back while still in cache.  Its grid,
+cell cap and refusal of a grid that cannot hold row N are the
+evaluator's; when all rows fit in one chunk its report has the
+evaluator's bits, and over several chunks the summed products round
+differently (see ``fs_complexity``).
+
 LMC and Cramer-Rao composites are extensions beyond the core measure set
 (standard definitions C_LMC = D * exp(S), C_CR = V * I) and are tagged as
 such in every user-facing output.
@@ -82,6 +93,13 @@ ENTROPY_POWER_GUARD = 350.0
 # gain little speed once the GEMMs have 16 rows, and every byte adds to the
 # peak memory.
 BLOCK_BYTES = 2 ** 21
+
+# Bytes of the basis rows that ``fs_complexity`` holds at once: its one
+# angle streams the rows of its table in chunks of this size, each used by
+# one product and dropped (``hermite.row_chunks``), so 64 rows of the
+# default grid's half width, where the whole table of a 385-term state is
+# 6.3 MB and one of the 4096-row ``gauss:`` cap 67 MB
+CHUNK_BYTES = 2 ** 20
 
 # Largest deviation from 1 of the discrete mass that an evaluator accepts in
 # the densities it checks when it is built.  Grids that hold the state
@@ -195,7 +213,7 @@ def report_from_profile(profile: DensityProfile,
     rho = profile.rho
     report = _reports(
         [profile.theta], rho[None, None], profile.current[None, None],
-        profile.kinetic, np.empty((2, 1, 1, grid.count)),
+        profile.kinetic, hermite._aligned_empty((2, 1, 1, grid.count)),
         lambda pair: _integrate_halves(pair[:, 0], grid))[0]
     if not extensions:
         return report
@@ -229,16 +247,6 @@ class ProfileEvaluator:
 
     def density_block(self, thetas, ws: _Workspace):
         raise NotImplementedError
-
-    def _check_mass(self, mass) -> None:
-        """Refuse a grid on which a discrete mass is not 1 within MASS_TOL."""
-        worst = float(np.max(np.abs(mass - 1.0)))
-        if not worst <= MASS_TOL:
-            raise NumericsError(
-                f"the grid of {self.grid.count} points on +-"
-                f"{self.grid.extent:.6g} cannot hold the state: its mass is "
-                f"off by {worst:.3g} (tolerance {MASS_TOL:g}); it needs more "
-                "points or another margin")
 
     def profile(self, theta: float) -> DensityProfile:
         """The one-row block at the canonical angle of ``theta``, in a
@@ -284,6 +292,55 @@ class ProfileEvaluator:
         return self.report(theta).cfs
 
 
+def _check_mass(grid: Grid, mass) -> None:
+    """Refuse a grid on which a discrete mass is not 1 within MASS_TOL."""
+    worst = float(np.max(np.abs(mass - 1.0)))
+    if not worst <= MASS_TOL:
+        raise NumericsError(
+            f"the grid of {grid.count} points on +-{grid.extent:.6g} cannot "
+            f"hold the state: its mass is off by {worst:.3g} (tolerance "
+            f"{MASS_TOL:g}); it needs more points or another margin")
+
+
+def _fock_grid(state: FockState, numerics: Numerics) -> Grid:
+    """The grid of a FockState's densities.  Its basis table of N + 2 rows
+    is checked against the cell cap first, at the full grid width, twice
+    the half table it builds, before the grid exists."""
+    hermite.check_cells(state.n_max + 2, numerics.grid_points)
+    return default_grid(state.n_max, numerics.grid_points,
+                        numerics.grid_margin)
+
+
+def _check_top_row(grid: Grid, top) -> None:
+    """Refuse a grid that does not hold the basis row N, the state's top
+    row, given on the grid's half ``top``: its norm does not depend on the
+    angle.  u_N^2 is even, so its full-grid row is the half row and its
+    mirror."""
+    top = np.square(top)
+    _check_mass(grid, integrate(np.concatenate(
+        (top[::-1][:grid.count // 2], top)), grid))
+
+
+def chunk_rows(grid_points: int) -> int:
+    """Basis rows per chunk of a streamed angle (``fs_complexity``):
+    CHUNK_BYTES over the bytes of one half row of ``grid_points`` points."""
+    half = grid_points - grid_points // 2
+    return max(3, CHUNK_BYTES // (np.dtype(float).itemsize * half))
+
+
+def _streamed_rows(state: FockState, grid: Grid):
+    """The rows 0..N + 1 of a FockState's basis table on ``grid``, in the
+    chunks of ``chunk_rows``, with the top row checked as ``FockEvaluator``
+    checks it, before its chunk is yielded."""
+    n, start = state.n_max, 0
+    for chunk in hermite.row_chunks(grid.half_points, n + 1,
+                                    chunk_rows(grid.count)):
+        if start <= n < start + chunk.shape[0]:
+            _check_top_row(grid, chunk[n - start])
+        start += chunk.shape[0]
+        yield chunk
+
+
 def block_rows(grid_points: int) -> int:
     """Angles per lattice block, at most: BLOCK_BYTES over the workspace
     bytes of one angle, about ``_DENSITY_ROWS`` float rows of
@@ -304,16 +361,9 @@ class FockEvaluator(ProfileEvaluator):
     def __init__(self, state: FockState, numerics: Numerics = DEFAULT_NUMERICS):
         super().__init__(numerics)
         self.state = state
-        # the (N + 2)-row basis table at the full grid width, twice the half
-        # table it builds, before the grid exists
-        hermite.check_cells(state.n_max + 2, numerics.grid_points)
-        self.grid = default_grid(state.n_max, numerics.grid_points,
-                                 numerics.grid_margin)
+        self.grid = _fock_grid(state, numerics)
         self.table = hermite.tabulate(self.grid.half_points, state.n_max + 1)
-        # u_N^2 is even: its full-grid row is the half row and its mirror
-        top = np.square(self.table.values[-2])
-        self._check_mass(integrate(np.concatenate(
-            (top[::-1][:self.grid.count // 2], top)), self.grid))
+        _check_top_row(self.grid, self.table.values[-2])
         self.mirror_axis = mirror_axis(state)
 
     def density_block(self, thetas, ws: _Workspace):
@@ -346,7 +396,7 @@ class GaussianEvaluator(ProfileEvaluator):
         with np.errstate(over="ignore", invalid="ignore"):
             rho = self.density_block([0.0, 0.5 * math.pi],
                                      _Workspace(2, self.grid.count))[0]
-        self._check_mass(_integrate_folded(rho, self.grid))
+        _check_mass(self.grid, _integrate_folded(rho, self.grid))
 
     def density_block(self, thetas, ws: _Workspace):
         # one variance per row from the scalar formula, broadcast along the
@@ -378,6 +428,22 @@ def evaluator_for(state, numerics: Numerics = DEFAULT_NUMERICS):
 def fs_complexity(state, theta: float, numerics: Numerics = DEFAULT_NUMERICS,
                   extensions: bool = False) -> ComplexityReport:
     """Fisher-Shannon complexity report of a state at one angle, evaluated
-    at the canonical angle it reports (see ``ProfileEvaluator``)."""
-    ev = evaluator_for(state, numerics)
-    return report_from_profile(ev.profile(theta), extensions)
+    at the canonical angle it reports (see ``ProfileEvaluator``).
+
+    A FockState holds no basis table: its one angle takes the rows of the
+    table in chunks of ``chunk_rows`` as the recurrence finishes them
+    (``hermite.row_chunks``), adds each chunk's product to the density
+    block and drops it.  Grid, cell cap and the refusal of a grid that does
+    not hold row N are ``FockEvaluator``'s.  A state whose N + 2 rows fit
+    in one chunk gets the bits of ``FockEvaluator``'s report.  Over several
+    chunks the sums of the products round differently: by up to 2e-15
+    relative in the measures of random states, and up to 2.4e-14 in the
+    Fisher information of squeezed states of sigma 3 to 4, where
+    kinetic - 4 integral of j^2 / rho cancels most of its two terms."""
+    if isinstance(state, FockState):
+        grid = _fock_grid(state, numerics)
+        profile = eval_density(state, theta, grid,
+                               _streamed_rows(state, grid))
+    else:
+        profile = evaluator_for(state, numerics).profile(theta)
+    return report_from_profile(profile, extensions)

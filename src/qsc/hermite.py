@@ -1,16 +1,19 @@
 """Orthonormal harmonic-oscillator eigenfunctions (m = hbar = omega = 1).
 
-``tabulate`` is the one entry point: it fills rows n = 0..n_max at any set
-of points (the nonnegative half of a grid, quadrature nodes) through the
-normalized three-term recurrence (Bunck, BIT 49, 2009)
+``row_chunks`` is the one recurrence: it yields rows n = 0..n_max at any
+set of points (the nonnegative half of a grid, quadrature nodes) in chunks
+of finished rows, through the normalized three-term recurrence (Bunck, BIT
+49, 2009)
 
     u_0(x)     = pi**-0.25 * exp(-x**2 / 2)
     u_{n+1}(x) = sqrt(2/(n+1)) * x * u_n(x) - sqrt(n/(n+1)) * u_{n-1}(x)
 
 which stays bounded up to quantum numbers of order 10^3, where the bare
 Hermite polynomials have long since overflowed.  One loop runs it for
-every point, four ufunc calls per row written into the table.  Each
-column holds u_n = s_n 2**e, s_n in the table and one binary exponent e
+every point, four ufunc calls per row.  ``tabulate`` keeps the one chunk
+that holds all rows as a table; a single angle of ``fs_complexity``
+contracts each chunk as it comes and never holds the table.  Each
+column holds u_n = s_n 2**e, s_n in the rows and one binary exponent e
 per column (an "X-number", Fukushima, J. Geodesy 86, 2012).  With
 g = log(pi**-0.25) - x**2 / 2:
 
@@ -44,7 +47,8 @@ import numpy as np
 
 from .errors import NumericsError
 
-__all__ = ["BasisTable", "MAX_TABLE_CELLS", "check_cells", "ladder", "tabulate"]
+__all__ = ["BasisTable", "MAX_TABLE_CELLS", "check_cells", "ladder",
+           "row_chunks", "tabulate"]
 
 # guards accidental huge allocations, not a tuning knob
 MAX_TABLE_CELLS = 1 << 27
@@ -56,6 +60,18 @@ _EXP_SAFE = -690.0       # exp(g) is a normal float above this
 # gain on every row the cell cap allows, so u_n is 0.0 there; g is taken at
 # that |x|, which keeps x**2 and e finite
 _X_CLAMP = 2.0 ** 20
+
+
+def _aligned_empty(shape) -> np.ndarray:
+    """np.empty(shape) of floats whose data starts on a 64-byte cache line.
+    malloc aligns to 16 bytes only, so where a large array starts within a
+    line follows the allocation history of the process, and with it the
+    speed of every ufunc pass over it: an mfs op ran 4.4 or 5.6 ms as its
+    density workspace happened to land."""
+    n = math.prod(shape)
+    raw = np.empty(n + 7)
+    skip = (-raw.ctypes.data % 64) // raw.itemsize
+    return raw[skip:skip + n].reshape(shape)
 
 
 def check_cells(rows: int, points: int) -> None:
@@ -117,23 +133,32 @@ def _ldexp_rows(rows, e):
         np.ldexp(row, e, out=row)
 
 
-def tabulate(points: np.ndarray, n_max: int) -> BasisTable:
-    """Rows u_0..u_{n_max} at ``points``, one column per point: every
-    eigenfunction value in the package is a row of such a table.
+def row_chunks(points: np.ndarray, n_max: int, rows: int):
+    """Rows u_0..u_{n_max} at ``points``, one column per point, yielded in
+    order as chunks of finished rows.
 
     One recurrence fills every column as s_n 2**e with a binary exponent e
     per column (see the module docstring): e = 0 at near points
     (|x| < 37.14), where the rows are u_n as computed; at far points the
-    rows run in chunks short enough that s stays below 2**901, and e takes
-    over the exponent of s between chunks.  A column depends on its own
+    rows run in steps short enough that s stays below 2**901, and e takes
+    over the exponent of s between steps.  A column depends on its own
     point only, so it equals the one-point table of that point bit for
     bit.  Finite points past |x| = 2**20 give rows of 0.0.
+
+    The rows live in one buffer of min(max(``rows``, 3), n_max + 1) rows,
+    and every chunk is a view into it, good until the next chunk is asked
+    for.  A far row is finished, ldexp(s, e), before its chunk is yielded;
+    the last two rows of a full buffer still carry the recurrence, so they
+    move to its front as s and lead the next chunk.  With ``rows`` > n_max
+    the whole table is one chunk, and every chunk row is the row a single
+    chunk holds, bit for bit.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     points = np.ascontiguousarray(points, dtype=float)
-    check_cells(n_max + 1, points.shape[0])
-    values = np.empty((n_max + 1, points.shape[0]))
+    size = min(max(rows, 3), n_max + 1)
+    check_cells(size, points.shape[0])
+    values = _aligned_empty((size, points.shape[0]))
     x = np.minimum(np.abs(points), _X_CLAMP)
     g = _LOG_PI4 - 0.5 * x * x
     far = np.flatnonzero(g <= _EXP_SAFE)
@@ -145,7 +170,7 @@ def tabulate(points: np.ndarray, n_max: int) -> BasisTable:
     g[span] -= e * _LN2
     np.exp(g, out=values[0])
     # |s| grows by at most a factor 1 + sqrt(2)|x| per row, from below 2 at
-    # the start of a chunk: ``step`` rows keep it below 2**901
+    # the start of a step: ``step`` rows keep it below 2**901
     step = n_max or 1
     if far.size:
         grow = math.log1p(math.sqrt(2.0) * np.max(np.abs(points[far])))
@@ -154,22 +179,45 @@ def tabulate(points: np.ndarray, n_max: int) -> BasisTable:
     a, b = np.sqrt(2.0 / m), np.sqrt((m - 1.0) / m)
     lo, hi = np.zeros_like(points), values[0]          # rows -1 and 0
     tmp = np.empty_like(points)
+    base = 0                    # the row in values[0]
     done = 0                    # far rows from here on still hold s
-    for start in range(0, n_max, step):
-        stop = min(start + step, n_max)
-        lo, hi = _recur(points, lo, hi, values[start + 1:stop + 1],
-                        a[start:stop].tolist(), b[start:stop].tolist(), tmp)
-        if stop < n_max:
+    last = 0                    # the last row computed
+    while last < n_max:
+        stop = min((last // step + 1) * step, base + size - 1, n_max)
+        lo, hi = _recur(points, lo, hi,
+                        values[last + 1 - base:stop + 1 - base],
+                        a[last:stop].tolist(), b[last:stop].tolist(), tmp)
+        last = stop
+        if stop == n_max:
+            break
+        if stop % step == 0:
             # rows done..stop - 2 are finished; the two that carry on give
             # their common binary exponent to e
-            _ldexp_rows(values[done:stop - 1, span], e)
+            _ldexp_rows(values[done - base:stop - 1 - base, span], e)
             k = np.frexp(np.maximum(np.abs(lo[span]), np.abs(hi[span])))[1]
             k *= is_far
             _ldexp_rows((lo[span], hi[span]), -k)
             e += k
             done = stop - 1
+        if stop == base + size - 1:
+            # the buffer is full: rows up to stop - 2 are finished with the
+            # e they end with, the two that carry on move to the front
+            if far.size:
+                _ldexp_rows(values[done - base:stop - 1 - base, span], e)
+            yield values[:stop - 1 - base]
+            values[:2] = values[stop - 1 - base:]
+            lo, hi = values[0], values[1]
+            base = done = stop - 1
     if far.size:
-        _ldexp_rows(values[done:, span], e)
+        _ldexp_rows(values[done - base:last + 1 - base, span], e)
+    yield values[:last + 1 - base]
+
+
+def tabulate(points: np.ndarray, n_max: int) -> BasisTable:
+    """Rows u_0..u_{n_max} at ``points``, one column per point: the one
+    chunk of ``row_chunks`` that holds them all, kept as a table."""
+    (values,) = row_chunks(points, n_max, n_max + 1)
+    points = np.ascontiguousarray(points, dtype=float)
     for arr in (points, values):
         arr.setflags(write=False)
     return BasisTable(n_max=n_max, points=points, values=values)

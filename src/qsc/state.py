@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericsError
-from .hermite import BasisTable, ladder
+from .hermite import BasisTable, _aligned_empty, ladder
 
 __all__ = ["AnalyticGaussian", "DensityProfile", "FockState", "Grid",
            "canonical_theta", "default_grid", "density_block", "eval_density",
@@ -315,7 +315,7 @@ class _Workspace:
     def __init__(self, rows: int, points: int):
         half = points - points // 2
         self.rows = rows
-        self.floats = np.empty((16 * rows, half + _PAD))
+        self.floats = _aligned_empty((16 * rows, half + _PAD))
         self.floats[:, half:] = 0.0
 
     def block(self, a: int):
@@ -369,8 +369,7 @@ def _integrate_halves(values, grid: Grid):
     return grid.dx * (total - 0.5 * (values[..., 0] + values[..., -1]))
 
 
-def density_block(state: FockState, thetas, grid: Grid, table: BasisTable,
-                  ws: _Workspace):
+def density_block(state: FockState, thetas, grid: Grid, table, ws: _Workspace):
     """rho = |psi|^2 and the current j = Im(conj(psi) psi') at every angle
     of ``thetas``, as folded (2 x len(thetas) x W) views into ``ws`` (see
     ``_Workspace``), and the kinetic term 4 <p_theta^2> of each angle
@@ -379,26 +378,32 @@ def density_block(state: FockState, thetas, grid: Grid, table: BasisTable,
     psi = sum_n d_n u_n with d_n = c_n exp(i n theta) (the raw angles), and
     psi' = sum_m d'_m u_m with d' from ``hermite.ladder``, never finite
     differences.  The real and imaginary rows of d (a zero in column K) and
-    d' form one (4A x (K+1)) real matrix, times the rows 0..K of ``table``
-    (built on ``grid.half_points``).  u_n(-x) = (-1)^n u_n(x), and
-    ``tabulate`` meets it as float equality on an antisymmetric grid.
-    Below ``_SPLIT_TERMS`` terms the matrix times those rows is side 0 of
-    the block's ``psi``, the rows pr, pi, qr, qi at x >= 0, and with its
-    odd columns negated side 1.  From ``_SPLIT_TERMS`` on its even columns
-    times the even rows give the even part E of those rows and its odd
-    columns times the odd rows the odd part O, two products of half the
-    size; side 0 is E + O and side 1 E - O.  j = pr qi - pi qr.
+    d' form one (4A x (K+1)) real matrix, times the rows 0..K of the basis
+    on ``grid.half_points``: ``table`` is a ``BasisTable`` built there, or
+    the row chunks of one (``hermite.row_chunks``), rows 0, 1, ... in
+    order.  A table is one chunk; over several chunks every product below
+    is a sum of one product per chunk, each chunk used once and never
+    held.  u_n(-x) = (-1)^n u_n(x), and ``tabulate`` meets it as float
+    equality on an antisymmetric grid.  Below ``_SPLIT_TERMS`` terms the
+    matrix times those rows is side 0 of the block's ``psi``, the rows pr,
+    pi, qr, qi at x >= 0, and with its odd columns negated side 1.  From
+    ``_SPLIT_TERMS`` on its even columns times the even rows give the even
+    part E of those rows and its odd columns times the odd rows the odd
+    part O, two products of half the size; side 0 is E + O and side 1
+    E - O.  j = pr qi - pi qr.
     """
     k = state.coeffs.shape[0]
-    if table.n_max < k:
-        raise NumericsError(
-            f"basis table holds n <= {table.n_max} but psi' needs n <= {k}")
     half = grid.half_points
     h = half.shape[0]
-    if (table.points.shape[0] != h or table.points[0] != half[0]
-            or table.points[-1] != half[-1]):
-        raise NumericsError("basis table was not built on the nonnegative "
-                            "half of this grid")
+    if isinstance(table, BasisTable):
+        if table.n_max < k:
+            raise NumericsError(f"basis table holds n <= {table.n_max} but "
+                                f"psi' needs n <= {k}")
+        if (table.points.shape[0] != h or table.points[0] != half[0]
+                or table.points[-1] != half[-1]):
+            raise NumericsError("basis table was not built on the "
+                                "nonnegative half of this grid")
+        table = (table.values,)
     # e^{i n theta} for n < max(K, 3): the phases of d, and e^{2 i theta}
     phases = np.exp(np.multiply.outer(thetas, 1j * np.arange(max(k, 3))))
     phased = state.coeffs * phases[:, :k]
@@ -407,22 +412,49 @@ def density_block(state: FockState, thetas, grid: Grid, table: BasisTable,
     c[:a, :k], c[a:2 * a, :k] = phased.real, phased.imag
     ladder(c[:2 * a, :k], out=c[2 * a:])
     psi, odd, rho, current = ws.block(a)
-    if k < _SPLIT_TERMS:
-        rows = table.values[:k + 1]
-        np.matmul(c, rows, out=psi[0, :, :h])
-        c[:, 1::2] *= -1.0
-        np.matmul(c, rows, out=psi[1, :, :h])
-    else:
-        split = np.concatenate((c[:, 0::2], c[:, 1::2]), axis=-1)
+    split = k >= _SPLIT_TERMS
+    if split:
+        # E into side 0, O into odd; side 1 is free until the combine
+        c = np.concatenate((c[:, 0::2], c[:, 1::2]), axis=-1)
         evens = (k + 2) // 2
-        np.matmul(split[:, :evens], table.values[0:k + 1:2],
-                  out=psi[0, :, :h])
-        np.matmul(split[:, evens:], table.values[1:k + 1:2],
-                  out=odd[:, :h])
+        sums, spare = (psi[0, :, :h], odd[:, :h]), psi[1, :, :h]
+    else:
+        neg = c.copy()
+        neg[:, 1::2] *= -1.0
+        sums, spare = (psi[0, :, :h], psi[1, :, :h]), odd[:, :h]
+    start = 0
+    for chunk in table:
+        if chunk.shape[-1] != h:
+            raise NumericsError("basis rows do not span the nonnegative "
+                                "half of this grid")
+        stop = min(start + chunk.shape[0], k + 1)
+        if split:
+            # the chunk's first even and first odd row
+            e0, o0 = start + start % 2, start + 1 - start % 2
+            terms = ((c[:, e0 // 2:(stop + 1) // 2],
+                      chunk[e0 - start:stop - start:2]),
+                     (c[:, evens + o0 // 2:evens + stop // 2],
+                      chunk[o0 - start:stop - start:2]))
+        else:
+            terms = ((c[:, start:stop], chunk[:stop - start]),
+                     (neg[:, start:stop], chunk[:stop - start]))
+        for out, (coef, rows) in zip(sums, terms):
+            if start:
+                out += np.matmul(coef, rows, out=spare)
+            else:
+                np.matmul(coef, rows, out=out)
+        start = stop
+        if start > k:
+            break
+    if start <= k:
+        raise NumericsError(f"basis table holds n <= {start - 1} but psi' "
+                            f"needs n <= {k}")
+    if split:
         np.subtract(psi[0], odd, out=psi[1])
         psi[0] += odd
     pr, pi, qr, qi = (psi[:, i * a:(i + 1) * a] for i in range(4))
-    # odd is free on the short route and dead after the combine
+    # odd is dead after the products on the short route and after the
+    # combine on the split one
     tmp = odd[:2 * a].reshape(2, a, -1)
     np.multiply(pr, pr, out=rho)
     rho += np.multiply(pi, pi, out=tmp)
@@ -432,9 +464,11 @@ def density_block(state: FockState, thetas, grid: Grid, table: BasisTable,
 
 
 def eval_density(state: FockState, theta: float, grid: Grid,
-                 table: BasisTable) -> DensityProfile:
+                 table) -> DensityProfile:
     """The density profile at the canonical angle of ``theta`` in [0, pi):
-    a one-row ``density_block`` in a workspace of its own, unfolded."""
+    a one-row ``density_block`` in a workspace of its own, unfolded.
+    ``table`` is a ``BasisTable`` or its row chunks, as in
+    ``density_block``."""
     theta = canonical_theta(theta)
     return _profile(grid, theta, density_block(state, [theta], grid, table,
                                                _Workspace(1, grid.count)))

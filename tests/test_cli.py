@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from qsc.catalog import parse_state_literal
 from qsc.cli import _numerics, build_parser, main
-from qsc.functionals import Numerics
+from qsc.functionals import Numerics, chunk_rows
 from qsc.hermite import MAX_TABLE_CELLS
 from qsc.sweep import sweep
 
@@ -196,6 +196,38 @@ class TestMeasure:
         assert code == 3
         assert out == ""
         assert "exceed the cap" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (("gauss:sigma=2,N=800", "--grid-points", "1024"),
+         "cannot hold the state"),
+        (("gauss:sigma=2,N=200", "--grid-margin", "0"),
+         "cannot hold the state"),
+        (("gauss:sigma=2,N=200", "--grid-margin", "1e200"),
+         "cannot hold the state"),
+        (("super:" + ",".join(["1"] * 70), "--grid-points", "2097152"),
+         "exceed the cap"),
+    ], ids=["coarse", "short", "margin_1e200", "cap"])
+    def test_streamed_measure_refuses_what_the_evaluator_refuses(
+            self, capsys, monkeypatch, argv, message):
+        # each state has more basis rows than one streamed chunk holds; the
+        # grid is refused on row N, which comes in a later chunk than the
+        # first products, with no floating-point warning on the way, and
+        # the cap before the grid exists
+        state = parse_state_literal(argv[0])
+        assert state.n_max + 2 > chunk_rows(int(argv[2])
+                                            if argv[1] == "--grid-points"
+                                            else 4096)
+        if message == "exceed the cap":
+            def unreachable(*args, **kwargs):
+                raise AssertionError("grid built past the cap")
+            monkeypatch.setattr(importlib.import_module("qsc.functionals"),
+                                "default_grid", unreachable)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "measure", *argv)
+        assert code == 3
+        assert out == ""
+        assert message in err
 
     @pytest.mark.parametrize("sigma", ["1e200", "1e150", "1e-150"])
     def test_analytic_width_beyond_float_range_is_refused(self, capsys, sigma):

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from qsc import hermite
 from qsc.errors import NumericsError
+from qsc import functionals
 from qsc.functionals import (DEFAULT_NUMERICS, ComplexityReport,
-                             FockEvaluator, Numerics, _variance,
+                             FockEvaluator, Numerics, _variance, chunk_rows,
                              entropy_power, evaluator_for, fs_complexity,
                              integrate, report_from_profile)
 from qsc.state import (_SPLIT_TERMS, AnalyticGaussian, DensityProfile, Grid,
@@ -442,3 +443,65 @@ def test_uncertainty_laws_hold_on_an_angle_lattice(state):
         assert (report.entropy + reports[(k + 16) % 32].entropy
                 >= 1.0 + math.log(math.pi) - LAW_SLACK), theta
         assert measures(ev.profile(theta)).cr >= 1.0 - LAW_SLACK, theta
+
+
+def _complex_state(terms, seed):
+    rng = np.random.default_rng(seed)
+    return make_state(rng.normal(size=terms) + 1j * rng.normal(size=terms),
+                      renormalize=True)
+
+
+@pytest.mark.parametrize("terms, points, chunk", [
+    (1, 4096, None),           # one row of coefficients, one chunk
+    (40, 4097, None),          # the split route in one chunk, odd grid
+    (63, 4096, None),          # the most terms whose rows are one chunk
+    (64, 4096, None),          # one row past one chunk
+    (130, 4097, None),         # the split route over three chunks
+    (1200, 4096, None),        # far columns, carried across chunks
+    (10, 4096, 5),             # the short route over chunks of 5 rows
+    (23, 4097, 4),             # the last short K over chunks of 4 rows
+    (30, 4096, 3),             # the split route over chunks of 3 rows,
+                               # the first of them row 0 alone
+], ids=["K1", "split_one_chunk_4097", "K63", "K64", "split_4097", "K1200",
+        "short_5_rows", "short_4_rows_4097", "split_3_rows"])
+def test_streamed_measure_matches_the_evaluator(monkeypatch, terms, points,
+                                                chunk):
+    # fs_complexity streams the basis rows; FockEvaluator holds its table.
+    # In one chunk the two run the same products, bit for bit; over several
+    # the chunk products are summed, and each measure moves within 1e-14
+    if chunk is not None:
+        half = points - points // 2
+        monkeypatch.setattr(functionals, "CHUNK_BYTES", 8 * half * chunk)
+        assert chunk_rows(points) == chunk
+    one_chunk = terms + 1 <= chunk_rows(points)
+    assert one_chunk == (chunk is None and terms < 64)
+    state = _complex_state(terms, terms)
+    numerics = Numerics(grid_points=points)
+    for theta in (0.0, 0.3, 2.1):
+        streamed = fs_complexity(state, theta, numerics, extensions=True)
+        stored = report_from_profile(
+            FockEvaluator(state, numerics).profile(theta), True)
+        if one_chunk:
+            assert streamed == stored, theta
+            continue
+        assert streamed.theta == stored.theta
+        for name in ("fisher", "entropy", "entropy_power", "cfs", "lmc",
+                     "cr"):
+            a, b = getattr(streamed, name), getattr(stored, name)
+            assert abs(a - b) <= 1e-14 * abs(b), (theta, name)
+
+
+def test_streamed_measure_holds_no_basis_table():
+    # the (N + 2)-row table of a 1200-term state on the default grid's
+    # half is 1202 x 2048 doubles, 19.7 MB; a streamed angle holds one
+    # chunk of it (1 MiB) and the one-row workspace
+    state = _complex_state(1200, 5)
+    table_bytes = 1202 * 2048 * 8
+    fs_complexity(state, 0.4, extensions=True)      # numpy's own warm-up
+    tracemalloc.start()
+    try:
+        fs_complexity(state, 0.4, extensions=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < table_bytes / 8

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsc.errors import NumericsError
-from qsc.hermite import ladder, tabulate
+from qsc.hermite import ladder, row_chunks, tabulate
 from qsc.state import Grid, default_grid
 
 PI4 = math.pi ** -0.25
@@ -338,3 +338,28 @@ def test_ladder_reaches_one_row_up():
 def test_table_cell_cap():
     with pytest.raises(NumericsError):
         tabulate(np.zeros(1 << 20), 1 << 10)
+
+
+@pytest.mark.parametrize("points, n_max", [
+    (default_grid(40).half_points, 41),
+    (default_grid(1200, 4097).half_points, 1201),   # far columns
+    (np.array([-60.0, 0.0, 37.1, 37.2, 60.0, 1e10]), 1000),
+], ids=["near", "far_4097", "mixed"])
+@pytest.mark.parametrize("rows", [1, 3, 4, 64, 143, 144])
+def test_row_chunks_are_the_table_bit_for_bit(points, n_max, rows):
+    # every chunk holds finished rows, and they join into the table,
+    # whatever the chunk size and wherever the far columns hand their
+    # exponent on (every 142 rows at the far_4097 points, where a buffer
+    # of 143 rows is full as the first hand-over comes)
+    chunks = [chunk.copy() for chunk in row_chunks(points, n_max, rows)]
+    assert all(1 <= chunk.shape[0] <= max(rows, 3) for chunk in chunks)
+    joined = np.concatenate(chunks)
+    table = tabulate(points, n_max).values
+    assert np.array_equal(joined.view(np.uint64), table.view(np.uint64))
+
+
+def test_row_chunks_are_one_chunk_when_the_rows_fit():
+    points = default_grid(6).half_points
+    (only,) = row_chunks(points, 7, 8)
+    assert only.shape == (8, points.shape[0])
+    assert len(list(row_chunks(points, 7, 7))) == 2

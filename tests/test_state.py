@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from qsc.errors import NumericsError
 from qsc.functionals import integrate
-from qsc.hermite import ladder, tabulate
+from qsc.hermite import ladder, row_chunks, tabulate
 from qsc.state import (_PAD, _SPLIT_TERMS, DensityProfile, Grid,
                        _integrate_folded, _integrate_halves, _unfold,
                        _Workspace, canonical_theta, default_grid,
@@ -326,3 +326,14 @@ def test_profile_from_samples_refuses_a_negative_sample():
     rho[400] = -1e-300
     with pytest.raises(ValueError, match="negative"):
         DensityProfile.from_samples(grid, rho)
+
+
+def test_density_block_refuses_chunks_that_end_early():
+    # psi' of K terms needs rows 0..K; chunks that stop at row K - 1 are
+    # refused once they run out
+    grid = Grid(extent=8.0, count=64)
+    state = make_state(np.arange(1.0, 31.0), renormalize=True)
+    ws = _Workspace(1, grid.count)
+    with pytest.raises(NumericsError, match="n <= 29 but psi' needs n <= 30"):
+        density_block(state, [0.2], grid, row_chunks(grid.half_points, 29, 8),
+                      ws)

@@ -488,3 +488,14 @@ def test_min_fs_against_an_in_bracket_reference():
     assert min(gaps) > -1e-13
     assert sum(gap > 1e-10 for gap in gaps) <= 2
     assert max(gaps) <= 4e-5
+
+
+def test_invariants_script_runs_on_its_first_states(capsys):
+    # tests/invariants.py is run by hand on all 300 states; its first three
+    # keep it working without the gfs runs: every law holds, and a line
+    # per band of K
+    import invariants
+    assert invariants.main(["--states", "3", "--no-gfs"]) == 0
+    out = capsys.readouterr().out
+    assert all(f"{lo}-{hi}" in out for lo, hi in invariants.BANDS)
+    assert "Cramer-Rao" in out
