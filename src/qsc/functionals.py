@@ -38,13 +38,17 @@ is dropped when the fill returns.  The workspace is folded
 each at ascending |x| and padded.  The GEMMs write the two halves, directly
 for a short state and through a parity combine for a long one, and every
 later pass, rho, j and the functionals, is one flat ufunc over contiguous
-runs of a whole block.  The sums run over the real points in the natural
-order, the x < 0 points in one pairwise sum, then the x >= 0 points in
-another.  A single angle runs the same density code on a one-row workspace
-of its own, so a profile never shares memory with a later fill; its
-``DensityProfile`` is unfolded to the natural order, and
-``report_from_profile`` sums the natural rows in the same two halves, so
-an angle has the same bits on a lattice and alone.
+runs of a whole block.  Each pass writes over rows that earlier passes
+have read for the last time: rho and j over psi', the functionals'
+temporaries over psi.  An evaluator builds the angle-free pieces of its
+blocks once, next to its table (``state._Plan``).  The sums run over the
+real points in the natural order, the x < 0 points in one pairwise sum,
+then the x >= 0 points in another.  A single angle runs the same density
+code, with its evaluator's pieces, on a one-row workspace of its own, so
+a profile never shares memory with a later fill; its ``DensityProfile``
+is unfolded to the natural order, and ``report_from_profile`` sums the
+natural rows in the same two halves, so an angle has the same bits on a
+lattice and alone.
 
 An evaluator holds its state's basis table, which every block reuses.
 ``fs_complexity``, one angle of a FockState, holds none: it takes the
@@ -73,9 +77,9 @@ from . import hermite
 from .errors import NumericsError
 from .state import (_DENSITY_ROWS, _TINY, AnalyticGaussian, DensityProfile,
                     FockState, Grid, _integrate_folded, _integrate_halves,
-                    _profile, _Workspace, canonical_theta, default_grid,
-                    density_block, eval_density, gaussian_sigma_theta,
-                    integrate, mirror_axis)
+                    _Plan, _profile, _Workspace, canonical_theta,
+                    default_grid, density_block, eval_density,
+                    gaussian_sigma_theta, integrate, mirror_axis)
 
 __all__ = [
     "ComplexityReport", "FockEvaluator", "GaussianEvaluator", "Numerics",
@@ -87,12 +91,12 @@ ENTROPY_POWER_GUARD = 350.0
 
 # Bytes of the float workspace that one lattice fill holds, on top of the
 # basis table and reused by every block of the fill: ``_DENSITY_ROWS`` rows
-# of grid points per angle (16 padded half rows: psi and psi' on both
-# sides, whose space the functionals' two temporaries reuse, their odd
-# part, rho and j), so 8 angles at the default 4096 points.  Larger blocks
-# gain little speed once the GEMMs have 16 rows, and every byte adds to the
-# peak memory.
-BLOCK_BYTES = 2 ** 21
+# of grid points per angle (12 padded half rows: psi and psi' on both
+# sides, whose space rho, j and the functionals' two temporaries reuse,
+# and their odd part), so 8 angles at the default 4096 points.  Larger
+# blocks gain little speed once the GEMMs have 16 rows (10 angles in 2 MiB
+# ran no faster), and every byte adds to the peak memory.
+BLOCK_BYTES = 3 * 2 ** 19
 
 # Bytes of the basis rows that ``fs_complexity`` holds at once: its one
 # angle streams the rows of its table in chunks of this size, each used by
@@ -131,7 +135,7 @@ class Numerics:
 DEFAULT_NUMERICS = Numerics()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ComplexityReport:
     """Per-angle bundle of the information functionals.
 
@@ -159,7 +163,7 @@ def _fisher_entropy(rho, current, kinetic, pair, sums):
     clamped row, rho log(rho + tiny) leave them zero.  A row whose
     max(rho) is not finite and positive is refused."""
     peak = rho.max(axis=(0, 2), initial=0.0)
-    if not np.all((peak > 0.0) & (peak < math.inf)):     # NaN fails both
+    if not (peak.min() > 0.0 and peak.max() < math.inf):  # NaN fails both
         raise NumericsError("degenerate profile: max(rho) is not finite and "
                             "positive")
     clamped, tmp = pair
@@ -225,8 +229,9 @@ def report_from_profile(profile: DensityProfile,
 class ProfileEvaluator:
     """One state evaluated at many angles.  Subclasses supply ``grid`` and
     ``density_block(thetas, ws)``: rho and the current j as folded
-    (2 x A x W) views into the workspace ``ws`` (see ``state._Workspace``),
-    one row per angle, and the kinetic term 4 <p_theta^2> of each angle.
+    (2 x A x W) views into the workspace ``ws``, its ``densities`` (see
+    ``state._Workspace``), one row per angle, and the kinetic term
+    4 <p_theta^2> of each angle.
     Every angle is evaluated, and reported, at its canonical angle in
     [0, pi): a rotation by pi mirrors the density, so every angle has the
     measures of its canonical one, and an angle far outside [0, pi) would
@@ -260,7 +265,7 @@ class ProfileEvaluator:
         evaluated in ceil(n / ``block_rows``) blocks of nearly equal size,
         every block in the same workspace.  A row's GEMM result does not
         depend on the size of its block."""
-        todo = [t for t in thetas if t not in self._cache]
+        todo = list(dict.fromkeys(t for t in thetas if t not in self._cache))
         if todo:
             n, rows = len(todo), block_rows(self.grid.count)
             blocks = -(-n // rows)
@@ -354,9 +359,11 @@ def block_rows(grid_points: int) -> int:
 class FockEvaluator(ProfileEvaluator):
     """Fock-pipeline evaluator: caches the grid and basis table of one state.
     The table holds rows 0..N + 1 on the grid's nonnegative half
-    (``Grid.half_points``); ``density_block`` unfolds it by parity.  The
-    grid must hold basis row N, the state's top row, whose norm does not
-    depend on the angle.  The mirror axis comes from the coefficients."""
+    (``Grid.half_points``); ``density_block`` unfolds it by parity, with
+    the angle-free pieces of every block built once next to it
+    (``state._Plan``).  The grid must hold basis row N, the state's top
+    row, whose norm does not depend on the angle.  The mirror axis comes
+    from the coefficients."""
 
     def __init__(self, state: FockState, numerics: Numerics = DEFAULT_NUMERICS):
         super().__init__(numerics)
@@ -364,15 +371,16 @@ class FockEvaluator(ProfileEvaluator):
         self.grid = _fock_grid(state, numerics)
         self.table = hermite.tabulate(self.grid.half_points, state.n_max + 1)
         _check_top_row(self.grid, self.table.values[-2])
+        self._plan = _Plan(state, self.grid, self.table)
         self.mirror_axis = mirror_axis(state)
 
     def density_block(self, thetas, ws: _Workspace):
-        return density_block(self.state, thetas, self.grid, self.table, ws)
+        return density_block(self.state, thetas, self.grid, self._plan, ws)
 
     def profile(self, theta: float) -> DensityProfile:
         # the same one-row block as the base class, through eval_density:
         # the benchmark's tracer times single-angle density work at that name
-        return eval_density(self.state, theta, self.grid, self.table)
+        return eval_density(self.state, theta, self.grid, self._plan)
 
 
 class GaussianEvaluator(ProfileEvaluator):
@@ -405,7 +413,7 @@ class GaussianEvaluator(ProfileEvaluator):
         v = np.array([[gaussian_sigma_theta(self.sigma, t)] for t in thetas])
         a = v.shape[0]
         s = self.grid.half_points
-        _, _, rho, current = ws.block(a)
+        rho, current = ws.densities(a)
         plus = np.divide(-0.5 * s * s, v, out=rho[0, :, :s.shape[0]])
         np.exp(plus, out=plus)
         plus /= np.sqrt(2.0 * math.pi * v)

@@ -97,12 +97,18 @@ class BasisTable:
     values: np.ndarray
 
 
-def ladder(coeffs, out):
+def _ladder_weights(k: int) -> np.ndarray:
+    """sqrt(m/2), m = 1..K: the weights of ``ladder`` for K terms."""
+    return np.sqrt(np.arange(0.5, 0.5 * k + 0.25, 0.5))
+
+
+def ladder(coeffs, out, weights=None):
     """Write into ``out`` (..., K+1) the coefficients d'_0..d'_K of psi' from
     those d_0..d_{K-1} of psi in ``coeffs``, along the last axis:
-    d'_m = sqrt((m+1)/2) d_{m+1} - sqrt(m/2) d_{m-1}, d_n = 0 outside 0..K-1."""
+    d'_m = sqrt((m+1)/2) d_{m+1} - sqrt(m/2) d_{m-1}, d_n = 0 outside 0..K-1.
+    ``weights`` are ``_ladder_weights(K)``, when the caller holds them."""
     k = coeffs.shape[-1]
-    w = np.sqrt(np.arange(0.5, 0.5 * k + 0.25, 0.5))   # sqrt(m/2), m = 1..K
+    w = _ladder_weights(k) if weights is None else weights
     np.multiply(coeffs[..., 1:], w[:-1], out=out[..., :k - 1])
     out[..., k - 1:] = 0.0
     out[..., 1:] -= coeffs * w

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericsError
-from .hermite import BasisTable, _aligned_empty, ladder
+from .hermite import BasisTable, _aligned_empty, _ladder_weights, ladder
 
 __all__ = ["AnalyticGaussian", "DensityProfile", "FockState", "Grid",
            "canonical_theta", "default_grid", "density_block", "eval_density",
@@ -26,9 +26,10 @@ NORM_TOL = 1e-10
 # ``mirror_axis`` forgives: the rounding of the phases, no more
 MIRROR_TOL = 1e-12
 _TINY = np.finfo(float).tiny
-# Rows of grid points per angle in a ``_Workspace``, about: its 16 padded
-# half rows (psi and psi' on both sides, their odd part, rho and j)
-_DENSITY_ROWS = 8
+# Rows of grid points per angle in a ``_Workspace``, about: its 12 padded
+# half rows (psi and psi' on both sides, where rho and j go, and their odd
+# part)
+_DENSITY_ROWS = 6
 # Doubles after each half row of a ``_Workspace``: rows a power of two of
 # bytes apart share L1 cache sets, and a short-K GEMM of 32 rows 32 KiB
 # apart ran 3-4x slower unpadded
@@ -300,10 +301,11 @@ class _Workspace:
     writes into the contiguous views ``block(a)``: ``psi`` (2 x 4a x W,
     side first) holds the rows psi real, psi imaginary, psi' real and
     psi' imaginary, ``odd`` (4a x W) the odd part of those rows when the
-    product is split by parity and a temporary in any case, ``rho`` and
-    ``current`` (2 x a x W) one row per angle.  That is 16 half rows,
-    about 8 rows of grid points, per angle.  ``psi`` is dead once rho and j
-    are written, so the functionals take their two temporaries there.
+    product is split by parity and a temporary in any case.  That is 12
+    half rows, about 6 rows of grid points, per angle.  Each value lives
+    in rows already dead when it is written: j over the psi' real rows,
+    rho over the psi' imaginary rows (``densities(a)``), and the
+    functionals' two temporaries over the psi rows.
 
     On an odd grid x = 0 belongs to side 0 only, and column 0 of side 1 is
     never summed (``_integrate_folded``).  The pads are zeroed here and no
@@ -315,15 +317,19 @@ class _Workspace:
     def __init__(self, rows: int, points: int):
         half = points - points // 2
         self.rows = rows
-        self.floats = _aligned_empty((16 * rows, half + _PAD))
+        self.floats = _aligned_empty((12 * rows, half + _PAD))
         self.floats[:, half:] = 0.0
 
     def block(self, a: int):
-        """The views (psi, odd, rho, current) of a block of ``a`` angles."""
+        """The views (psi, odd) of a block of ``a`` angles."""
         f, r = self.floats, self.rows
-        return (f[:8 * a].reshape(2, 4 * a, -1), f[8 * r:8 * r + 4 * a],
-                f[12 * r:12 * r + 2 * a].reshape(2, a, -1),
-                f[14 * r:14 * r + 2 * a].reshape(2, a, -1))
+        return f[:8 * a].reshape(2, 4 * a, -1), f[8 * r:8 * r + 4 * a]
+
+    def densities(self, a: int):
+        """The views (rho, current), 2 x a x W each, of a block of ``a``
+        angles: its psi' imaginary and psi' real rows."""
+        psi = self.block(a)[0]
+        return psi[:, 3 * a:], psi[:, 2 * a:3 * a]
 
 
 def _unfold(folded, grid: Grid) -> np.ndarray:
@@ -369,105 +375,158 @@ def _integrate_halves(values, grid: Grid):
     return grid.dx * (total - 0.5 * (values[..., 0] + values[..., -1]))
 
 
+class _Plan:
+    """The angle-free pieces of ``density_block`` for one state on one
+    grid: the exponents i n of the phases, the ladder weights, the parity
+    signs (-1)^n of the short route or the column order of the split one,
+    and the basis rows each product takes.  An evaluator builds one next to
+    its table; ``density_block`` builds its own from a table or its row
+    chunks, which it then uses once."""
+
+    def __init__(self, state: FockState, grid: Grid, table):
+        k = state.coeffs.shape[0]
+        half = grid.half_points
+        self.k, self.h = k, half.shape[0]
+        self.exponents = 1j * np.arange(max(k, 3))
+        self.weights = _ladder_weights(k)
+        self.split = k >= _SPLIT_TERMS
+        n = np.arange(k + 1)
+        if self.split:
+            # the even columns first, then the odd ones
+            self.order = np.concatenate((n[0::2], n[1::2]))
+        else:
+            self.signs = np.where(n % 2, -1.0, 1.0)
+        if isinstance(table, BasisTable):
+            if table.n_max < k:
+                raise NumericsError(f"basis table holds n <= {table.n_max} "
+                                    f"but psi' needs n <= {k}")
+            if (table.points.shape[0] != self.h or table.points[0] != half[0]
+                    or table.points[-1] != half[-1]):
+                raise NumericsError("basis table was not built on the "
+                                    "nonnegative half of this grid")
+            self.chunks = list(self._terms((table.values,)))
+        else:
+            self.chunks = self._terms(table)
+
+    def _terms(self, chunks):
+        """Per chunk of basis rows 0, 1, ... in order: its first row and
+        the (columns of the coefficient matrix, rows of the chunk) of each
+        product, the even and the odd one on the split route."""
+        k, start = self.k, 0
+        evens = (k + 2) // 2
+        for chunk in chunks:
+            if chunk.shape[-1] != self.h:
+                raise NumericsError("basis rows do not span the "
+                                    "nonnegative half of this grid")
+            stop = min(start + chunk.shape[0], k + 1)
+            if self.split:
+                # the chunk's first even and first odd row
+                e0, o0 = start + start % 2, start + 1 - start % 2
+                yield start, ((slice(e0 // 2, (stop + 1) // 2),
+                               chunk[e0 - start:stop - start:2]),
+                              (slice(evens + o0 // 2, evens + stop // 2),
+                               chunk[o0 - start:stop - start:2]))
+            else:
+                yield start, ((slice(start, stop), chunk[:stop - start]),)
+            start = stop
+            if start > k:
+                return
+        raise NumericsError(f"basis table holds n <= {start - 1} but psi' "
+                            f"needs n <= {k}")
+
+
+def _psi_block(state: FockState, thetas, grid: Grid, table, ws: _Workspace):
+    """psi and psi' at every angle of ``thetas`` into ``ws``: its
+    ``block(len(thetas))`` views (psi, odd), the psi rows holding pr, pi,
+    qr and qi, and the phases e^{2 i theta} of the angles.  ``table`` is a
+    ``_Plan`` or what ``density_block`` takes."""
+    plan = table if isinstance(table, _Plan) else _Plan(state, grid, table)
+    k, h = plan.k, plan.h
+    # e^{i n theta} for n < max(K, 3): the phases of d, and e^{2 i theta}
+    phases = np.exp(np.multiply.outer(thetas, plan.exponents))
+    phased = state.coeffs * phases[:, :k]
+    a = phased.shape[0]
+    psi, odd = ws.block(a)
+    # the short route stacks the coefficients of side 1 under those of
+    # side 0: its first product writes both sides at once
+    c = np.empty(((4 if plan.split else 8) * a, k + 1))
+    c[:a, :k], c[a:2 * a, :k] = phased.real, phased.imag
+    c[:2 * a, k] = 0.0
+    ladder(c[:2 * a, :k], out=c[2 * a:4 * a], weights=plan.weights)
+    if plan.split:
+        c = c.take(plan.order, axis=1)
+        # E into side 0, O into odd; side 1 is free until the combine
+        sides, spare = (psi[0, :, :h], odd[:, :h]), psi[1, :, :h]
+    else:
+        np.multiply(c[:4 * a], plan.signs, out=c[4 * a:])
+        sides, spare = (psi[0, :, :h], psi[1, :, :h]), odd[:, :h]
+    for start, terms in plan.chunks:
+        if plan.split:
+            products = [(out, c[:, cols], rows)
+                        for out, (cols, rows) in zip(sides, terms)]
+        elif start:
+            ((cols, rows),) = terms
+            products = [(sides[0], c[:4 * a, cols], rows),
+                        (sides[1], c[4 * a:, cols], rows)]
+        else:
+            ((cols, rows),) = terms
+            products = [(psi.reshape(8 * a, -1)[:, :h], c[:, cols], rows)]
+        for out, coef, rows in products:
+            if start:
+                out += np.matmul(coef, rows, out=spare)
+            else:
+                np.matmul(coef, rows, out=out)
+    if plan.split:
+        np.subtract(psi[0], odd, out=psi[1])
+        psi[0] += odd
+    return psi, odd, phases[:, 2]
+
+
 def density_block(state: FockState, thetas, grid: Grid, table, ws: _Workspace):
     """rho = |psi|^2 and the current j = Im(conj(psi) psi') at every angle
-    of ``thetas``, as folded (2 x len(thetas) x W) views into ``ws`` (see
-    ``_Workspace``), and the kinetic term 4 <p_theta^2> of each angle
-    (``FockState.kinetic``).
+    of ``thetas``, as folded (2 x len(thetas) x W) views into ``ws`` (its
+    ``densities``; see ``_Workspace``), and the kinetic term 4 <p_theta^2>
+    of each angle (``FockState.kinetic``).
 
     psi = sum_n d_n u_n with d_n = c_n exp(i n theta) (the raw angles), and
     psi' = sum_m d'_m u_m with d' from ``hermite.ladder``, never finite
     differences.  The real and imaginary rows of d (a zero in column K) and
     d' form one (4A x (K+1)) real matrix, times the rows 0..K of the basis
-    on ``grid.half_points``: ``table`` is a ``BasisTable`` built there, or
-    the row chunks of one (``hermite.row_chunks``), rows 0, 1, ... in
-    order.  A table is one chunk; over several chunks every product below
-    is a sum of one product per chunk, each chunk used once and never
-    held.  u_n(-x) = (-1)^n u_n(x), and ``tabulate`` meets it as float
-    equality on an antisymmetric grid.  Below ``_SPLIT_TERMS`` terms the
-    matrix times those rows is side 0 of the block's ``psi``, the rows pr,
-    pi, qr, qi at x >= 0, and with its odd columns negated side 1.  From
+    on ``grid.half_points``: ``table`` is a ``BasisTable`` built there, the
+    row chunks of one (``hermite.row_chunks``), rows 0, 1, ... in order, or
+    a ``_Plan`` built on either.  A table is one chunk; over several chunks
+    every product below is a sum of one product per chunk, each chunk used
+    once and never held.  u_n(-x) = (-1)^n u_n(x), and ``tabulate`` meets
+    it as float equality on an antisymmetric grid.  Below ``_SPLIT_TERMS``
+    terms the matrix stacked over itself with its odd columns negated,
+    times those rows, is the block's ``psi``: the rows pr, pi, qr, qi at
+    x >= 0 on side 0 and at x <= 0 on side 1, in one product.  From
     ``_SPLIT_TERMS`` on its even columns times the even rows give the even
     part E of those rows and its odd columns times the odd rows the odd
     part O, two products of half the size; side 0 is E + O and side 1
     E - O.  j = pr qi - pi qr.
     """
-    k = state.coeffs.shape[0]
-    half = grid.half_points
-    h = half.shape[0]
-    if isinstance(table, BasisTable):
-        if table.n_max < k:
-            raise NumericsError(f"basis table holds n <= {table.n_max} but "
-                                f"psi' needs n <= {k}")
-        if (table.points.shape[0] != h or table.points[0] != half[0]
-                or table.points[-1] != half[-1]):
-            raise NumericsError("basis table was not built on the "
-                                "nonnegative half of this grid")
-        table = (table.values,)
-    # e^{i n theta} for n < max(K, 3): the phases of d, and e^{2 i theta}
-    phases = np.exp(np.multiply.outer(thetas, 1j * np.arange(max(k, 3))))
-    phased = state.coeffs * phases[:, :k]
-    a = phased.shape[0]
-    c = np.zeros((4 * a, k + 1))
-    c[:a, :k], c[a:2 * a, :k] = phased.real, phased.imag
-    ladder(c[:2 * a, :k], out=c[2 * a:])
-    psi, odd, rho, current = ws.block(a)
-    split = k >= _SPLIT_TERMS
-    if split:
-        # E into side 0, O into odd; side 1 is free until the combine
-        c = np.concatenate((c[:, 0::2], c[:, 1::2]), axis=-1)
-        evens = (k + 2) // 2
-        sums, spare = (psi[0, :, :h], odd[:, :h]), psi[1, :, :h]
-    else:
-        neg = c.copy()
-        neg[:, 1::2] *= -1.0
-        sums, spare = (psi[0, :, :h], psi[1, :, :h]), odd[:, :h]
-    start = 0
-    for chunk in table:
-        if chunk.shape[-1] != h:
-            raise NumericsError("basis rows do not span the nonnegative "
-                                "half of this grid")
-        stop = min(start + chunk.shape[0], k + 1)
-        if split:
-            # the chunk's first even and first odd row
-            e0, o0 = start + start % 2, start + 1 - start % 2
-            terms = ((c[:, e0 // 2:(stop + 1) // 2],
-                      chunk[e0 - start:stop - start:2]),
-                     (c[:, evens + o0 // 2:evens + stop // 2],
-                      chunk[o0 - start:stop - start:2]))
-        else:
-            terms = ((c[:, start:stop], chunk[:stop - start]),
-                     (neg[:, start:stop], chunk[:stop - start]))
-        for out, (coef, rows) in zip(sums, terms):
-            if start:
-                out += np.matmul(coef, rows, out=spare)
-            else:
-                np.matmul(coef, rows, out=out)
-        start = stop
-        if start > k:
-            break
-    if start <= k:
-        raise NumericsError(f"basis table holds n <= {start - 1} but psi' "
-                            f"needs n <= {k}")
-    if split:
-        np.subtract(psi[0], odd, out=psi[1])
-        psi[0] += odd
+    psi, odd, phase2 = _psi_block(state, thetas, grid, table, ws)
+    a = phase2.shape[0]
     pr, pi, qr, qi = (psi[:, i * a:(i + 1) * a] for i in range(4))
     # odd is dead after the products on the short route and after the
-    # combine on the split one
+    # combine on the split one; current is the qr rows, read first, and
+    # rho the qi rows, last read by current
+    rho, current = ws.densities(a)
     tmp = odd[:2 * a].reshape(2, a, -1)
+    np.multiply(pi, qr, out=tmp)
+    np.multiply(pr, qi, out=current)
+    current -= tmp
     np.multiply(pr, pr, out=rho)
     rho += np.multiply(pi, pi, out=tmp)
-    np.multiply(pr, qi, out=current)
-    current -= np.multiply(pi, qr, out=tmp)
-    return rho, current, state.kinetic(phases[:, 2])
+    return rho, current, state.kinetic(phase2)
 
 
 def eval_density(state: FockState, theta: float, grid: Grid,
                  table) -> DensityProfile:
     """The density profile at the canonical angle of ``theta`` in [0, pi):
     a one-row ``density_block`` in a workspace of its own, unfolded.
-    ``table`` is a ``BasisTable`` or its row chunks, as in
+    ``table`` is a ``BasisTable``, its row chunks or a ``_Plan``, as in
     ``density_block``."""
     theta = canonical_theta(theta)
     return _profile(grid, theta, density_block(state, [theta], grid, table,

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -398,6 +399,32 @@ def test_gaussian_lattice_and_single_angle_reports_agree_bit_for_bit(points):
         single = report_from_profile(ev.profile(theta))
         assert (single.fisher, single.entropy, single.cfs) == (
             report.fisher, report.entropy, report.cfs), theta
+
+
+def test_reports_evaluate_a_repeated_angle_once(monkeypatch):
+    ev = FockEvaluator(make_state([1.0, 0.5, 0.2], renormalize=True))
+    blocks = []
+    block_reports = FockEvaluator._block_reports
+
+    def spy(self, block, ws):
+        blocks.append(list(block))
+        return block_reports(self, block, ws)
+    monkeypatch.setattr(FockEvaluator, "_block_reports", spy)
+    first, again, other = ev.reports([0.4, 0.4, 0.9])
+    assert blocks == [[0.4, 0.9]]
+    assert first is again and other.theta == 0.9
+
+
+def test_report_is_frozen_and_replaceable():
+    # report_from_profile adds the extension measures with replace; a
+    # report is a slotted value, without a per-instance dict
+    report = fs_complexity(fock(1), 0.3)
+    extended = dataclasses.replace(report, lmc=1.5, cr=2.5)
+    assert (extended.lmc, extended.cr) == (1.5, 2.5)
+    assert dataclasses.replace(extended, lmc=None, cr=None) == report
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        report.cfs = 0.0
+    assert not hasattr(report, "__dict__")
 
 
 def test_workspace_pads_stay_zero_across_blocks():

@@ -7,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsc.errors import NumericsError
-from qsc.functionals import integrate
+from qsc.functionals import block_rows, integrate
 from qsc.hermite import ladder, row_chunks, tabulate
 from qsc.state import (_PAD, _SPLIT_TERMS, DensityProfile, Grid,
-                       _integrate_folded, _integrate_halves, _unfold,
-                       _Workspace, canonical_theta, default_grid,
+                       _integrate_folded, _integrate_halves, _psi_block,
+                       _unfold, _Workspace, canonical_theta, default_grid,
                        density_block, eval_density, make_state, rotate)
 from conftest import INV_SQRT2, fock
 
@@ -165,7 +165,8 @@ def test_drho_matches_finite_differences():
     ws = _Workspace(1, grid.count)
     rho, current = (_unfold(x, grid)
                     for x in density_block(st_, [1.1], grid, table, ws)[:2])
-    pr, pi, qr, qi = _unfold(ws.block(1)[0], grid)
+    pr, pi, qr, qi = _unfold(_psi_block(st_, [1.1], grid, table, ws)[0],
+                             grid)
     drho = 2.0 * (pr * qr + pi * qi)
     fd = np.gradient(rho[0], grid.dx)
     np.testing.assert_allclose(drho[5:-5], fd[5:-5], atol=1e-6)
@@ -222,7 +223,7 @@ def test_psi_prime_rows_match_mpmath(k):
     thetas = [0.3, 2.1]
     ws = _Workspace(2, grid.count)
     current = _unfold(density_block(st_, thetas, grid, table, ws)[1], grid)
-    pq = _unfold(ws.block(2)[0], grid)
+    pq = _unfold(_psi_block(st_, thetas, grid, table, ws)[0], grid)
     q = pq[4:6] + 1j * pq[6:8]
     idx = np.linspace(0, grid.count - 1, 20).round().astype(int)
     for row, theta in enumerate(thetas):
@@ -248,15 +249,16 @@ def test_folded_rows_match_the_full_table(points, k):
     grid = default_grid(k - 1, grid_points=points)
     thetas = [0.0, 0.45, 2.6]
     ws = _Workspace(len(thetas), grid.count)
+    table = tabulate(grid.half_points, k)
     rho, current = (_unfold(x, grid) for x in density_block(
-        st_, thetas, grid, tabulate(grid.half_points, k), ws)[:2])
+        st_, thetas, grid, table, ws)[:2])
     phased = st_.coeffs * np.exp(1j * np.outer(thetas, np.arange(k)))
     c = np.zeros((2 * len(thetas), k + 1), complex)
     c[:len(thetas), :k] = phased
     ladder(phased, out=c[len(thetas):])
     ref = c @ tabulate(grid.points, k).values
     a = len(thetas)
-    pq = _unfold(ws.block(a)[0], grid)
+    pq = _unfold(_psi_block(st_, thetas, grid, table, ws)[0], grid)
     got = np.concatenate((pq[:a] + 1j * pq[a:2 * a],
                           pq[2 * a:3 * a] + 1j * pq[3 * a:4 * a]))
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
@@ -266,6 +268,28 @@ def test_folded_rows_match_the_full_table(points, k):
     np.testing.assert_allclose(
         current, (np.conj(psi) * dpsi).imag, rtol=0,
         atol=1e-13 * np.max(np.abs(psi)) * np.max(np.abs(dpsi)))
+
+
+@pytest.mark.parametrize("points", [601, 4096, 4097])
+@pytest.mark.parametrize("k", [5, _SPLIT_TERMS, 64])
+def test_density_rows_read_psi_before_overwriting_it(k, points):
+    # rho and j are written over the psi' rows and their temporary over
+    # the odd rows: each must equal, bit for bit, its formula on a copy of
+    # the psi rows, in every block size the workspace holds
+    rng = np.random.default_rng(k + points)
+    st_ = make_state(rng.normal(size=k) + 1j * rng.normal(size=k),
+                     renormalize=True)
+    grid = default_grid(k - 1, grid_points=points)
+    table = tabulate(grid.half_points, k)
+    rows = block_rows(points)
+    ws = _Workspace(rows, grid.count)
+    for a in range(1, rows + 1):
+        thetas = [0.1 + 0.37 * i for i in range(a)]
+        psi = _psi_block(st_, thetas, grid, table, ws)[0].copy()
+        pr, pi, qr, qi = (psi[:, i * a:(i + 1) * a] for i in range(4))
+        rho, current, _ = density_block(st_, thetas, grid, table, ws)
+        assert np.array_equal(rho, pr * pr + pi * pi), a
+        assert np.array_equal(current, pr * qi - pi * qr), a
 
 
 @pytest.mark.parametrize("points",
@@ -297,10 +321,10 @@ def test_kinetic_closed_form_matches_the_grid_integral():
                          renormalize=True)
         grid = default_grid(k - 1)
         ws = _Workspace(len(thetas), grid.count)
-        _, _, kinetic = density_block(st_, thetas, grid,
-                                      tabulate(grid.half_points, k), ws)
+        table = tabulate(grid.half_points, k)
+        _, _, kinetic = density_block(st_, thetas, grid, table, ws)
         a = len(thetas)
-        pq = _unfold(ws.block(a)[0], grid)
+        pq = _unfold(_psi_block(st_, thetas, grid, table, ws)[0], grid)
         dpsi_abs2 = pq[2 * a:3 * a] ** 2 + pq[3 * a:4 * a] ** 2
         np.testing.assert_allclose(kinetic, 4.0 * integrate(dpsi_abs2, grid),
                                    rtol=1e-12)
