@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import functools
 import json
 import math
@@ -39,25 +40,32 @@ def _print_json(payload) -> None:
 
 
 def _numerics(args) -> Numerics:
+    """Numerics of the flags the command takes, defaults for the rest."""
+    given = {f.name: getattr(args, f.name)
+             for f in dataclasses.fields(Numerics) if hasattr(args, f.name)}
     try:
-        return Numerics(grid_points=args.grid_points,
-                        grid_margin=args.grid_margin,
-                        gfs_rel_tol=args.gfs_rel_tol,
-                        mfs_theta_tol=args.mfs_theta_tol)
+        return Numerics(**given)
     except ValueError as exc:
         raise ParseError(str(exc)) from None
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_numerics(p: argparse.ArgumentParser, gfs: bool = False,
+                  mfs: bool = False) -> None:
+    """The grid flags, and the tolerance of the global measure's refinement
+    or of the minimum search for a command that runs it."""
     d = DEFAULT_NUMERICS
     p.add_argument("--grid-points", type=int, default=d.grid_points,
                    help="grid resolution M (default %(default)s)")
     p.add_argument("--grid-margin", type=float, default=d.grid_margin,
                    help="grid extent beyond the classical turning point")
-    p.add_argument("--gfs-rel-tol", type=float, default=d.gfs_rel_tol,
-                   help="relative tolerance of the global-measure refinement")
-    p.add_argument("--mfs-theta-tol", type=float, default=d.mfs_theta_tol,
-                   help="angle tolerance of the minimum search")
+    if gfs:
+        p.add_argument("--gfs-rel-tol", type=float, default=d.gfs_rel_tol,
+                       help="relative tolerance of the global-measure "
+                            "refinement")
+    if mfs:
+        p.add_argument("--mfs-theta-tol", type=float,
+                       default=d.mfs_theta_tol,
+                       help="angle tolerance of the minimum search")
 
 
 def cmd_measure(args) -> int:
@@ -305,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("measure", help="one state, one angle")
     p.add_argument("state", help="state literal, e.g. fock:2 or super:1,0,1i")
     p.add_argument("--theta", type=float, default=0.0)
-    _add_common(p)
+    _add_numerics(p)
     p.set_defaults(fn=cmd_measure)
 
     p = sub.add_parser("sweep", help="complexity curve over [0, pi)")
@@ -313,36 +321,36 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta-samples", type=int, default=64)
     p.add_argument("--out", help="CSV path (stdout when omitted)")
     p.add_argument("--svg", help="also plot the curve to this SVG path")
-    _add_common(p)
+    _add_numerics(p)
     p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser("gfs", help="global (angle-averaged) measure")
     p.add_argument("state")
-    _add_common(p)
+    _add_numerics(p, gfs=True)
     p.set_defaults(fn=cmd_gfs)
 
     p = sub.add_parser("mfs", help="minimum measure and its angle")
     p.add_argument("state")
-    _add_common(p)
+    _add_numerics(p, mfs=True)
     p.set_defaults(fn=cmd_mfs)
 
     p = sub.add_parser("table1", help="Fock-row reference comparison "
                        "(the table1 section of reproduce)")
     p.add_argument("--json", action="store_true")
-    _add_common(p)
+    _add_numerics(p)
     p.set_defaults(fn=cmd_reproduce, sections=("table1",))
 
     p = sub.add_parser("box", help="well eigenstates: pipeline vs formulas")
     p.add_argument("--n-max", type=int, default=5)
     p.add_argument("--n-fock", type=int, default=BoxSpec.n_fock)
     p.add_argument("--json", action="store_true")
-    _add_common(p)
+    _add_numerics(p)
     p.set_defaults(fn=cmd_box)
 
     p = sub.add_parser("reproduce",
                        help="compare every built-in reference value")
     p.add_argument("--json", action="store_true")
-    _add_common(p)
+    _add_numerics(p, gfs=True, mfs=True)
     p.set_defaults(fn=cmd_reproduce, sections=SECTIONS)
 
     p = sub.add_parser("selftest", help="kernel-oracle equivalence suite")

@@ -43,12 +43,12 @@ have read for the last time: rho and j over psi', the functionals'
 temporaries over psi.  An evaluator builds the angle-free pieces of its
 blocks once, next to its table (``state._Plan``).  The sums run over the
 real points in the natural order, the x < 0 points in one pairwise sum,
-then the x >= 0 points in another.  A single angle runs the same density
-code, with its evaluator's pieces, on a one-row workspace of its own, so
-a profile never shares memory with a later fill; its ``DensityProfile``
-is unfolded to the natural order, and ``report_from_profile`` sums the
-natural rows in the same two halves, so an angle has the same bits on a
-lattice and alone.
+then the x >= 0 points in another, as ``integrate`` sums every natural
+row.  A single angle runs the same density code, with its evaluator's
+pieces, on a one-row workspace of its own, so a profile never shares
+memory with a later fill; its ``DensityProfile`` is unfolded to the
+natural order, and ``report_from_profile`` sums it with ``integrate``, so
+an angle has the same bits on a lattice and alone.
 
 An evaluator holds its state's basis table, which every block reuses.
 ``fs_complexity``, one angle of a FockState, holds none: it takes the
@@ -57,9 +57,9 @@ them, adds each chunk's products to its one-row block and drops the chunk.
 So its memory does not grow with the table, 6.3 MB at 385 terms on the
 default grid, and the rows are read back while still in cache.  Its grid,
 cell cap and refusal of a grid that cannot hold row N are the
-evaluator's; when all rows fit in one chunk its report has the
-evaluator's bits, and over several chunks the summed products round
-differently (see ``fs_complexity``).
+evaluator's.  Its report has the evaluator's bits, except for a state of
+``state._SPLIT_TERMS`` terms or more whose rows span several chunks: its
+summed chunk products round differently (see ``fs_complexity``).
 
 LMC and Cramer-Rao composites are extensions beyond the core measure set
 (standard definitions C_LMC = D * exp(S), C_CR = V * I) and are tagged as
@@ -76,7 +76,7 @@ import numpy as np
 from . import hermite
 from .errors import NumericsError
 from .state import (_DENSITY_ROWS, _TINY, AnalyticGaussian, DensityProfile,
-                    FockState, Grid, _integrate_folded, _integrate_halves,
+                    FockState, Grid, _integrate_folded,
                     _Plan, _profile, _Workspace, canonical_theta,
                     default_grid, density_block, eval_density,
                     gaussian_sigma_theta, integrate, mirror_axis)
@@ -218,7 +218,7 @@ def report_from_profile(profile: DensityProfile,
     report = _reports(
         [profile.theta], rho[None, None], profile.current[None, None],
         profile.kinetic, hermite._aligned_empty((2, 1, 1, grid.count)),
-        lambda pair: _integrate_halves(pair[:, 0], grid))[0]
+        lambda pair: integrate(pair[:, 0], grid))[0]
     if not extensions:
         return report
     return replace(report, lmc=float(integrate(rho * rho, grid))
@@ -319,11 +319,9 @@ def _fock_grid(state: FockState, numerics: Numerics) -> Grid:
 def _check_top_row(grid: Grid, top) -> None:
     """Refuse a grid that does not hold the basis row N, the state's top
     row, given on the grid's half ``top``: its norm does not depend on the
-    angle.  u_N^2 is even, so its full-grid row is the half row and its
-    mirror."""
+    angle.  u_N^2 is even: both sides of its folded row are ``top``."""
     top = np.square(top)
-    _check_mass(grid, integrate(np.concatenate(
-        (top[::-1][:grid.count // 2], top)), grid))
+    _check_mass(grid, _integrate_folded(np.stack((top, top)), grid))
 
 
 def chunk_rows(grid_points: int) -> int:
@@ -440,13 +438,13 @@ def fs_complexity(state, theta: float, numerics: Numerics = DEFAULT_NUMERICS,
 
     A FockState holds no basis table: its one angle takes the rows of the
     table in chunks of ``chunk_rows`` as the recurrence finishes them
-    (``hermite.row_chunks``), adds each chunk's product to the density
-    block and drops it.  Grid, cell cap and the refusal of a grid that does
-    not hold row N are ``FockEvaluator``'s.  A state whose N + 2 rows fit
-    in one chunk gets the bits of ``FockEvaluator``'s report.  Over several
-    chunks the sums of the products round differently: by up to 2e-15
-    relative in the measures of random states, and up to 2.4e-14 in the
-    Fisher information of squeezed states of sigma 3 to 4, where
+    (``hermite.row_chunks``).  Grid, cell cap and the refusal of a grid
+    that does not hold row N are ``FockEvaluator``'s, and so are the bits
+    of its report, but for a state of ``state._SPLIT_TERMS`` terms or more
+    over several chunks.  That state adds one product per chunk to the
+    density block and drops the chunk, which rounds differently: by up to
+    2e-15 relative in the measures of random states, and up to 2.4e-14 in
+    the Fisher information of squeezed states of sigma 3 to 4, where
     kinetic - 4 integral of j^2 / rho cancels most of its two terms."""
     if isinstance(state, FockState):
         grid = _fock_grid(state, numerics)

@@ -92,12 +92,17 @@ class Grid:
 
 
 def integrate(values, grid: Grid):
-    """Composite trapezoid rule over the grid along the last axis, in a fixed
-    summation order: a float for one profile, one value per row of a block."""
+    """Composite trapezoid rule over the grid along the last axis: a float
+    for one profile, one value per row of a block.  The points x < 0, then
+    the points x >= 0, are each a pairwise sum, as a folded row is summed
+    (``_integrate_folded``): the same bits at every grid count."""
     y = np.asarray(values, dtype=float)
     if y.shape[-1] != grid.count:
         raise ValueError("value count does not match grid")
-    return grid.dx * (np.sum(y, axis=-1) - 0.5 * (y[..., 0] + y[..., -1]))
+    left = grid.count // 2
+    total = np.add.reduce(y[..., :left], axis=-1)
+    total += np.add.reduce(y[..., left:], axis=-1)
+    return grid.dx * (total - 0.5 * (y[..., 0] + y[..., -1]))
 
 
 def default_grid(n_max: int, grid_points: int = 4096, margin: float = 6.0) -> Grid:
@@ -351,9 +356,8 @@ def _profile(grid: Grid, theta: float, block) -> DensityProfile:
 
 def _integrate_folded(values, grid: Grid):
     """``integrate`` of folded rows (2 x ... x W, side first), one value
-    per row, in the same summation order: the points x < 0, then x >= 0.
-    numpy's pairwise sum of a row of 4096 or 4097 points splits it exactly
-    there, so each value is the natural row's bit for bit."""
+    per row, in the same summation order: the points x < 0, then x >= 0,
+    so each value is the natural row's bit for bit."""
     h = grid.count - grid.count // 2
     # natural points 0 and M - 1
     ends = values[..., h - 1]
@@ -361,18 +365,6 @@ def _integrate_folded(values, grid: Grid):
                           axis=-1)
     total += np.add.reduce(values[0, ..., :h], axis=-1)
     return grid.dx * (total - 0.5 * (ends[1] + ends[0]))
-
-
-def _integrate_halves(values, grid: Grid):
-    """``integrate`` of natural rows, one value per row, summed as
-    ``_integrate_folded`` sums the same rows folded, bit for bit at every
-    grid count: the points x < 0, then the points x >= 0, each in a
-    pairwise sum of its own.  A single pairwise sum of a row splits it
-    there only at some counts, 4096 and 4097 among them."""
-    left = grid.count // 2
-    total = np.add.reduce(values[..., :left], axis=-1)
-    total += np.add.reduce(values[..., left:], axis=-1)
-    return grid.dx * (total - 0.5 * (values[..., 0] + values[..., -1]))
 
 
 class _Plan:
@@ -397,9 +389,6 @@ class _Plan:
         else:
             self.signs = np.where(n % 2, -1.0, 1.0)
         if isinstance(table, BasisTable):
-            if table.n_max < k:
-                raise NumericsError(f"basis table holds n <= {table.n_max} "
-                                    f"but psi' needs n <= {k}")
             if (table.points.shape[0] != self.h or table.points[0] != half[0]
                     or table.points[-1] != half[-1]):
                 raise NumericsError("basis table was not built on the "
@@ -407,6 +396,13 @@ class _Plan:
             self.chunks = list(self._terms((table.values,)))
         else:
             self.chunks = self._terms(table)
+        if not self.split:
+            # the short route's rows are one product: one chunk as it is,
+            # several copied as they come (a chunk may reuse the buffer)
+            pieces = [rows if len(rows) > k else rows.copy()
+                      for _, ((_, rows),) in self.chunks]
+            rows = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
+            self.chunks = [(0, ((slice(0, k + 1), rows),))]
 
     def _terms(self, chunks):
         """Per chunk of basis rows 0, 1, ... in order: its first row and
@@ -448,7 +444,7 @@ def _psi_block(state: FockState, thetas, grid: Grid, table, ws: _Workspace):
     a = phased.shape[0]
     psi, odd = ws.block(a)
     # the short route stacks the coefficients of side 1 under those of
-    # side 0: its first product writes both sides at once
+    # side 0: its one product writes both sides at once
     c = np.empty(((4 if plan.split else 8) * a, k + 1))
     c[:a, :k], c[a:2 * a, :k] = phased.real, phased.imag
     c[:2 * a, k] = 0.0
@@ -459,23 +455,13 @@ def _psi_block(state: FockState, thetas, grid: Grid, table, ws: _Workspace):
         sides, spare = (psi[0, :, :h], odd[:, :h]), psi[1, :, :h]
     else:
         np.multiply(c[:4 * a], plan.signs, out=c[4 * a:])
-        sides, spare = (psi[0, :, :h], psi[1, :, :h]), odd[:, :h]
+        sides, spare = (psi.reshape(8 * a, -1)[:, :h],), None
     for start, terms in plan.chunks:
-        if plan.split:
-            products = [(out, c[:, cols], rows)
-                        for out, (cols, rows) in zip(sides, terms)]
-        elif start:
-            ((cols, rows),) = terms
-            products = [(sides[0], c[:4 * a, cols], rows),
-                        (sides[1], c[4 * a:, cols], rows)]
-        else:
-            ((cols, rows),) = terms
-            products = [(psi.reshape(8 * a, -1)[:, :h], c[:, cols], rows)]
-        for out, coef, rows in products:
+        for out, (cols, rows) in zip(sides, terms):
             if start:
-                out += np.matmul(coef, rows, out=spare)
+                out += np.matmul(c[:, cols], rows, out=spare)
             else:
-                np.matmul(coef, rows, out=out)
+                np.matmul(c[:, cols], rows, out=out)
     if plan.split:
         np.subtract(psi[0], odd, out=psi[1])
         psi[0] += odd
@@ -494,17 +480,17 @@ def density_block(state: FockState, thetas, grid: Grid, table, ws: _Workspace):
     d' form one (4A x (K+1)) real matrix, times the rows 0..K of the basis
     on ``grid.half_points``: ``table`` is a ``BasisTable`` built there, the
     row chunks of one (``hermite.row_chunks``), rows 0, 1, ... in order, or
-    a ``_Plan`` built on either.  A table is one chunk; over several chunks
-    every product below is a sum of one product per chunk, each chunk used
-    once and never held.  u_n(-x) = (-1)^n u_n(x), and ``tabulate`` meets
-    it as float equality on an antisymmetric grid.  Below ``_SPLIT_TERMS``
-    terms the matrix stacked over itself with its odd columns negated,
-    times those rows, is the block's ``psi``: the rows pr, pi, qr, qi at
-    x >= 0 on side 0 and at x <= 0 on side 1, in one product.  From
-    ``_SPLIT_TERMS`` on its even columns times the even rows give the even
-    part E of those rows and its odd columns times the odd rows the odd
-    part O, two products of half the size; side 0 is E + O and side 1
-    E - O.  j = pr qi - pi qr.
+    a ``_Plan`` built on either.  A table is one chunk.  u_n(-x) =
+    (-1)^n u_n(x), and ``tabulate`` meets it as float equality on an
+    antisymmetric grid.  Below ``_SPLIT_TERMS`` terms the matrix stacked
+    over itself with its odd columns negated, times those rows, is the
+    block's ``psi``: the rows pr, pi, qr, qi at x >= 0 on side 0 and at
+    x <= 0 on side 1, in one product of all K + 1 rows, chunks joined.
+    From ``_SPLIT_TERMS`` on its even columns times the even rows give the
+    even part E of those rows and its odd columns times the odd rows the
+    odd part O, two products of half the size; side 0 is E + O and side 1
+    E - O.  Over several chunks each is a sum of one product per chunk,
+    each chunk used once and never held.  j = pr qi - pi qr.
     """
     psi, odd, phase2 = _psi_block(state, thetas, grid, table, ws)
     a = phase2.shape[0]

@@ -3,16 +3,19 @@ import importlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import qsc
 from qsc.catalog import parse_state_literal
 from qsc.cli import _numerics, build_parser, main
 from qsc.functionals import Numerics, chunk_rows
@@ -502,6 +505,26 @@ def test_selftest_takes_no_numerics_flags(capsys, flag):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ("measure", "fock:1", "--gfs-rel-tol", "1e-3"),
+    ("measure", "fock:1", "--mfs-theta-tol", "1e-3"),
+    ("sweep", "fock:1", "--gfs-rel-tol", "1e-3"),
+    ("sweep", "fock:1", "--mfs-theta-tol", "1e-3"),
+    ("gfs", "fock:1", "--mfs-theta-tol", "1e-3"),
+    ("mfs", "fock:1", "--gfs-rel-tol", "1e-3"),
+    ("table1", "--gfs-rel-tol", "1e-3"),
+    ("table1", "--mfs-theta-tol", "1e-3"),
+    ("box", "--gfs-rel-tol", "1e-3"),
+    ("box", "--mfs-theta-tol", "1e-3"),
+])
+def test_a_command_refuses_the_tolerances_it_does_not_read(capsys, argv):
+    # a flag that changes nothing is refused, not silently ignored
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_main_is_reentrant_on_the_one_parser(capsys):
     # main parses every call with the parser of the process: no command's
     # flags or defaults leak into the next one, nor does a refused one
@@ -532,6 +555,53 @@ def test_main_is_reentrant_on_the_one_parser(capsys):
 
 def test_flag_defaults_are_the_numerics_defaults():
     assert _numerics(build_parser().parse_args(["gfs", "fock:1"])) == Numerics()
+
+
+@pytest.mark.parametrize("argv", [
+    # psi and psi' of a 64-term block: two half-width products
+    ("gfs", "super:" + ",".join(f"{1 + n % 7}-{n % 5}i" for n in range(64))),
+    # a 3-term state's full-width product, on the lattice and on Brent's
+    # one-row blocks
+    ("mfs", "super:1,2i,3"),
+    # theta_star is set by rounding here (tests/test_cli_outputs.py)
+    ("mfs", "fock:5"),
+    # one angle of a 3-term state: both sides from one product
+    ("measure", "super:1,2i,3", "--theta", "0.3"),
+    # an odd grid, whose x = 0 sits on one folded half only
+    ("sweep", "super:1,0,1", "--theta-samples", "16",
+     "--grid-points", "4097"),
+    ("box", "--json"),
+    # one streamed angle of 386 basis rows, the benchmark's heaviest
+    # build_measure op
+    ("measure", "box:n=6,N=384", "--theta", "0"),
+    # a grid past |x| = 37.14, where each chunk of rows hands a binary
+    # exponent per column on to the next
+    ("measure", "fock:1200", "--theta", "0.4"),
+    # a lattice of 257-term blocks
+    ("sweep", "super:" + ",".join(
+        repr(float(x)) for x in np.random.default_rng(5).normal(size=257)),
+     "--theta-samples", "256"),
+], ids=["gfs64", "mfs3", "mfs_fock5", "measure3", "sweep4097", "box",
+        "measure_box384", "measure_fock1200", "sweep257"])
+def test_promised_outputs_are_the_same_for_any_blas_thread_count(argv):
+    # BLAS does the sums over Fock terms; the outputs the README promises
+    # byte-identical are, on one BLAS thread and on OpenBLAS's default
+    src = str(Path(qsc.__file__).resolve().parents[1])
+
+    def stdout(threads):
+        env = {k: v for k, v in os.environ.items()
+               if k != "OPENBLAS_NUM_THREADS"}
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-m", "qsc", *argv],
+                              capture_output=True, text=True, env=env,
+                              timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    assert stdout("1") == stdout(None)
 
 
 def test_module_entry_point():
@@ -620,10 +690,12 @@ def _command_line(draw):
     flags = {"--grid-points": _field(
                  64, 1024, st.one_of(st.integers(-2, 63).map(str),
                                      st.sampled_from(["", "x", "1e3"]))),
-             "--grid-margin": _field(0.0, 12.0),
-             "--gfs-rel-tol": _field(1e-8, 1e-1),
-             "--mfs-theta-tol": _field(1e-9, 1e-2)}
-    if command == "measure":
+             "--grid-margin": _field(0.0, 12.0)}
+    if command == "gfs":
+        flags["--gfs-rel-tol"] = _field(1e-8, 1e-1)
+    elif command == "mfs":
+        flags["--mfs-theta-tol"] = _field(1e-9, 1e-2)
+    elif command == "measure":
         flags["--theta"] = _field(-10.0, 10.0)
     for flag, values in flags.items():
         if draw(st.booleans()):

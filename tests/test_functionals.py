@@ -487,15 +487,19 @@ def _complex_state(terms, seed):
     (1200, 4096, None),        # far columns, carried across chunks
     (10, 4096, 5),             # the short route over chunks of 5 rows
     (23, 4097, 4),             # the last short K over chunks of 4 rows
+    (23, 30000, 8),            # and over the default chunks of this grid
     (30, 4096, 3),             # the split route over chunks of 3 rows,
                                # the first of them row 0 alone
 ], ids=["K1", "split_one_chunk_4097", "K63", "K64", "split_4097", "K1200",
-        "short_5_rows", "short_4_rows_4097", "split_3_rows"])
+        "short_5_rows", "short_4_rows_4097", "short_8_rows_30000",
+        "split_3_rows"])
 def test_streamed_measure_matches_the_evaluator(monkeypatch, terms, points,
                                                 chunk):
     # fs_complexity streams the basis rows; FockEvaluator holds its table.
-    # In one chunk the two run the same products, bit for bit; over several
-    # the chunk products are summed, and each measure moves within 1e-14
+    # In one chunk the two run the same products, bit for bit, and so do
+    # short states, which join their chunks into one product; a split
+    # state over several chunks sums the chunk products, and each measure
+    # moves within 1e-14
     if chunk is not None:
         half = points - points // 2
         monkeypatch.setattr(functionals, "CHUNK_BYTES", 8 * half * chunk)
@@ -508,7 +512,7 @@ def test_streamed_measure_matches_the_evaluator(monkeypatch, terms, points,
         streamed = fs_complexity(state, theta, numerics, extensions=True)
         stored = report_from_profile(
             FockEvaluator(state, numerics).profile(theta), True)
-        if one_chunk:
+        if one_chunk or terms < _SPLIT_TERMS:
             assert streamed == stored, theta
             continue
         assert streamed.theta == stored.theta

@@ -10,7 +10,7 @@ from qsc.errors import NumericsError
 from qsc.functionals import block_rows, integrate
 from qsc.hermite import ladder, row_chunks, tabulate
 from qsc.state import (_PAD, _SPLIT_TERMS, DensityProfile, Grid,
-                       _integrate_folded, _integrate_halves, _psi_block,
+                       _integrate_folded, _psi_block,
                        _unfold, _Workspace, canonical_theta, default_grid,
                        density_block, eval_density, make_state, rotate)
 from conftest import INV_SQRT2, fock
@@ -297,7 +297,7 @@ def test_density_rows_read_psi_before_overwriting_it(k, points):
 def test_folded_and_natural_rows_sum_to_the_same_bits(points):
     # a lattice block sums folded rows and a single angle's report its
     # natural rows: the same bits at every count, where one pairwise sum of
-    # a natural row gives other bits at 601 and 1001 points
+    # a whole natural row gives other bits at 601 and 1001 points
     grid = Grid(extent=5.0, count=points)
     rng = np.random.default_rng(points)
     rows = np.exp(rng.normal(scale=6.0, size=(40, points)))
@@ -305,9 +305,8 @@ def test_folded_and_natural_rows_sum_to_the_same_bits(points):
     folded = np.zeros((2, len(rows), h + _PAD))
     folded[0, :, :h] = rows[:, left:]
     folded[1, :, :h] = rows[:, :h][:, ::-1]
-    halves = _integrate_halves(rows, grid)
-    assert np.array_equal(_integrate_folded(folded, grid), halves)
-    np.testing.assert_allclose(halves, integrate(rows, grid), rtol=1e-13)
+    assert np.array_equal(integrate(rows, grid),
+                          _integrate_folded(folded, grid))
 
 
 def test_kinetic_closed_form_matches_the_grid_integral():

@@ -246,30 +246,6 @@ def test_profile_outlives_later_lattice_fills():
         np.testing.assert_array_equal(now, kept)
 
 
-def test_sweep_csv_is_the_same_for_any_blas_thread_count():
-    # BLAS does the sums over Fock terms; the CSV for identical flags must
-    # stay byte-identical whatever thread count OpenBLAS picks
-    rng = np.random.default_rng(5)
-    literal = "super:" + ",".join(repr(float(x)) for x in rng.normal(size=257))
-    src = str(Path(qsc.__file__).resolve().parents[1])
-
-    def csv(**overrides):
-        env = dict(os.environ, **overrides)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p)
-        proc = subprocess.run(
-            [sys.executable, "-m", "qsc", "sweep", literal,
-             "--theta-samples", "256"],
-            capture_output=True, text=True, env=env, timeout=300)
-        assert proc.returncode == 0, proc.stderr
-        return proc.stdout
-
-    inherited = csv()
-    assert inherited.count("\n") == 257
-    assert csv(OPENBLAS_NUM_THREADS="1") == inherited
-    assert csv(OPENBLAS_NUM_THREADS="2") == inherited
-
-
 def test_box_curve_small_angle_structure():
     # the well state's sharp features live at small angles; past 0.2 the
     # curve flattens out
