@@ -21,13 +21,13 @@ from .hermite import BasisTable, tabulate
 from .state import (AnalyticGaussian, DensityProfile, FockState, Grid,
                     canonical_theta, default_grid, eval_density,
                     gaussian_sigma_theta, make_state, rotate)
-from .sweep import SweepResult, analyze, min_fs, sweep
+from .sweep import GlobalMeasure, SweepResult, analyze, min_fs, sweep
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AnalyticGaussian", "BasisTable", "BoxSpec", "ComplexityReport",
-    "DensityProfile", "FockEvaluator", "FockState", "Grid",
+    "DensityProfile", "FockEvaluator", "FockState", "GlobalMeasure", "Grid",
     "Numerics", "NumericsError",
     "ParseError", "QscError", "SweepResult", "analyze", "box_cfs_momentum",
     "box_cfs_position", "box_momentum_entropy", "box_state",

@@ -74,16 +74,8 @@ def cmd_measure(args) -> int:
     numerics = _numerics(args)
     state = parse_state_literal(args.state, numerics.grid_points)
     report = fs_complexity(state, args.theta, numerics, extensions=True)
-    _print_json({
-        "theta": report.theta,
-        "fisher": report.fisher,
-        "entropy": report.entropy,
-        "entropy_power": report.entropy_power,
-        "cfs": report.cfs,
-        "lmc": report.lmc,
-        "cr": report.cr,
-        "extension_measures_flag": "lmc,cr",
-    })
+    _print_json({**dataclasses.asdict(report),
+                 "extension_measures_flag": "lmc,cr"})
     return 0
 
 
@@ -159,9 +151,7 @@ def cmd_sweep(args) -> int:
 def cmd_gfs(args) -> int:
     numerics = _numerics(args)
     state = parse_state_literal(args.state, numerics.grid_points)
-    result = analyze(state, numerics)
-    _print_json({"gfs": result.gfs, "converged": result.converged,
-                 "resolution": result.resolution})
+    _print_json(dataclasses.asdict(analyze(state, numerics)))
     return 0
 
 

@@ -11,9 +11,9 @@ two scan cells around its best sample, and refines the best fine sample by
 Brent's method: the curve can carry several local minima, so
 scan-then-bracket is the robust choice, and each minimum is a smooth
 interior point (the cusps point up), where parabolic steps converge
-superlinearly.  Each measure has one
-owner: ``analyze`` the global one (its ``gfs``, with the lattice reports
-beside it), ``min_fs`` the minimum.
+superlinearly.  Each measure returns what it computes: ``analyze`` the
+global one (a ``GlobalMeasure``), ``min_fs`` the minimum and its angle,
+``sweep`` the curve (a ``SweepResult`` of lattice reports).
 
 Most states have a mirror axis a, read from the state by its evaluator
 (``mirror_axis``): cfs(a + t) = cfs(a - t).  That holds whenever
@@ -42,7 +42,7 @@ from .functionals import (ComplexityReport, DEFAULT_NUMERICS, Numerics,
 from .hermite import MAX_TABLE_CELLS
 from .state import canonical_theta
 
-__all__ = ["SweepResult", "analyze", "min_fs", "sweep"]
+__all__ = ["GlobalMeasure", "SweepResult", "analyze", "min_fs", "sweep"]
 
 # a golden step: the share of the larger side of the bracket it covers
 _GOLDEN_STEP = (3.0 - math.sqrt(5.0)) / 2.0
@@ -57,15 +57,19 @@ MFS_FINE = 8
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Angle lattice, per-angle reports, and (when computed) the global
-    measure.  ``thetas`` holds the raw lattice angles (from the mirror axis
-    in ``analyze``), each report its canonical angle.  ``resolution`` is the
-    lattice size actually used; ``converged`` reports whether the global
-    refinement met its tolerance.  The minimum measure is ``min_fs``'s."""
+    """The curve of ``sweep``: the lattice angles k pi / n and the report
+    at each, which carries its canonical angle."""
 
     thetas: np.ndarray
     reports: tuple[ComplexityReport, ...]
-    gfs: float | None
+
+
+@dataclass(frozen=True)
+class GlobalMeasure:
+    """The global measure of ``analyze``: its value, whether the refinement
+    met its tolerance, and the size of the lattice it ended on."""
+
+    gfs: float
     converged: bool
     resolution: int
 
@@ -76,17 +80,16 @@ def _lattice(n: int, axis: float = 0.0) -> list[float]:
     return [axis + (k * math.pi) / n for k in range(n)]
 
 
-def _lattice_reports(ev, n: int):
+def _lattice_cfs(ev, n: int):
     """The lattice of ``n`` angles (n even) about the evaluator's mirror
-    axis, the reports on it, and how many of them were evaluated.  With an
-    axis only k = 0..n/2 are evaluated, and report n - k, with its own
-    angle, stands for each later k."""
+    axis and the cfs on it.  With an axis only k = 0..n/2 are evaluated,
+    and value n - k stands for each later k."""
     axis = ev.mirror_axis
     thetas = _lattice(n, axis or 0.0)
     if axis is None:
-        return thetas, ev.reports(thetas), n
-    half = ev.reports(thetas[: n // 2 + 1])
-    return thetas, half + half[-2:0:-1], len(half)
+        return thetas, [r.cfs for r in ev.reports(thetas)]
+    half = [r.cfs for r in ev.reports(thetas[: n // 2 + 1])]
+    return thetas, half + half[-2:0:-1]
 
 
 def sweep(state, n_theta: int,
@@ -103,27 +106,8 @@ def sweep(state, n_theta: int,
             f"exceed the cap of {MAX_TABLE_CELLS} values")
     ev = evaluator_for(state, numerics)
     thetas = _lattice(n_theta)
-    reports = ev.reports(thetas)
-    return SweepResult(thetas=np.array(thetas), reports=tuple(reports),
-                       gfs=None, converged=True, resolution=n_theta)
-
-
-def _gfs(ev):
-    """Periodic-trapezoid average of cfs with resolution doubling, to the
-    evaluator's ``gfs_rel_tol``: the estimate, whether it converged, and
-    the ``_lattice_reports`` of the last lattice."""
-    tol = ev.numerics.gfs_rel_tol
-    res = GFS_START
-    lattice = _lattice_reports(ev, res)
-    estimate = float(np.mean([r.cfs for r in lattice[1]]))
-    converged = False
-    while res < GFS_MAX_RESOLUTION and not converged:
-        res *= 2
-        lattice = _lattice_reports(ev, res)
-        refined = float(np.mean([r.cfs for r in lattice[1]]))
-        converged = abs(refined - estimate) <= tol * max(abs(refined), 1e-300)
-        estimate = refined
-    return estimate, converged, lattice
+    return SweepResult(thetas=np.array(thetas),
+                       reports=tuple(ev.reports(thetas)))
 
 
 def _brent_min(f, seeds, values, tol: float):
@@ -198,8 +182,7 @@ def min_fs(state, numerics: Numerics = DEFAULT_NUMERICS) -> tuple[float, float]:
     event splits the fine cells around the best fine sample into two
     basins, it can report the higher one."""
     ev = evaluator_for(state, numerics)
-    thetas, reports, _ = _lattice_reports(ev, MFS_SCAN)
-    values = [r.cfs for r in reports]
+    thetas, values = _lattice_cfs(ev, MFS_SCAN)
     n = len(values)
     k = int(np.argmin(values))
     h = math.pi / (MFS_SCAN * MFS_FINE)
@@ -215,21 +198,19 @@ def min_fs(state, numerics: Numerics = DEFAULT_NUMERICS) -> tuple[float, float]:
     return canonical_theta(x), fx
 
 
-def analyze(state, numerics: Numerics = DEFAULT_NUMERICS) -> SweepResult:
-    """Global-measure bundle: the lattice reports, the global measure, its
-    convergence flag and resolution (the minimum measure is ``min_fs``'s).
-
-    The reports are those of the refinement's last lattice: about the
-    state's mirror axis when it has one, its mirrored half built from the
-    evaluated half with the angles replaced (lattice reports carry no
-    extension measures).
-    """
-    gfs_value, converged, (thetas, reports, done) = _gfs(
-        evaluator_for(state, numerics))
-    reports[done:] = [ComplexityReport(
-        theta=canonical_theta(t), fisher=r.fisher, entropy=r.entropy,
-        entropy_power=r.entropy_power, cfs=r.cfs)
-        for r, t in zip(reports[done:], thetas[done:])]
-    return SweepResult(thetas=np.array(thetas), reports=tuple(reports),
-                       gfs=gfs_value, converged=converged,
-                       resolution=len(thetas))
+def analyze(state, numerics: Numerics = DEFAULT_NUMERICS) -> GlobalMeasure:
+    """Global measure: the periodic-trapezoid average of cfs on the lattice
+    about the state's mirror axis, doubled from GFS_START angles until
+    successive estimates agree to ``gfs_rel_tol`` or the lattice reaches
+    GFS_MAX_RESOLUTION (the minimum measure is ``min_fs``'s)."""
+    ev = evaluator_for(state, numerics)
+    tol = ev.numerics.gfs_rel_tol
+    res = GFS_START
+    estimate = float(np.mean(_lattice_cfs(ev, res)[1]))
+    converged = False
+    while res < GFS_MAX_RESOLUTION and not converged:
+        res *= 2
+        refined = float(np.mean(_lattice_cfs(ev, res)[1]))
+        converged = abs(refined - estimate) <= tol * max(abs(refined), 1e-300)
+        estimate = refined
+    return GlobalMeasure(gfs=estimate, converged=converged, resolution=res)

@@ -13,8 +13,8 @@ from qsc.catalog import parse_state_literal, superposition_state
 from qsc.functionals import (FockEvaluator, Numerics, ProfileEvaluator,
                              block_rows, evaluator_for, fs_complexity)
 from qsc.state import AnalyticGaussian, _Workspace, make_state, rotate
-from qsc.sweep import (MFS_SCAN, SweepResult, _gfs, _lattice_reports, analyze,
-                       min_fs, sweep)
+from qsc.sweep import (MFS_SCAN, GlobalMeasure, _lattice_cfs, analyze, min_fs,
+                       sweep)
 from conftest import INV_SQRT2, fock
 
 # pinned by the pointwise-validated complexity curve (30-digit quadrature
@@ -42,8 +42,7 @@ def test_sweep_needs_four_samples():
 
 def test_sweep_lattice_layout(phi1):
     res = sweep(phi1, 8)
-    assert res.resolution == 8
-    assert res.gfs is None
+    assert len(res.thetas) == 8
     np.testing.assert_allclose(res.thetas, [k * math.pi / 8 for k in range(8)])
     assert all(r.theta == pytest.approx(t) for t, r in zip(res.thetas, res.reports))
 
@@ -137,15 +136,16 @@ def test_rotation_invariance(alpha):
 
 def test_analyze_bundle_invariants(phi1):
     res = analyze(phi1)
-    assert isinstance(res, SweepResult)
+    assert isinstance(res, GlobalMeasure)
     assert res.gfs >= 1.0 - 1e-6
     _, mfs = min_fs(phi1)
     assert mfs >= 1.0 - 1e-6
     assert mfs <= res.gfs + 1e-12
-    assert mfs <= min(r.cfs for r in res.reports) + 1e-12
+    thetas, values = _lattice_cfs(evaluator_for(phi1), res.resolution)
+    assert mfs <= min(values) + 1e-12
     assert res.converged
-    assert res.resolution == len(res.reports) == len(res.thetas)
-    assert res.gfs == pytest.approx(np.mean([r.cfs for r in res.reports]), rel=1e-12)
+    assert res.resolution == len(values) == len(thetas)
+    assert res.gfs == pytest.approx(np.mean(values), rel=1e-12)
 
 
 def test_fock_rows_have_equal_global_minimum_single(phi1):
@@ -308,24 +308,25 @@ def test_a_state_without_mirror_axis():
     assert evaluator_for(_literal("super:1,1+1i,1")).mirror_axis is None
 
 
-def test_gfs_evaluates_half_the_lattice():
+def test_gfs_evaluates_half_the_lattice(monkeypatch):
     ev = evaluator_for(_rotated_real_state(6, 3))
-    _, _, (thetas, _, _) = _gfs(ev)
-    resolution = len(thetas)
+    monkeypatch.setattr(sys.modules["qsc.sweep"], "evaluator_for",
+                        lambda state, numerics: ev)
+    resolution = analyze(ev.state).resolution
     # the coarser lattices reuse the angles of the finest one
     assert len(ev._cache) == resolution // 2 + 1
 
 
 def test_analyze_walks_each_gfs_lattice_once(monkeypatch):
-    # the reports of analyze are those of the refinement's last lattice,
-    # not a second walk of it
+    # each lattice of the refinement is walked once, the last one for the
+    # global measure itself
     sizes = []
-    walk = sys.modules["qsc.sweep"]._lattice_reports
+    walk = sys.modules["qsc.sweep"]._lattice_cfs
 
     def counting_walk(ev, n):
         sizes.append(n)
         return walk(ev, n)
-    monkeypatch.setattr(sys.modules["qsc.sweep"], "_lattice_reports",
+    monkeypatch.setattr(sys.modules["qsc.sweep"], "_lattice_cfs",
                         counting_walk)
     assert analyze(_literal("super:1,0,1")).resolution == 1024
     assert sizes == [32, 64, 128, 256, 512, 1024]
@@ -352,16 +353,27 @@ def test_gfs_without_axis_is_the_full_lattice_mean():
 
 
 def test_analyze_reports_match_a_direct_full_lattice():
+    # the mirrored values of the last gfs lattice against the cfs
+    # evaluated on every angle of it
     state = _rotated_real_state(6, 3)
+    ev = evaluator_for(state)
+    assert ev.mirror_axis > 0.0
     res = analyze(state)
-    assert res.thetas[0] == evaluator_for(state).mirror_axis > 0.0
-    direct = evaluator_for(state).reports(list(res.thetas))
-    assert len(direct) == len(res.reports) == res.resolution
-    for mirrored, report in zip(res.reports, direct):
-        assert mirrored.theta == report.theta
-        for name in ("fisher", "entropy", "entropy_power", "cfs"):
-            assert getattr(mirrored, name) == pytest.approx(
-                getattr(report, name), rel=1e-12), name
+    thetas, mirrored = _lattice_cfs(ev, res.resolution)
+    direct = [r.cfs for r in evaluator_for(state).reports(thetas)]
+    assert len(direct) == len(mirrored) == res.resolution
+    assert mirrored == pytest.approx(direct, rel=1e-12)
+
+
+def test_analyze_builds_no_reports(monkeypatch):
+    # analyze reads the mirrored half of its lattice as values: it builds
+    # no report of its own
+    def refused(**fields):
+        raise AssertionError("analyze built a report")
+    monkeypatch.setattr(sys.modules["qsc.sweep"], "ComplexityReport", refused)
+    state = _rotated_real_state(6, 3)
+    assert evaluator_for(state).mirror_axis > 0.0
+    assert isinstance(analyze(state), GlobalMeasure)
 
 
 # the one random state of 1500 whose curve is a comb of local minima on
@@ -380,7 +392,7 @@ def test_min_fs_is_never_above_its_scan_and_is_the_curve_at_its_angle(make):
     state = make()
     theta_star, mfs = min_fs(state)
     ev = evaluator_for(state)
-    scan = [r.cfs for r in _lattice_reports(ev, MFS_SCAN)[1]]
+    scan = _lattice_cfs(ev, MFS_SCAN)[1]
     assert mfs <= min(scan)
     assert ev.cfs(theta_star) == pytest.approx(mfs, rel=1e-12)
 
@@ -451,8 +463,7 @@ def test_min_fs_against_an_in_bracket_reference():
     for state in _draws(40):
         _, mfs = min_fs(state)
         ev = evaluator_for(state)
-        thetas, reports, _ = _lattice_reports(ev, MFS_SCAN)
-        values = [r.cfs for r in reports]
+        thetas, values = _lattice_cfs(ev, MFS_SCAN)
         k = int(np.argmin(values))
         h = math.pi / (MFS_SCAN * 256)
         lattice = [thetas[k] + i * h for i in range(-256, 257)]
