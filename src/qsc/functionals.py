@@ -55,9 +55,10 @@ An evaluator holds its state's basis table, which every block reuses.
 table's rows in chunks of ``CHUNK_BYTES`` as the recurrence finishes
 them, adds each chunk's products to its one-row block and drops the chunk.
 So its memory does not grow with the table, 6.3 MB at 385 terms on the
-default grid, and the rows are read back while still in cache.  Its grid,
-cell cap and refusal of a grid that cannot hold row N are the
-evaluator's.  Its report has the evaluator's bits, except for a state of
+default grid, and the rows are read back while still in cache.  Its grid
+and cell cap are the evaluator's, and both hand their rows to one plan
+(``state._Plan``), which refuses a grid that cannot hold row N as that row
+passes.  Its report has the evaluator's bits, except for a state of
 ``state._SPLIT_TERMS`` terms or more whose rows span several chunks: its
 summed chunk products round differently (see ``fs_complexity``).
 
@@ -76,7 +77,7 @@ import numpy as np
 from . import hermite
 from .errors import NumericsError
 from .state import (_DENSITY_ROWS, _TINY, AnalyticGaussian, DensityProfile,
-                    FockState, Grid, _integrate_folded,
+                    FockState, Grid, _check_mass, _integrate_folded,
                     _Plan, _profile, _Workspace, canonical_theta,
                     default_grid, density_block, eval_density,
                     gaussian_sigma_theta, integrate, mirror_axis)
@@ -104,11 +105,6 @@ BLOCK_BYTES = 3 * 2 ** 19
 # default grid's half width, where the whole table of a 385-term state is
 # 6.3 MB and one of the 4096-row ``gauss:`` cap 67 MB
 CHUNK_BYTES = 2 ** 20
-
-# Largest deviation from 1 of the discrete mass that an evaluator accepts in
-# the densities it checks when it is built.  Grids that hold the state
-# measure below 1e-11; grids too coarse or too short, 2e-3 and more.
-MASS_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -297,31 +293,14 @@ class ProfileEvaluator:
         return self.report(theta).cfs
 
 
-def _check_mass(grid: Grid, mass) -> None:
-    """Refuse a grid on which a discrete mass is not 1 within MASS_TOL."""
-    worst = float(np.max(np.abs(mass - 1.0)))
-    if not worst <= MASS_TOL:
-        raise NumericsError(
-            f"the grid of {grid.count} points on +-{grid.extent:.6g} cannot "
-            f"hold the state: its mass is off by {worst:.3g} (tolerance "
-            f"{MASS_TOL:g}); it needs more points or another margin")
-
-
 def _fock_grid(state: FockState, numerics: Numerics) -> Grid:
-    """The grid of a FockState's densities.  Its basis table of N + 2 rows
-    is checked against the cell cap first, at the full grid width, twice
-    the half table it builds, before the grid exists."""
+    """The grid of a FockState's densities, built once its basis table of
+    N + 2 rows (at the full grid width, twice the half table) and its
+    one-angle workspace, larger for N <= 3, pass the cell cap."""
     hermite.check_cells(state.n_max + 2, numerics.grid_points)
+    hermite.check_cells(*_Workspace.shape(1, numerics.grid_points))
     return default_grid(state.n_max, numerics.grid_points,
                         numerics.grid_margin)
-
-
-def _check_top_row(grid: Grid, top) -> None:
-    """Refuse a grid that does not hold the basis row N, the state's top
-    row, given on the grid's half ``top``: its norm does not depend on the
-    angle.  u_N^2 is even: both sides of its folded row are ``top``."""
-    top = np.square(top)
-    _check_mass(grid, _integrate_folded(np.stack((top, top)), grid))
 
 
 def chunk_rows(grid_points: int) -> int:
@@ -329,19 +308,6 @@ def chunk_rows(grid_points: int) -> int:
     CHUNK_BYTES over the bytes of one half row of ``grid_points`` points."""
     half = grid_points - grid_points // 2
     return max(3, CHUNK_BYTES // (np.dtype(float).itemsize * half))
-
-
-def _streamed_rows(state: FockState, grid: Grid):
-    """The rows 0..N + 1 of a FockState's basis table on ``grid``, in the
-    chunks of ``chunk_rows``, with the top row checked as ``FockEvaluator``
-    checks it, before its chunk is yielded."""
-    n, start = state.n_max, 0
-    for chunk in hermite.row_chunks(grid.half_points, n + 1,
-                                    chunk_rows(grid.count)):
-        if start <= n < start + chunk.shape[0]:
-            _check_top_row(grid, chunk[n - start])
-        start += chunk.shape[0]
-        yield chunk
 
 
 def block_rows(grid_points: int) -> int:
@@ -359,21 +325,20 @@ class FockEvaluator(ProfileEvaluator):
     The table holds rows 0..N + 1 on the grid's nonnegative half
     (``Grid.half_points``); ``density_block`` unfolds it by parity, with
     the angle-free pieces of every block built once next to it
-    (``state._Plan``).  The grid must hold basis row N, the state's top
-    row, whose norm does not depend on the angle.  The mirror axis comes
-    from the coefficients."""
+    (``state._Plan``), which refuses, as it walks the table, a grid that
+    does not hold basis row N.  The mirror axis comes from the
+    coefficients."""
 
     def __init__(self, state: FockState, numerics: Numerics = DEFAULT_NUMERICS):
         super().__init__(numerics)
         self.state = state
         self.grid = _fock_grid(state, numerics)
         self.table = hermite.tabulate(self.grid.half_points, state.n_max + 1)
-        _check_top_row(self.grid, self.table.values[-2])
         self._plan = _Plan(state, self.grid, self.table)
         self.mirror_axis = mirror_axis(state)
 
     def density_block(self, thetas, ws: _Workspace):
-        return density_block(self.state, thetas, self.grid, self._plan, ws)
+        return density_block(self._plan, thetas, ws)
 
     def profile(self, theta: float) -> DensityProfile:
         # the same one-row block as the base class, through eval_density:
@@ -394,7 +359,7 @@ class GaussianEvaluator(ProfileEvaluator):
         super().__init__(numerics)
         self.sigma = state.sigma
         # its largest array, the workspace below, before the grid exists
-        hermite.check_cells(2 * _DENSITY_ROWS, numerics.grid_points)
+        hermite.check_cells(*_Workspace.shape(2, numerics.grid_points))
         widest = max(self.sigma, 1.0 / self.sigma)
         self.grid = Grid(extent=(1.0 + numerics.grid_margin) * widest,
                          count=numerics.grid_points)
@@ -438,18 +403,19 @@ def fs_complexity(state, theta: float, numerics: Numerics = DEFAULT_NUMERICS,
 
     A FockState holds no basis table: its one angle takes the rows of the
     table in chunks of ``chunk_rows`` as the recurrence finishes them
-    (``hermite.row_chunks``).  Grid, cell cap and the refusal of a grid
-    that does not hold row N are ``FockEvaluator``'s, and so are the bits
-    of its report, but for a state of ``state._SPLIT_TERMS`` terms or more
-    over several chunks.  That state adds one product per chunk to the
-    density block and drops the chunk, which rounds differently: by up to
-    2e-15 relative in the measures of random states, and up to 2.4e-14 in
-    the Fisher information of squeezed states of sigma 3 to 4, where
-    kinetic - 4 integral of j^2 / rho cancels most of its two terms."""
+    (``hermite.row_chunks``).  Grid and cell cap are ``FockEvaluator``'s,
+    its plan refuses a grid that does not hold row N when that row's chunk
+    passes, and its report has the evaluator's bits, but for a state of
+    ``state._SPLIT_TERMS`` terms or more over several chunks.  Its one
+    product per chunk, each added to the block and dropped, rounds
+    differently: by up to 2e-15 relative in the measures of random states,
+    and up to 2.4e-14 in the Fisher information of squeezed states of
+    sigma 3 to 4, where kinetic - 4 integral of j^2 / rho cancels most of
+    its two terms."""
     if isinstance(state, FockState):
         grid = _fock_grid(state, numerics)
-        profile = eval_density(state, theta, grid,
-                               _streamed_rows(state, grid))
+        profile = eval_density(state, theta, grid, hermite.row_chunks(
+            grid.half_points, state.n_max + 1, chunk_rows(grid.count)))
     else:
         profile = evaluator_for(state, numerics).profile(theta)
     return report_from_profile(profile, extensions)

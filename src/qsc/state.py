@@ -22,6 +22,10 @@ __all__ = ["AnalyticGaussian", "DensityProfile", "FockState", "Grid",
            "rotate"]
 
 NORM_TOL = 1e-10
+# Largest deviation from 1 of the discrete mass of basis row N (``_Plan``)
+# or of a Gaussian's extreme densities.  Grids that hold the state measure
+# below 1e-11; grids too coarse or too short, 2e-3 and more.
+MASS_TOL = 1e-6
 # Largest imaginary residual, relative to the largest coefficient, that
 # ``mirror_axis`` forgives: the rounding of the phases, no more
 MIRROR_TOL = 1e-12
@@ -320,10 +324,15 @@ class _Workspace:
     their own."""
 
     def __init__(self, rows: int, points: int):
-        half = points - points // 2
         self.rows = rows
-        self.floats = _aligned_empty((12 * rows, half + _PAD))
-        self.floats[:, half:] = 0.0
+        self.floats = _aligned_empty(self.shape(rows, points))
+        self.floats[:, points - points // 2:] = 0.0
+
+    @staticmethod
+    def shape(rows: int, points: int) -> tuple[int, int]:
+        """(half rows, doubles per padded half row) of a workspace of
+        ``rows`` angles on ``points`` grid points, as a cell cap counts it."""
+        return 12 * rows, points - points // 2 + _PAD
 
     def block(self, a: int):
         """The views (psi, odd) of a block of ``a`` angles."""
@@ -367,17 +376,42 @@ def _integrate_folded(values, grid: Grid):
     return grid.dx * (total - 0.5 * (ends[1] + ends[0]))
 
 
+def _check_mass(grid: Grid, mass) -> None:
+    """Refuse a grid on which a discrete mass is not 1 within MASS_TOL."""
+    worst = float(np.max(np.abs(mass - 1.0)))
+    if not worst <= MASS_TOL:
+        raise NumericsError(
+            f"the grid of {grid.count} points on +-{grid.extent:.6g} cannot "
+            f"hold the state: its mass is off by {worst:.3g} (tolerance "
+            f"{MASS_TOL:g}); it needs more points or another margin")
+
+
+def _check_top_row(grid: Grid, top) -> None:
+    """Refuse a grid that does not hold the basis row N, the state's top
+    row, given on the grid's half ``top``: its norm does not depend on the
+    angle.  u_N^2 is even: both sides of its folded row are ``top``."""
+    top = np.square(top)
+    _check_mass(grid, _integrate_folded(np.stack((top, top)), grid))
+
+
 class _Plan:
-    """The angle-free pieces of ``density_block`` for one state on one
-    grid: the exponents i n of the phases, the ladder weights, the parity
-    signs (-1)^n of the short route or the column order of the split one,
-    and the basis rows each product takes.  An evaluator builds one next to
-    its table; ``density_block`` builds its own from a table or its row
-    chunks, which it then uses once."""
+    """The basis rows of one state on one grid as ``density_block`` reads
+    them, and the angle-free pieces of every block: the exponents i n of
+    the phases, the ladder weights, and the parity signs (-1)^n of the
+    short route or the column order of the split one.
+
+    ``table`` is a ``BasisTable`` built on ``grid.half_points`` or the row
+    chunks of one (``hermite.row_chunks``), rows 0, 1, ... in order; a
+    table is one chunk.  psi' of K terms needs rows 0..K.  The rows are
+    walked once, a table and the short route's chunks here, the split
+    route's chunks by the one block that reads them, each chunk used once
+    and never held.  A grid that cannot hold row N = K - 1, the state's
+    top row, is refused as that row passes (``_check_top_row``)."""
 
     def __init__(self, state: FockState, grid: Grid, table):
         k = state.coeffs.shape[0]
         half = grid.half_points
+        self.state, self.grid = state, grid
         self.k, self.h = k, half.shape[0]
         self.exponents = 1j * np.arange(max(k, 3))
         self.weights = _ladder_weights(k)
@@ -407,13 +441,16 @@ class _Plan:
     def _terms(self, chunks):
         """Per chunk of basis rows 0, 1, ... in order: its first row and
         the (columns of the coefficient matrix, rows of the chunk) of each
-        product, the even and the odd one on the split route."""
+        product, the even and the odd one on the split route.  Row N is
+        checked before its chunk is used."""
         k, start = self.k, 0
         evens = (k + 2) // 2
         for chunk in chunks:
             if chunk.shape[-1] != self.h:
                 raise NumericsError("basis rows do not span the "
                                     "nonnegative half of this grid")
+            if start < k <= start + chunk.shape[0]:
+                _check_top_row(self.grid, chunk[k - 1 - start])
             stop = min(start + chunk.shape[0], k + 1)
             if self.split:
                 # the chunk's first even and first odd row
@@ -431,16 +468,14 @@ class _Plan:
                             f"needs n <= {k}")
 
 
-def _psi_block(state: FockState, thetas, grid: Grid, table, ws: _Workspace):
+def _psi_block(plan: _Plan, thetas, ws: _Workspace):
     """psi and psi' at every angle of ``thetas`` into ``ws``: its
     ``block(len(thetas))`` views (psi, odd), the psi rows holding pr, pi,
-    qr and qi, and the phases e^{2 i theta} of the angles.  ``table`` is a
-    ``_Plan`` or what ``density_block`` takes."""
-    plan = table if isinstance(table, _Plan) else _Plan(state, grid, table)
+    qr and qi, and the phases e^{2 i theta} of the angles."""
     k, h = plan.k, plan.h
     # e^{i n theta} for n < max(K, 3): the phases of d, and e^{2 i theta}
     phases = np.exp(np.multiply.outer(thetas, plan.exponents))
-    phased = state.coeffs * phases[:, :k]
+    phased = plan.state.coeffs * phases[:, :k]
     a = phased.shape[0]
     psi, odd = ws.block(a)
     # the short route stacks the coefficients of side 1 under those of
@@ -468,7 +503,7 @@ def _psi_block(state: FockState, thetas, grid: Grid, table, ws: _Workspace):
     return psi, odd, phases[:, 2]
 
 
-def density_block(state: FockState, thetas, grid: Grid, table, ws: _Workspace):
+def density_block(plan: _Plan, thetas, ws: _Workspace):
     """rho = |psi|^2 and the current j = Im(conj(psi) psi') at every angle
     of ``thetas``, as folded (2 x len(thetas) x W) views into ``ws`` (its
     ``densities``; see ``_Workspace``), and the kinetic term 4 <p_theta^2>
@@ -478,21 +513,18 @@ def density_block(state: FockState, thetas, grid: Grid, table, ws: _Workspace):
     psi' = sum_m d'_m u_m with d' from ``hermite.ladder``, never finite
     differences.  The real and imaginary rows of d (a zero in column K) and
     d' form one (4A x (K+1)) real matrix, times the rows 0..K of the basis
-    on ``grid.half_points``: ``table`` is a ``BasisTable`` built there, the
-    row chunks of one (``hermite.row_chunks``), rows 0, 1, ... in order, or
-    a ``_Plan`` built on either.  A table is one chunk.  u_n(-x) =
-    (-1)^n u_n(x), and ``tabulate`` meets it as float equality on an
-    antisymmetric grid.  Below ``_SPLIT_TERMS`` terms the matrix stacked
-    over itself with its odd columns negated, times those rows, is the
-    block's ``psi``: the rows pr, pi, qr, qi at x >= 0 on side 0 and at
-    x <= 0 on side 1, in one product of all K + 1 rows, chunks joined.
-    From ``_SPLIT_TERMS`` on its even columns times the even rows give the
-    even part E of those rows and its odd columns times the odd rows the
-    odd part O, two products of half the size; side 0 is E + O and side 1
-    E - O.  Over several chunks each is a sum of one product per chunk,
-    each chunk used once and never held.  j = pr qi - pi qr.
+    on the grid's half, as ``plan`` holds them.  u_n(-x) = (-1)^n u_n(x),
+    and ``tabulate`` meets it as float equality on an antisymmetric grid.
+    Below ``_SPLIT_TERMS`` terms the matrix stacked over itself with its
+    odd columns negated, times those rows, is the block's ``psi``: the rows
+    pr, pi, qr, qi at x >= 0 on side 0 and at x <= 0 on side 1, in one
+    product of all K + 1 rows, chunks joined.  From ``_SPLIT_TERMS`` on its
+    even columns times the even rows give the even part E of those rows
+    and its odd columns times the odd rows the odd part O, two products of
+    half the size; side 0 is E + O and side 1 E - O.  Over several chunks
+    each is a sum of one product per chunk.  j = pr qi - pi qr.
     """
-    psi, odd, phase2 = _psi_block(state, thetas, grid, table, ws)
+    psi, odd, phase2 = _psi_block(plan, thetas, ws)
     a = phase2.shape[0]
     pr, pi, qr, qi = (psi[:, i * a:(i + 1) * a] for i in range(4))
     # odd is dead after the products on the short route and after the
@@ -505,15 +537,16 @@ def density_block(state: FockState, thetas, grid: Grid, table, ws: _Workspace):
     current -= tmp
     np.multiply(pr, pr, out=rho)
     rho += np.multiply(pi, pi, out=tmp)
-    return rho, current, state.kinetic(phase2)
+    return rho, current, plan.state.kinetic(phase2)
 
 
 def eval_density(state: FockState, theta: float, grid: Grid,
                  table) -> DensityProfile:
     """The density profile at the canonical angle of ``theta`` in [0, pi):
     a one-row ``density_block`` in a workspace of its own, unfolded.
-    ``table`` is a ``BasisTable``, its row chunks or a ``_Plan``, as in
-    ``density_block``."""
+    ``table`` is a ``_Plan`` of ``state`` on ``grid`` or what one is built
+    from."""
     theta = canonical_theta(theta)
-    return _profile(grid, theta, density_block(state, [theta], grid, table,
+    plan = table if isinstance(table, _Plan) else _Plan(state, grid, table)
+    return _profile(grid, theta, density_block(plan, [theta],
                                                _Workspace(1, grid.count)))

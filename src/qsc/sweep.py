@@ -95,9 +95,9 @@ def _lattice_cfs(ev, n: int):
 def sweep(state, n_theta: int,
           numerics: Numerics = DEFAULT_NUMERICS) -> SweepResult:
     """Evaluate the complexity report on the periodic lattice k pi / n_theta,
-    k = 0..n_theta-1 (endpoint pi excluded).  The lattice may hold at most
-    MAX_TABLE_CELLS grid values, n_theta * grid_points: 32768 angles at the
-    default grid."""
+    k = 0..n_theta-1 (endpoint pi excluded).  Its work, n_theta *
+    grid_points angle-points, is capped at MAX_TABLE_CELLS (32768 angles at
+    the default grid); blocked fills hold no array of that size."""
     if n_theta < 4:
         raise ValueError("need at least 4 theta samples")
     if n_theta * numerics.grid_points > MAX_TABLE_CELLS:

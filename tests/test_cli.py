@@ -185,9 +185,17 @@ class TestMeasure:
         assert out == ""
         assert message in err
 
-    @pytest.mark.parametrize("literal", ["fock:1", "gauss:sigma=2,analytic"])
+    @pytest.mark.parametrize("literal, points", [
+        ("fock:1", "100000000"),
+        ("gauss:sigma=2,analytic", "100000000"),
+        # past the cap only in the padded workspace: 12 half rows of one
+        # angle for fock:0, 24 of the two-angle build for the Gaussian
+        ("fock:0", "33554432"),
+        ("gauss:sigma=2,analytic", "11184810")],
+        ids=["fock:1", "gauss:sigma=2,analytic", "fock:0_workspace",
+             "gauss_build_workspace"])
     def test_grid_past_the_cell_cap_is_refused_before_it_exists(
-            self, capsys, monkeypatch, literal):
+            self, capsys, monkeypatch, literal, points):
         # the largest array is checked before the grid or any table is built
         def unreachable(*args, **kwargs):
             raise AssertionError("grid built past the cap")
@@ -195,7 +203,7 @@ class TestMeasure:
         monkeypatch.setattr(module, "Grid", unreachable)
         monkeypatch.setattr(module, "default_grid", unreachable)
         code, out, err = run_cli(capsys, "measure", literal,
-                                 "--grid-points", "100000000")
+                                 "--grid-points", points)
         assert code == 3
         assert out == ""
         assert "exceed the cap" in err

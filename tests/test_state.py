@@ -10,7 +10,7 @@ from qsc.errors import NumericsError
 from qsc.functionals import block_rows, integrate
 from qsc.hermite import ladder, row_chunks, tabulate
 from qsc.state import (_PAD, _SPLIT_TERMS, DensityProfile, Grid,
-                       _integrate_folded, _psi_block,
+                       _integrate_folded, _Plan, _psi_block,
                        _unfold, _Workspace, canonical_theta, default_grid,
                        density_block, eval_density, make_state, rotate)
 from conftest import INV_SQRT2, fock
@@ -135,7 +135,8 @@ def test_pi_shift_reflects_density():
     table = tabulate(grid.half_points, 4)
     # density_block applies the phases at the angles given; eval_density
     # evaluates the canonical angle, so theta + pi gives theta's density
-    rho = _unfold(density_block(st_, [0.7, 0.7 + math.pi], grid, table,
+    rho = _unfold(density_block(_Plan(st_, grid, table),
+                                [0.7, 0.7 + math.pi],
                                 _Workspace(2, grid.count))[0], grid)
     np.testing.assert_allclose(rho[1], rho[0][::-1], atol=1e-12)
     shifted = eval_density(st_, 0.7 + math.pi, grid, table)
@@ -162,11 +163,10 @@ def test_drho_matches_finite_differences():
     st_ = make_state([0.3, 0.5, 0.2, 0.7j, 0.1], renormalize=True)
     grid = Grid(extent=6.0, count=64001)
     table = tabulate(grid.half_points, 5)
-    ws = _Workspace(1, grid.count)
+    plan, ws = _Plan(st_, grid, table), _Workspace(1, grid.count)
     rho, current = (_unfold(x, grid)
-                    for x in density_block(st_, [1.1], grid, table, ws)[:2])
-    pr, pi, qr, qi = _unfold(_psi_block(st_, [1.1], grid, table, ws)[0],
-                             grid)
+                    for x in density_block(plan, [1.1], ws)[:2])
+    pr, pi, qr, qi = _unfold(_psi_block(plan, [1.1], ws)[0], grid)
     drho = 2.0 * (pr * qr + pi * qi)
     fd = np.gradient(rho[0], grid.dx)
     np.testing.assert_allclose(drho[5:-5], fd[5:-5], atol=1e-6)
@@ -187,7 +187,7 @@ def test_eval_density_dimension_checks():
     with pytest.raises(NumericsError, match="needs n <= 2"):
         eval_density(fock(1), 0.0, grid, short)
     with pytest.raises(NumericsError, match="needs n <= 2"):
-        density_block(fock(1), [0.0, 1.0], grid, short,
+        density_block(_Plan(fock(1), grid, short), [0.0, 1.0],
                       _Workspace(2, grid.count))
 
 
@@ -221,9 +221,9 @@ def test_psi_prime_rows_match_mpmath(k):
     grid = default_grid(k - 1, grid_points=512)
     table = tabulate(grid.half_points, k)
     thetas = [0.3, 2.1]
-    ws = _Workspace(2, grid.count)
-    current = _unfold(density_block(st_, thetas, grid, table, ws)[1], grid)
-    pq = _unfold(_psi_block(st_, thetas, grid, table, ws)[0], grid)
+    plan, ws = _Plan(st_, grid, table), _Workspace(2, grid.count)
+    current = _unfold(density_block(plan, thetas, ws)[1], grid)
+    pq = _unfold(_psi_block(plan, thetas, ws)[0], grid)
     q = pq[4:6] + 1j * pq[6:8]
     idx = np.linspace(0, grid.count - 1, 20).round().astype(int)
     for row, theta in enumerate(thetas):
@@ -242,7 +242,10 @@ def test_folded_rows_match_the_full_table(points, k):
     # psi and psi' rows from the half-line table, by the two full-width
     # products below _SPLIT_TERMS terms and by the parity combine from it,
     # against the same coefficients times a full-grid table, within 1e-13
-    # of the largest reference value; rho and j follow from those rows
+    # of the largest reference value; rho and j follow from those rows.
+    # Two or three points cannot hold row N, and the plan refuses them; the
+    # fold's sums at those counts are
+    # test_folded_and_natural_rows_sum_to_the_same_bits's
     rng = np.random.default_rng(100 * k + points)
     st_ = make_state(rng.normal(size=k) + 1j * rng.normal(size=k),
                      renormalize=True)
@@ -250,15 +253,20 @@ def test_folded_rows_match_the_full_table(points, k):
     thetas = [0.0, 0.45, 2.6]
     ws = _Workspace(len(thetas), grid.count)
     table = tabulate(grid.half_points, k)
-    rho, current = (_unfold(x, grid) for x in density_block(
-        st_, thetas, grid, table, ws)[:2])
+    if points < 4:
+        with pytest.raises(NumericsError, match="cannot hold the state"):
+            _Plan(st_, grid, table)
+        return
+    plan = _Plan(st_, grid, table)
+    rho, current = (_unfold(x, grid)
+                    for x in density_block(plan, thetas, ws)[:2])
     phased = st_.coeffs * np.exp(1j * np.outer(thetas, np.arange(k)))
     c = np.zeros((2 * len(thetas), k + 1), complex)
     c[:len(thetas), :k] = phased
     ladder(phased, out=c[len(thetas):])
     ref = c @ tabulate(grid.points, k).values
     a = len(thetas)
-    pq = _unfold(_psi_block(st_, thetas, grid, table, ws)[0], grid)
+    pq = _unfold(_psi_block(plan, thetas, ws)[0], grid)
     got = np.concatenate((pq[:a] + 1j * pq[a:2 * a],
                           pq[2 * a:3 * a] + 1j * pq[3 * a:4 * a]))
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
@@ -282,12 +290,12 @@ def test_density_rows_read_psi_before_overwriting_it(k, points):
     grid = default_grid(k - 1, grid_points=points)
     table = tabulate(grid.half_points, k)
     rows = block_rows(points)
-    ws = _Workspace(rows, grid.count)
+    plan, ws = _Plan(st_, grid, table), _Workspace(rows, grid.count)
     for a in range(1, rows + 1):
         thetas = [0.1 + 0.37 * i for i in range(a)]
-        psi = _psi_block(st_, thetas, grid, table, ws)[0].copy()
+        psi = _psi_block(plan, thetas, ws)[0].copy()
         pr, pi, qr, qi = (psi[:, i * a:(i + 1) * a] for i in range(4))
-        rho, current, _ = density_block(st_, thetas, grid, table, ws)
+        rho, current, _ = density_block(plan, thetas, ws)
         assert np.array_equal(rho, pr * pr + pi * pi), a
         assert np.array_equal(current, pr * qi - pi * qr), a
 
@@ -320,10 +328,10 @@ def test_kinetic_closed_form_matches_the_grid_integral():
                          renormalize=True)
         grid = default_grid(k - 1)
         ws = _Workspace(len(thetas), grid.count)
-        table = tabulate(grid.half_points, k)
-        _, _, kinetic = density_block(st_, thetas, grid, table, ws)
+        plan = _Plan(st_, grid, tabulate(grid.half_points, k))
+        _, _, kinetic = density_block(plan, thetas, ws)
         a = len(thetas)
-        pq = _unfold(_psi_block(st_, thetas, grid, table, ws)[0], grid)
+        pq = _unfold(_psi_block(plan, thetas, ws)[0], grid)
         dpsi_abs2 = pq[2 * a:3 * a] ** 2 + pq[3 * a:4 * a] ** 2
         np.testing.assert_allclose(kinetic, 4.0 * integrate(dpsi_abs2, grid),
                                    rtol=1e-12)
@@ -353,10 +361,40 @@ def test_profile_from_samples_refuses_a_negative_sample():
 
 def test_density_block_refuses_chunks_that_end_early():
     # psi' of K terms needs rows 0..K; chunks that stop at row K - 1 are
-    # refused once they run out
-    grid = Grid(extent=8.0, count=64)
+    # refused once they run out, on a grid that holds row K - 1
+    grid = default_grid(29, grid_points=256)
     state = make_state(np.arange(1.0, 31.0), renormalize=True)
-    ws = _Workspace(1, grid.count)
+    plan = _Plan(state, grid, row_chunks(grid.half_points, 29, 8))
     with pytest.raises(NumericsError, match="n <= 29 but psi' needs n <= 30"):
-        density_block(state, [0.2], grid, row_chunks(grid.half_points, 29, 8),
-                      ws)
+        density_block(plan, [0.2], _Workspace(1, grid.count))
+
+
+def test_plan_refuses_a_table_on_a_grid_that_cannot_hold_row_n():
+    # +-4 ends before the turning point of u_8; the check reads the
+    # state's top row, not the table's, so a shorter state is accepted
+    grid = Grid(extent=4.0, count=64)
+    table = tabulate(grid.half_points, 9)
+    with pytest.raises(NumericsError, match="cannot hold the state"):
+        _Plan(fock(8), grid, table)
+    assert _Plan(fock(1), grid, table).k == 2
+
+
+@pytest.mark.parametrize("k", [9, _SPLIT_TERMS + 6])
+def test_plan_refuses_row_n_of_streamed_chunks_as_it_passes(k):
+    # row N sits in a later chunk: the short route meets it while the plan
+    # joins its chunks, the split route while the block reads them, and
+    # both refuse the grid before asking for another chunk
+    grid = Grid(extent=4.0, count=64)
+    state = make_state(np.ones(k), renormalize=True)
+    ends = np.cumsum([len(c) for c in row_chunks(grid.half_points, k, 4)])
+    top = int(np.searchsorted(ends, k))
+    taken = []
+
+    def chunks():
+        for chunk in row_chunks(grid.half_points, k, 4):
+            taken.append(chunk)
+            yield chunk
+
+    with pytest.raises(NumericsError, match="cannot hold the state"):
+        eval_density(state, 0.2, grid, chunks())
+    assert top > 0 and len(taken) == top + 1
