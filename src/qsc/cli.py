@@ -13,6 +13,7 @@ import dataclasses
 import functools
 import json
 import math
+import re
 import sys
 
 from .catalog import (BoxSpec, box_cfs_momentum, box_cfs_position, box_state,
@@ -24,6 +25,9 @@ from .functionals import (DEFAULT_NUMERICS, Numerics, evaluator_for,
 from .sweep import analyze, min_fs, sweep
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
+# A negative number as argparse should read it, a flag's value and not a
+# flag: its own pattern misses the exponent form, as in --theta -1e-3
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 
 def _fmt(x: float) -> str:
@@ -51,13 +55,11 @@ def _numerics(args) -> Numerics:
 
 def _add_numerics(p: argparse.ArgumentParser, gfs: bool = False,
                   mfs: bool = False) -> None:
-    """The grid flags, and the tolerance of the global measure's refinement
-    or of the minimum search for a command that runs it."""
+    """The grid resolution, and the tolerance of the global measure's
+    refinement or of the minimum search for a command that runs it."""
     d = DEFAULT_NUMERICS
     p.add_argument("--grid-points", type=int, default=d.grid_points,
                    help="grid resolution M (default %(default)s)")
-    p.add_argument("--grid-margin", type=float, default=d.grid_margin,
-                   help="grid extent beyond the classical turning point")
     if gfs:
         p.add_argument("--gfs-rel-tol", type=float, default=d.gfs_rel_tol,
                        help="relative tolerance of the global-measure "
@@ -290,11 +292,20 @@ def cmd_selftest(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, for the command and its subcommands, reading
+    every ``_NEGATIVE_NUMBER`` as a value; ``-inf`` still reads as a flag."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The one parser of the process, built on the first call: ``main`` reuses
     it, since parsing leaves a parser as it found it."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qsc",
         description="Fisher-Shannon complexity of 1D quantum states over "
                     "the rotated-quadrature manifold")

@@ -76,11 +76,12 @@ import numpy as np
 
 from . import hermite
 from .errors import NumericsError
-from .state import (_DENSITY_ROWS, _TINY, AnalyticGaussian, DensityProfile,
-                    FockState, Grid, _check_mass, _integrate_folded,
-                    _Plan, _profile, _Workspace, canonical_theta,
-                    default_grid, density_block, eval_density,
-                    gaussian_sigma_theta, integrate, mirror_axis)
+from .state import (_DENSITY_ROWS, _TINY, GRID_MARGIN, AnalyticGaussian,
+                    DensityProfile, FockState, Grid, _check_mass,
+                    _integrate_folded, _Plan, _profile, _Workspace,
+                    canonical_theta, default_grid, density_block,
+                    eval_density, gaussian_sigma_theta, integrate,
+                    mirror_axis)
 
 __all__ = [
     "ComplexityReport", "FockEvaluator", "GaussianEvaluator", "Numerics",
@@ -113,19 +114,17 @@ class Numerics:
     at construction (ValueError)."""
 
     grid_points: int = 4096
-    grid_margin: float = 6.0
     gfs_rel_tol: float = 1e-5
     mfs_theta_tol: float = 1e-6
 
     def __post_init__(self):
         if self.grid_points < 2:
             raise ValueError(f"grid_points must be >= 2, got {self.grid_points}")
-        for name in ("grid_margin", "gfs_rel_tol", "mfs_theta_tol"):
+        for name in ("gfs_rel_tol", "mfs_theta_tol"):
             value = getattr(self, name)
-            tol = name.endswith("_tol")        # tolerances must be positive
-            if not math.isfinite(value) or value < 0.0 or (tol and value == 0.0):
-                raise ValueError(f"{name} must be finite and "
-                                 f"{'> 0' if tol else '>= 0'}, got {value!r}")
+            if not 0.0 < value < math.inf:     # NaN fails too
+                raise ValueError(f"{name} must be finite and > 0, "
+                                 f"got {value!r}")
 
 
 DEFAULT_NUMERICS = Numerics()
@@ -298,9 +297,8 @@ def _fock_grid(state: FockState, numerics: Numerics) -> Grid:
     N + 2 rows (at the full grid width, twice the half table) and its
     one-angle workspace, larger for N <= 3, pass the cell cap."""
     hermite.check_cells(state.n_max + 2, numerics.grid_points)
-    hermite.check_cells(*_Workspace.shape(1, numerics.grid_points))
-    return default_grid(state.n_max, numerics.grid_points,
-                        numerics.grid_margin)
+    _Workspace.check(1, numerics.grid_points)
+    return default_grid(state.n_max, numerics.grid_points)
 
 
 def chunk_rows(grid_points: int) -> int:
@@ -359,9 +357,9 @@ class GaussianEvaluator(ProfileEvaluator):
         super().__init__(numerics)
         self.sigma = state.sigma
         # its largest array, the workspace below, before the grid exists
-        hermite.check_cells(*_Workspace.shape(2, numerics.grid_points))
+        _Workspace.check(2, numerics.grid_points)
         widest = max(self.sigma, 1.0 / self.sigma)
-        self.grid = Grid(extent=(1.0 + numerics.grid_margin) * widest,
+        self.grid = Grid(extent=(1.0 + GRID_MARGIN) * widest,
                          count=numerics.grid_points)
         # a grid that cannot hold the state may overflow s^2 / v
         with np.errstate(over="ignore", invalid="ignore"):

@@ -27,8 +27,8 @@ g = log(pi**-0.25) - x**2 / 2:
   rows become ldexp(s, e), which rounds once: into the subnormals, or to
   zero far in the tail (|x| >> sqrt(2n+1)), which is harmless because
   every integrand built from them vanishes as well.  Only large
-  truncations reach such points: at the default margin, the evaluator
-  grid of a state of more than 485 terms.
+  truncations reach such points: the evaluator grid (``default_grid``) of
+  a state of more than 485 terms.
 
 Derivatives have no table of their own: by the exact ladder identity
 
@@ -74,14 +74,16 @@ def _aligned_empty(shape) -> np.ndarray:
     return raw[skip:skip + n].reshape(shape)
 
 
-def check_cells(rows: int, points: int) -> None:
+def check_cells(rows: int, points: int, what: str | None = None) -> None:
     """Refuse an array of ``rows`` rows of ``points`` points past
-    MAX_TABLE_CELLS, before anything of that size is allocated."""
+    MAX_TABLE_CELLS, before anything of that size is allocated.  ``what``
+    names the array in the message, "R rows of P points" by default."""
     cells = rows * points
     if cells > MAX_TABLE_CELLS:
         raise NumericsError(
-            f"{rows} rows of {points} points exceed the cap of {MAX_TABLE_CELLS}"
-            f" cells: {cells} cells is {cells - MAX_TABLE_CELLS} over the cap")
+            f"{what or f'{rows} rows of {points} points'} would exceed the cap"
+            f" of {MAX_TABLE_CELLS} cells: {cells} cells is "
+            f"{cells - MAX_TABLE_CELLS} over the cap")
 
 
 @dataclass(frozen=True)

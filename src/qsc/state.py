@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericsError
-from .hermite import BasisTable, _aligned_empty, _ladder_weights, ladder
+from .hermite import (BasisTable, _aligned_empty, _ladder_weights, check_cells,
+                      ladder)
 
 __all__ = ["AnalyticGaussian", "DensityProfile", "FockState", "Grid",
            "canonical_theta", "default_grid", "density_block", "eval_density",
@@ -22,6 +23,10 @@ __all__ = ["AnalyticGaussian", "DensityProfile", "FockState", "Grid",
            "rotate"]
 
 NORM_TOL = 1e-10
+# Units of Gaussian decay that every grid reaches past the state: past the
+# top basis function's turning point (``default_grid``), or past the widest
+# standard deviation of an analytic Gaussian.  A discretization constant
+GRID_MARGIN = 6.0
 # Largest deviation from 1 of the discrete mass of basis row N (``_Plan``)
 # or of a Gaussian's extreme densities.  Grids that hold the state measure
 # below 1e-11; grids too coarse or too short, 2e-3 and more.
@@ -82,7 +87,7 @@ class Grid:
         if not math.isfinite(self.extent * (m - 1)):
             raise NumericsError(
                 f"a grid of {m} points on +-{self.extent:.6g} overflows "
-                "its points; it needs a smaller margin")
+                "its points")
         pts = self.extent * (2.0 * np.arange(m) - (m - 1)) / (m - 1)
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
@@ -109,10 +114,12 @@ def integrate(values, grid: Grid):
     return grid.dx * (total - 0.5 * (y[..., 0] + y[..., -1]))
 
 
-def default_grid(n_max: int, grid_points: int = 4096, margin: float = 6.0) -> Grid:
-    """Classical turning point of the highest basis function plus ``margin``
-    units of Gaussian decay; tail contributions land below 1e-12."""
-    return Grid(extent=math.sqrt(2.0 * n_max + 1.0) + margin, count=grid_points)
+def default_grid(n_max: int, grid_points: int = 4096) -> Grid:
+    """Classical turning point of the highest basis function plus
+    GRID_MARGIN units of Gaussian decay; tail contributions land below
+    1e-12."""
+    return Grid(extent=math.sqrt(2.0 * n_max + 1.0) + GRID_MARGIN,
+                count=grid_points)
 
 
 @dataclass(frozen=True)
@@ -334,6 +341,14 @@ class _Workspace:
         ``rows`` angles on ``points`` grid points, as a cell cap counts it."""
         return 12 * rows, points - points // 2 + _PAD
 
+    @staticmethod
+    def check(rows: int, points: int) -> None:
+        """Refuse a workspace of ``rows`` angles on ``points`` grid points
+        past the cell cap, before it exists, in those terms."""
+        angles = "1 angle" if rows == 1 else f"{rows} angles"
+        check_cells(*_Workspace.shape(rows, points),
+                    f"the workspace of {angles} on {points} grid points")
+
     def block(self, a: int):
         """The views (psi, odd) of a block of ``a`` angles."""
         f, r = self.floats, self.rows
@@ -383,7 +398,7 @@ def _check_mass(grid: Grid, mass) -> None:
         raise NumericsError(
             f"the grid of {grid.count} points on +-{grid.extent:.6g} cannot "
             f"hold the state: its mass is off by {worst:.3g} (tolerance "
-            f"{MASS_TOL:g}); it needs more points or another margin")
+            f"{MASS_TOL:g}); it needs more points")
 
 
 def _check_top_row(grid: Grid, top) -> None:

@@ -6,8 +6,22 @@ The global and the minimum measure are defined independently of the basis,
 so a state and its pre-rotations by every phi of PHIS must give the same
 gfs and the same mfs.  ``rotate`` is exact in the phases, so a spread
 (max - min) / min of the four results is the angle lattice or the search,
-never the grid.  For every band of term counts K the script prints how
-many states the band holds and, of them,
+never the grid.
+
+The four runs go through two lattice modes, and the script prints a table
+for each:
+
+- axis: ``analyze`` and ``min_fs`` as they run, on the lattice about the
+  state's mirror axis.  The axis of a real state rotates with it, and so
+  does that lattice: every state with an axis, the paper's families
+  among them, spreads by rounding alone, whatever the lattice misses;
+- plain: every evaluator of the four runs reports no mirror axis, so
+  every run takes the plain lattice k pi / n, which the rotated copies
+  meet at other points of their curve.  Only this script does so: it
+  swaps ``qsc.sweep.evaluator_for`` for the length of the mode.
+
+For every band of term counts K a table gives how many states the band
+holds and, of them,
 
 - mfs: how many spread by more than 1e-6 and by more than 1e-10, and the
   worst spread;
@@ -28,13 +42,15 @@ with 1 when a law fails.
 The states are the first ``--states`` (default 300) draws of
 ``np.random.default_rng(12345)``: draw i takes K = rng.integers(2, 65)
 terms, real normal coefficients on odd draws and complex ones on even
-draws, and is renormalized.  All 300 take about half a minute, most of it
-the gfs runs; ``--no-gfs`` leaves those out.
+draws, and is renormalized.  All 300, both modes, take about two minutes,
+most of it the gfs runs; ``--no-gfs`` leaves those out.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import importlib
 import math
 import sys
 
@@ -45,6 +61,10 @@ from qsc.functionals import (DEFAULT_NUMERICS, FockEvaluator,
 from qsc.state import make_state, rotate
 from qsc.sweep import analyze, min_fs
 
+MODES = {"axis": "axis lattice: about each state's mirror axis",
+         "plain": "plain lattice: k pi / n for every run"}
+# the module, which the package's ``sweep`` function hides
+SWEEP = importlib.import_module("qsc.sweep")
 PHIS = (0.0, 0.37, 1.1, 2.0)
 BANDS = ((2, 8), (9, 16), (17, 32), (33, 64))
 MFS_LIMITS = (1e-6, 1e-10)
@@ -65,6 +85,62 @@ def draws(count: int):
 
 def spread(values) -> float:
     return (max(values) - min(values)) / min(values)
+
+
+@contextlib.contextmanager
+def lattice(mode: str):
+    """Within the block, ``analyze`` and ``min_fs`` run on the lattice of
+    ``mode`` (see ``MODES``): as they are for ``axis``; for ``plain`` on
+    evaluators whose mirror axis is None."""
+    build = SWEEP.evaluator_for
+
+    def plain(state, numerics=DEFAULT_NUMERICS):
+        ev = build(state, numerics)
+        ev.mirror_axis = None
+        return ev
+
+    if mode == "plain":
+        SWEEP.evaluator_for = plain
+    try:
+        yield
+    finally:
+        SWEEP.evaluator_for = build
+
+
+def spreads(rotated, gfs: bool) -> dict:
+    """The row of one state's pre-rotations ``rotated``: its term count,
+    the mfs spread, and with ``gfs`` the gfs spread and whether every run
+    converged."""
+    row = {"terms": rotated[0].coeffs.shape[0],
+           "mfs": spread([min_fs(s)[1] for s in rotated])}
+    if gfs:
+        runs = [analyze(s) for s in rotated]
+        row["gfs"] = spread([r.gfs for r in runs])
+        row["converged"] = all(r.converged for r in runs)
+    return row
+
+
+def print_table(rows, gfs: bool) -> None:
+    """One line per band of K: the counts and worst spreads of ``rows``."""
+    tol = DEFAULT_NUMERICS.gfs_rel_tol
+    head = (f"{'K':>7}{'states':>8}{'mfs>1e-6':>10}{'mfs>1e-10':>11}"
+            f"{'mfs worst':>11}")
+    if gfs:
+        head += f"{'gfs>tol conv':>14}{'gfs worst':>11}{'unconv':>8}"
+    print(head)
+    for lo, hi in BANDS:
+        band = [r for r in rows if lo <= r["terms"] <= hi]
+        mfs = [r["mfs"] for r in band]
+        line = (f"{f'{lo}-{hi}':>7}{len(band):>8}"
+                + "".join(f"{sum(s > limit for s in mfs):>{w}}"
+                          for limit, w in zip(MFS_LIMITS, (10, 11)))
+                + f"{max(mfs, default=0.0):>11.2e}")
+        if gfs:
+            conv = [r["gfs"] for r in band if r["converged"]]
+            line += (f"{sum(s > tol for s in conv):>14}"
+                     f"{max(conv, default=0.0):>11.2e}"
+                     f"{sum(not r['converged'] for r in band):>8}")
+        print(line)
 
 
 def law_slacks(state) -> tuple[float, float, float]:
@@ -88,39 +164,20 @@ def main(argv=None) -> int:
     parser.add_argument("--no-gfs", action="store_true",
                         help="leave out the gfs runs")
     args = parser.parse_args(argv)
-    tol = DEFAULT_NUMERICS.gfs_rel_tol
-    rows = []
+    rows = {mode: [] for mode in MODES}
     slacks = []
     for state in draws(args.states):
         rotated = [rotate(state, phi) for phi in PHIS]
-        row = {"terms": state.coeffs.shape[0],
-               "mfs": spread([min_fs(s)[1] for s in rotated])}
-        if not args.no_gfs:
-            runs = [analyze(s) for s in rotated]
-            row["gfs"] = spread([r.gfs for r in runs])
-            row["converged"] = all(r.converged for r in runs)
-        rows.append(row)
+        for mode in MODES:
+            with lattice(mode):
+                rows[mode].append(spreads(rotated, not args.no_gfs))
         slacks.append(law_slacks(state))
 
     print(f"{args.states} states, pre-rotations by {PHIS}")
-    head = (f"{'K':>7}{'states':>8}{'mfs>1e-6':>10}{'mfs>1e-10':>11}"
-            f"{'mfs worst':>11}")
-    if not args.no_gfs:
-        head += f"{'gfs>tol conv':>14}{'gfs worst':>11}{'unconv':>8}"
-    print(head)
-    for lo, hi in BANDS:
-        band = [r for r in rows if lo <= r["terms"] <= hi]
-        mfs = [r["mfs"] for r in band]
-        line = (f"{f'{lo}-{hi}':>7}{len(band):>8}"
-                + "".join(f"{sum(s > limit for s in mfs):>{w}}"
-                          for limit, w in zip(MFS_LIMITS, (10, 11)))
-                + f"{max(mfs, default=0.0):>11.2e}")
-        if not args.no_gfs:
-            conv = [r["gfs"] for r in band if r["converged"]]
-            line += (f"{sum(s > tol for s in conv):>14}"
-                     f"{max(conv, default=0.0):>11.2e}"
-                     f"{sum(not r['converged'] for r in band):>8}")
-        print(line)
+    for mode, title in MODES.items():
+        print(f"\n{title}")
+        print_table(rows[mode], not args.no_gfs)
+    print()
 
     failed = False
     for name, values in zip(("Stam C_FS >= 1", "BBM S + S' >= 1 + ln pi",

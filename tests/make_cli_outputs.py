@@ -61,8 +61,6 @@ ARGVS = [
     ["reproduce", "--json"],
     ["measure", "super:1,,2"],
     ["measure", "fock:999999999999999999999999999999"],
-    ["measure", "fock:1", "--grid-margin", "1e200"],
-    ["measure", "fock:1", "--grid-margin", "1e305"],
     ["measure", "gauss:sigma=1,N=2"],
     # the README's literals and examples
     ["measure", "fock:3"],
@@ -120,18 +118,13 @@ ARGVS = [
     ["measure", "gauss:sigma=nan,analytic"],
     ["gfs", "fock:1", "--gfs-rel-tol", "nan"],
     ["gfs", "fock:1", "--gfs-rel-tol", "-1"],
-    ["measure", "fock:1", "--grid-margin", "-1"],
     ["mfs", "fock:1", "--mfs-theta-tol", "nan"],
     ["mfs", "fock:1", "--mfs-theta-tol", "0"],
-    ["measure", "fock:1", "--grid-margin", "nan"],
     ["measure", "fock:1", "--grid-points", "1"],
     ["sweep", "fock:1", "--theta-samples", "2"],
     ["measure", "fock:1", "--grid-points", "2"],
     ["mfs", "gauss:sigma=100,analytic"],
     ["gfs", "gauss:sigma=30,analytic"],
-    ["measure", "gauss:sigma=2,analytic", "--grid-margin", "2"],
-    ["gfs", "gauss:sigma=2,analytic", "--grid-margin", "1e305"],
-    ["mfs", "super:1,0,1", "--grid-margin", "1e300"],
     ["measure", "fock:1", "--grid-points", "100000000"],
     ["measure", "gauss:sigma=2,analytic", "--grid-points", "100000000"],
     ["measure", "gauss:sigma=1e200,analytic"],

@@ -18,8 +18,10 @@ from hypothesis import strategies as st
 import qsc
 from qsc.catalog import parse_state_literal
 from qsc.cli import _numerics, build_parser, main
+from qsc.errors import NumericsError
 from qsc.functionals import Numerics, chunk_rows
-from qsc.hermite import MAX_TABLE_CELLS
+from qsc.hermite import MAX_TABLE_CELLS, row_chunks, tabulate
+from qsc.state import Grid, eval_density, make_state
 from qsc.sweep import sweep
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -143,12 +145,12 @@ class TestMeasure:
     @pytest.mark.parametrize("argv", [
         ("gfs", "fock:1", "--gfs-rel-tol", "nan"),
         ("gfs", "fock:1", "--gfs-rel-tol", "-1"),
-        ("measure", "fock:1", "--grid-margin", "-1"),
         ("mfs", "fock:1", "--mfs-theta-tol", "nan"),
         ("mfs", "fock:1", "--mfs-theta-tol", "0"),
-        ("measure", "fock:1", "--grid-margin", "nan"),
         ("measure", "fock:1", "--grid-points", "1"),
         ("sweep", "fock:1", "--theta-samples", "2"),
+        ("gfs", "fock:1", "--gfs-rel-tol", "-1e-3"),
+        ("mfs", "fock:1", "--mfs-theta-tol", "inf"),
     ])
     def test_bad_numerics_flag_is_a_parse_error(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
@@ -160,7 +162,7 @@ class TestMeasure:
         ("measure", "fock:1", "--grid-points", "2"),
         ("mfs", "gauss:sigma=100,analytic"),
         ("gfs", "gauss:sigma=30,analytic"),
-        ("measure", "gauss:sigma=2,analytic", "--grid-margin", "2"),
+        ("measure", "gauss:sigma=2,analytic", "--grid-points", "8"),
     ])
     def test_grid_that_cannot_hold_the_state_is_refused(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
@@ -168,22 +170,28 @@ class TestMeasure:
         assert out == ""
         assert "cannot hold the state" in err
 
-    @pytest.mark.parametrize("argv", [("measure", "fock:1"),
-                                      ("gfs", "gauss:sigma=2,analytic"),
-                                      ("mfs", "super:1,0,1")])
-    @pytest.mark.parametrize("margin, message", [
+    @pytest.mark.parametrize("extent, message", [
         ("1e305", "overflows its points"),
-        ("1e300", "cannot hold the state")])
+        ("1e300", "cannot hold the state"),
+        ("1e200", "cannot hold the state")])
     def test_grid_whose_points_overflow_is_refused_without_a_warning(
-            self, capsys, argv, margin, message):
-        # extent x (count - 1) passes the largest float from a margin of
-        # about 4.4e304 at 4096 points
+            self, extent, message):
+        # no command builds such a grid, but the library's Grid and basis
+        # rows take any extent.  extent x (count - 1) passes the largest
+        # float from about 4.4e304 at 4096 points; below that the rows
+        # past |x| = 2**20 are 0.0, whole or streamed, and hold no mass
+        state = make_state([1.0] * 10, renormalize=True)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code, out, err = run_cli(capsys, *argv, "--grid-margin", margin)
-        assert code == 3
-        assert out == ""
-        assert message in err
+            if message == "overflows its points":
+                with pytest.raises(NumericsError, match=message):
+                    Grid(extent=float(extent), count=4096)
+                return
+            grid = Grid(extent=float(extent), count=4096)
+            for table in (tabulate(grid.half_points, 10),
+                          row_chunks(grid.half_points, 10, 3)):
+                with pytest.raises(NumericsError, match=message):
+                    eval_density(state, 0.3, grid, table)
 
     @pytest.mark.parametrize("literal, points", [
         ("fock:1", "100000000"),
@@ -207,17 +215,15 @@ class TestMeasure:
         assert code == 3
         assert out == ""
         assert "exceed the cap" in err
+        # in the user's terms: the grid points asked for
+        assert f" {points} " in err
 
     @pytest.mark.parametrize("argv, message", [
         (("gauss:sigma=2,N=800", "--grid-points", "1024"),
          "cannot hold the state"),
-        (("gauss:sigma=2,N=200", "--grid-margin", "0"),
-         "cannot hold the state"),
-        (("gauss:sigma=2,N=200", "--grid-margin", "1e200"),
-         "cannot hold the state"),
         (("super:" + ",".join(["1"] * 70), "--grid-points", "2097152"),
          "exceed the cap"),
-    ], ids=["coarse", "short", "margin_1e200", "cap"])
+    ], ids=["coarse", "cap"])
     def test_streamed_measure_refuses_what_the_evaluator_refuses(
             self, capsys, monkeypatch, argv, message):
         # each state has more basis rows than one streamed chunk holds; the
@@ -285,6 +291,23 @@ class TestMeasure:
         # 4 int j^2 / rho needs none
         with pytest.raises(SystemExit) as exc:
             main(["measure", "fock:1", "--node-eps", "nan"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("flags", [
+        ("--theta", "-1e-3"), ("--theta", "-2.5E+1"), ("--theta", "-.5e0")])
+    def test_negative_angle_in_exponent_form_is_a_value(self, capsys, flags):
+        # argparse takes only -1 and -0.5 as numbers, and took -1e-3 for a
+        # flag: the value is the one the = form gives
+        flag, value = flags
+        code, out, _ = run_cli(capsys, "measure", "fock:1", flag, value)
+        assert code == 0
+        assert run_cli(capsys, "measure", "fock:1",
+                       f"{flag}={value}")[:2] == (0, out)
+
+    def test_negative_infinite_angle_is_still_refused(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["measure", "fock:1", "--theta", "-inf"])
         assert exc.value.code == 2
         assert capsys.readouterr().out == ""
 
@@ -514,6 +537,18 @@ def test_selftest_takes_no_numerics_flags(capsys, flag):
 
 
 @pytest.mark.parametrize("argv", [
+    ("measure", "fock:1"), ("sweep", "fock:1"), ("gfs", "fock:1"),
+    ("mfs", "fock:1"), ("table1",), ("box",), ("reproduce",)])
+def test_grid_margin_is_not_a_flag(capsys, argv):
+    # the grid's margin is a constant of the discretization
+    # (qsc.state.GRID_MARGIN), not a parameter of the measures
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--grid-margin", "6"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv", [
     ("measure", "fock:1", "--gfs-rel-tol", "1e-3"),
     ("measure", "fock:1", "--mfs-theta-tol", "1e-3"),
     ("sweep", "fock:1", "--gfs-rel-tol", "1e-3"),
@@ -697,8 +732,7 @@ def _command_line(draw):
         argv.append(f"--theta-samples={draw(st.integers(4, 16))}")
     flags = {"--grid-points": _field(
                  64, 1024, st.one_of(st.integers(-2, 63).map(str),
-                                     st.sampled_from(["", "x", "1e3"]))),
-             "--grid-margin": _field(0.0, 12.0)}
+                                     st.sampled_from(["", "x", "1e3"])))}
     if command == "gfs":
         flags["--gfs-rel-tol"] = _field(1e-8, 1e-1)
     elif command == "mfs":

@@ -480,9 +480,15 @@ def test_min_fs_against_an_in_bracket_reference():
 def test_invariants_script_runs_on_its_first_states(capsys):
     # tests/invariants.py is run by hand on all 300 states; its first three
     # keep it working without the gfs runs: every law holds, and a line
-    # per band of K
+    # per band of K in the table of each lattice mode
     import invariants
     assert invariants.main(["--states", "3", "--no-gfs"]) == 0
     out = capsys.readouterr().out
-    assert all(f"{lo}-{hi}" in out for lo, hi in invariants.BANDS)
+    lines = out.splitlines()
+    assert all(title in lines for title in invariants.MODES.values())
+    firsts = [line.split()[0] for line in lines if line.strip()]
+    assert all(firsts.count(f"{lo}-{hi}") == len(invariants.MODES)
+               for lo, hi in invariants.BANDS)
     assert "Cramer-Rao" in out
+    # the plain mode leaves the package's evaluators as it found them
+    assert invariants.SWEEP.evaluator_for is evaluator_for
