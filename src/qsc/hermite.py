@@ -74,16 +74,14 @@ def _aligned_empty(shape) -> np.ndarray:
     return raw[skip:skip + n].reshape(shape)
 
 
-def check_cells(rows: int, points: int, what: str | None = None) -> None:
+def check_cells(rows: int, points: int) -> None:
     """Refuse an array of ``rows`` rows of ``points`` points past
-    MAX_TABLE_CELLS, before anything of that size is allocated.  ``what``
-    names the array in the message, "R rows of P points" by default."""
+    MAX_TABLE_CELLS, before anything of that size is allocated."""
     cells = rows * points
     if cells > MAX_TABLE_CELLS:
         raise NumericsError(
-            f"{what or f'{rows} rows of {points} points'} would exceed the cap"
-            f" of {MAX_TABLE_CELLS} cells: {cells} cells is "
-            f"{cells - MAX_TABLE_CELLS} over the cap")
+            f"{rows} rows of {points} points exceed the cap of {MAX_TABLE_CELLS}"
+            f" cells: {cells} cells is {cells - MAX_TABLE_CELLS} over the cap")
 
 
 @dataclass(frozen=True)

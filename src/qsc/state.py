@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericsError
-from .hermite import (BasisTable, _aligned_empty, _ladder_weights, check_cells,
-                      ladder)
+from .hermite import (MAX_TABLE_CELLS, BasisTable, _aligned_empty,
+                      _ladder_weights, ladder)
 
 __all__ = ["AnalyticGaussian", "DensityProfile", "FockState", "Grid",
            "canonical_theta", "default_grid", "density_block", "eval_density",
@@ -345,9 +345,14 @@ class _Workspace:
     def check(rows: int, points: int) -> None:
         """Refuse a workspace of ``rows`` angles on ``points`` grid points
         past the cell cap, before it exists, in those terms."""
-        angles = "1 angle" if rows == 1 else f"{rows} angles"
-        check_cells(*_Workspace.shape(rows, points),
-                    f"the workspace of {angles} on {points} grid points")
+        half_rows, width = _Workspace.shape(rows, points)
+        cells = half_rows * width
+        if cells > MAX_TABLE_CELLS:
+            angles = "1 angle" if rows == 1 else f"{rows} angles"
+            raise NumericsError(
+                f"the workspace of {angles} on {points} grid points would "
+                f"exceed the cap of {MAX_TABLE_CELLS} cells: {cells} cells is "
+                f"{cells - MAX_TABLE_CELLS} over the cap")
 
     def block(self, a: int):
         """The views (psi, odd) of a block of ``a`` angles."""
