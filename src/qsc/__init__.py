@@ -14,9 +14,8 @@ from .catalog import (BoxSpec, box_cfs_momentum, box_cfs_position,
                       squeezed_vacuum_fock, superposition_state)
 from .errors import NumericsError, ParseError, QscError
 from .frft import kernel, transform
-from .functionals import (ComplexityReport, FockEvaluator, Numerics,
-                          entropy_power, fs_complexity, integrate,
-                          report_from_profile)
+from .functionals import (ComplexityReport, FockEvaluator, entropy_power,
+                          fs_complexity, integrate, report_from_profile)
 from .hermite import BasisTable, tabulate
 from .state import (AnalyticGaussian, DensityProfile, FockState, Grid,
                     canonical_theta, default_grid, eval_density,
@@ -28,7 +27,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AnalyticGaussian", "BasisTable", "BoxSpec", "ComplexityReport",
     "DensityProfile", "FockEvaluator", "FockState", "GlobalMeasure", "Grid",
-    "Numerics", "NumericsError",
+    "NumericsError",
     "ParseError", "QscError", "SweepResult", "analyze", "box_cfs_momentum",
     "box_cfs_position", "box_momentum_entropy", "box_state",
     "box_wavefunction",

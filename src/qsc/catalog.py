@@ -20,8 +20,8 @@ import numpy as np
 
 from . import hermite
 from .errors import NumericsError, ParseError
-from .functionals import DEFAULT_NUMERICS, entropy_power
-from .state import AnalyticGaussian, FockState, make_state
+from .functionals import entropy_power
+from .state import GRID_POINTS, AnalyticGaussian, FockState, make_state
 
 __all__ = [
     "BoxSpec", "box_cfs_momentum", "box_cfs_position", "box_momentum_entropy",
@@ -353,8 +353,7 @@ def _read_fields(kind: str, body: str) -> dict:
     return fields
 
 
-def parse_state_literal(text: str,
-                        grid_points: int = DEFAULT_NUMERICS.grid_points):
+def parse_state_literal(text: str, grid_points: int = GRID_POINTS):
     """Parse ``fock:n``, ``super:c0,c1,...``, ``gauss:sigma=S[,N=..|,analytic]``
     or ``box:n=N[,N=..]`` into a state object.
 

@@ -20,8 +20,8 @@ from .catalog import (BoxSpec, box_cfs_momentum, box_cfs_position, box_state,
                       parse_state_literal, superposition_state)
 from .errors import NumericsError, ParseError
 from .frft import equivalence_failures
-from .functionals import (DEFAULT_NUMERICS, Numerics, evaluator_for,
-                          fs_complexity)
+from .functionals import evaluator_for, fs_complexity
+from .state import GRID_POINTS
 from .sweep import analyze, min_fs, sweep
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -43,39 +43,26 @@ def _print_json(payload) -> None:
     print(text)
 
 
-def _numerics(args) -> Numerics:
-    """Numerics of the flags the command takes, defaults for the rest."""
-    given = {f.name: getattr(args, f.name)
-             for f in dataclasses.fields(Numerics) if hasattr(args, f.name)}
-    try:
-        return Numerics(**given)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
+def _grid_points(args) -> int:
+    """The grid size of ``--grid-points``, refused below 2 before the state
+    literal is read."""
+    if args.grid_points < 2:
+        raise ParseError(f"grid_points must be >= 2, got {args.grid_points}")
+    return args.grid_points
 
 
-def _add_numerics(p: argparse.ArgumentParser, gfs: bool = False,
-                  mfs: bool = False) -> None:
-    """The grid resolution, and the tolerance of the global measure's
-    refinement or of the minimum search for a command that runs it."""
-    d = DEFAULT_NUMERICS
-    p.add_argument("--grid-points", type=int, default=d.grid_points,
+def _add_grid_points(p: argparse.ArgumentParser) -> None:
+    """The grid resolution, the one numerics flag of the measures."""
+    p.add_argument("--grid-points", type=int, default=GRID_POINTS,
                    help="grid resolution M (default %(default)s)")
-    if gfs:
-        p.add_argument("--gfs-rel-tol", type=float, default=d.gfs_rel_tol,
-                       help="relative tolerance of the global-measure "
-                            "refinement")
-    if mfs:
-        p.add_argument("--mfs-theta-tol", type=float,
-                       default=d.mfs_theta_tol,
-                       help="angle tolerance of the minimum search")
 
 
 def cmd_measure(args) -> int:
     if not math.isfinite(args.theta):
         raise ParseError(f"--theta must be finite, got {args.theta!r}")
-    numerics = _numerics(args)
-    state = parse_state_literal(args.state, numerics.grid_points)
-    report = fs_complexity(state, args.theta, numerics, extensions=True)
+    grid_points = _grid_points(args)
+    state = parse_state_literal(args.state, grid_points)
+    report = fs_complexity(state, args.theta, grid_points, extensions=True)
     _print_json({**dataclasses.asdict(report),
                  "extension_measures_flag": "lmc,cr"})
     return 0
@@ -131,10 +118,10 @@ def _sweep_svg(thetas, values) -> str:
 
 
 def cmd_sweep(args) -> int:
-    numerics = _numerics(args)
-    state = parse_state_literal(args.state, numerics.grid_points)
+    grid_points = _grid_points(args)
+    state = parse_state_literal(args.state, grid_points)
     try:
-        result = sweep(state, args.theta_samples, numerics)
+        result = sweep(state, args.theta_samples, grid_points)
     except ValueError as exc:       # too few or too many samples
         raise ParseError(str(exc)) from None
     csv = _sweep_csv(result)
@@ -151,16 +138,16 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_gfs(args) -> int:
-    numerics = _numerics(args)
-    state = parse_state_literal(args.state, numerics.grid_points)
-    _print_json(dataclasses.asdict(analyze(state, numerics)))
+    grid_points = _grid_points(args)
+    state = parse_state_literal(args.state, grid_points)
+    _print_json(dataclasses.asdict(analyze(state, grid_points)))
     return 0
 
 
 def cmd_mfs(args) -> int:
-    numerics = _numerics(args)
-    state = parse_state_literal(args.state, numerics.grid_points)
-    theta_star, value = min_fs(state, numerics)
+    grid_points = _grid_points(args)
+    state = parse_state_literal(args.state, grid_points)
+    theta_star, value = min_fs(state, grid_points)
     _print_json({"mfs": value, "theta_star": theta_star})
     return 0
 
@@ -171,7 +158,7 @@ TABLE1 = (5.15, 11.7, 20.5, 31.3, 44.2, 59.0, 75.7, 94.3, 114.0, 137.0)
 SECTIONS = ("table1", "phi", "global", "minimum", "box")
 
 
-def _reference_rows(numerics: Numerics, sections):
+def _reference_rows(grid_points: int, sections):
     rows = []
 
     def add(row_id, reference, computed, tol, kind):
@@ -186,37 +173,37 @@ def _reference_rows(numerics: Numerics, sections):
         for n, ref in enumerate(TABLE1, start=1):
             add(f"table1:fock_{n}", ref,
                 fs_complexity(parse_state_literal(f"fock:{n}"), 0.0,
-                              numerics).cfs, 0.01, "rel")
+                              grid_points).cfs, 0.01, "rel")
     if "phi" in sections:
         phi1 = {s: superposition_state(2, s * INV_SQRT2) for s in (+1, -1)}
         phi2 = {s: superposition_state(4, s * INV_SQRT2) for s in (+1, -1)}
         for sign, tag in ((+1, "plus"), (-1, "minus")):
-            ev = evaluator_for(phi1[sign], numerics)
+            ev = evaluator_for(phi1[sign], grid_points)
             ref0, ref90 = (2.32, 2.95) if sign > 0 else (2.95, 2.32)
             add(f"phi1_{tag}:theta=0", ref0, ev.cfs(0.0), 0.01, "abs")
             add(f"phi1_{tag}:theta=pi/2", ref90, ev.cfs(math.pi / 2.0),
                 0.01, "abs")
-            ev = evaluator_for(phi2[sign], numerics)
+            ev = evaluator_for(phi2[sign], grid_points)
             ref2 = 6.79763 if sign > 0 else 9.26409
             add(f"phi2_{tag}:theta=0", ref2, ev.cfs(0.0), 1e-3, "abs")
             add(f"phi2_{tag}:theta=pi/2", ref2, ev.cfs(math.pi / 2.0),
                 1e-3, "abs")
         if "global" in sections:
             for sign, tag in ((+1, "plus"), (-1, "minus")):
-                add(f"gfs:phi1_{tag}", 2.53, analyze(phi1[sign], numerics).gfs,
-                    0.01, "abs")
-                add(f"gfs:phi2_{tag}", 7.63, analyze(phi2[sign], numerics).gfs,
-                    0.01, "abs")
+                add(f"gfs:phi1_{tag}", 2.53,
+                    analyze(phi1[sign], grid_points).gfs, 0.01, "abs")
+                add(f"gfs:phi2_{tag}", 7.63,
+                    analyze(phi2[sign], grid_points).gfs, 0.01, "abs")
         if "minimum" in sections:
             for sign, tag in ((+1, "plus"), (-1, "minus")):
-                add(f"mfs:phi1_{tag}", 2.25, min_fs(phi1[sign], numerics)[1],
-                    0.01, "abs")
-                add(f"mfs:phi2_{tag}", 6.79, min_fs(phi2[sign], numerics)[1],
-                    0.01, "abs")
+                add(f"mfs:phi1_{tag}", 2.25,
+                    min_fs(phi1[sign], grid_points)[1], 0.01, "abs")
+                add(f"mfs:phi2_{tag}", 6.79,
+                    min_fs(phi2[sign], grid_points)[1], 0.01, "abs")
     if "box" in sections:
         # the evaluator's stored table, as ``qsc box`` evaluates the wells
         for n in range(1, 6):
-            ev = evaluator_for(box_state(BoxSpec(n=n)), numerics)
+            ev = evaluator_for(box_state(BoxSpec(n=n)), grid_points)
             add(f"box:position_n={n}", box_cfs_position(n), ev.cfs(0.0),
                 0.01, "rel")
     return rows
@@ -231,7 +218,7 @@ def _print_rows(rows) -> None:
 
 
 def cmd_box(args) -> int:
-    numerics = _numerics(args)
+    grid_points = _grid_points(args)
     if args.n_max < 1:
         raise ParseError(f"--n-max must be >= 1, got {args.n_max}")
     try:
@@ -241,7 +228,7 @@ def cmd_box(args) -> int:
         raise ParseError(f"--n-fock {args.n_fock}: {exc}") from None
     rows = []
     for n, spec in enumerate(specs, start=1):
-        ev = evaluator_for(box_state(spec), numerics)
+        ev = evaluator_for(box_state(spec), grid_points)
         pos, mom = ev.cfs(0.0), ev.cfs(math.pi / 2.0)
         pos_ref = box_cfs_position(n)
         mom_ref = box_cfs_momentum(n)
@@ -264,7 +251,7 @@ def cmd_box(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
-    rows = _reference_rows(_numerics(args), args.sections)
+    rows = _reference_rows(_grid_points(args), args.sections)
     if args.json:
         _print_json(rows)
     else:
@@ -314,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("measure", help="one state, one angle")
     p.add_argument("state", help="state literal, e.g. fock:2 or super:1,0,1i")
     p.add_argument("--theta", type=float, default=0.0)
-    _add_numerics(p)
+    _add_grid_points(p)
     p.set_defaults(fn=cmd_measure)
 
     p = sub.add_parser("sweep", help="complexity curve over [0, pi)")
@@ -322,36 +309,36 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta-samples", type=int, default=64)
     p.add_argument("--out", help="CSV path (stdout when omitted)")
     p.add_argument("--svg", help="also plot the curve to this SVG path")
-    _add_numerics(p)
+    _add_grid_points(p)
     p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser("gfs", help="global (angle-averaged) measure")
     p.add_argument("state")
-    _add_numerics(p, gfs=True)
+    _add_grid_points(p)
     p.set_defaults(fn=cmd_gfs)
 
     p = sub.add_parser("mfs", help="minimum measure and its angle")
     p.add_argument("state")
-    _add_numerics(p, mfs=True)
+    _add_grid_points(p)
     p.set_defaults(fn=cmd_mfs)
 
     p = sub.add_parser("table1", help="Fock-row reference comparison "
                        "(the table1 section of reproduce)")
     p.add_argument("--json", action="store_true")
-    _add_numerics(p)
+    _add_grid_points(p)
     p.set_defaults(fn=cmd_reproduce, sections=("table1",))
 
     p = sub.add_parser("box", help="well eigenstates: pipeline vs formulas")
     p.add_argument("--n-max", type=int, default=5)
     p.add_argument("--n-fock", type=int, default=BoxSpec.n_fock)
     p.add_argument("--json", action="store_true")
-    _add_numerics(p)
+    _add_grid_points(p)
     p.set_defaults(fn=cmd_box)
 
     p = sub.add_parser("reproduce",
                        help="compare every built-in reference value")
     p.add_argument("--json", action="store_true")
-    _add_numerics(p, gfs=True, mfs=True)
+    _add_grid_points(p)
     p.set_defaults(fn=cmd_reproduce, sections=SECTIONS)
 
     p = sub.add_parser("selftest", help="kernel-oracle equivalence suite")

@@ -4,8 +4,8 @@ Everything reduces through one composite trapezoid rule, ``integrate``
 (defined next to ``Grid`` in ``state``), along the last (grid) axis with a
 fixed summation order, so one profile and a block of profiles (one row per
 angle) go through the same code and outputs are reproducible bit for bit.
-Accuracy comes from resolution (4096 points by default), not from a
-higher-order rule.  The rule is spectrally accurate only for smooth,
+Accuracy comes from resolution (``state.GRID_POINTS`` by default), not
+from a higher-order rule.  The rule is spectrally accurate only for smooth,
 exponentially decaying densities such as those of short Fock
 superpositions.  Not every density here is of that kind: a well eigenstate
 has kinked edges, which its Fock projection resolves only through rapidly
@@ -76,7 +76,8 @@ import numpy as np
 
 from . import hermite
 from .errors import NumericsError
-from .state import (_DENSITY_ROWS, _TINY, GRID_MARGIN, AnalyticGaussian,
+from .state import (_DENSITY_ROWS, _TINY, GRID_MARGIN, GRID_POINTS,
+                    AnalyticGaussian,
                     DensityProfile, FockState, Grid, _check_mass,
                     _integrate_folded, _Plan, _profile, _Workspace,
                     canonical_theta, default_grid, density_block,
@@ -84,7 +85,7 @@ from .state import (_DENSITY_ROWS, _TINY, GRID_MARGIN, AnalyticGaussian,
                     mirror_axis)
 
 __all__ = [
-    "ComplexityReport", "FockEvaluator", "GaussianEvaluator", "Numerics",
+    "ComplexityReport", "FockEvaluator", "GaussianEvaluator",
     "ProfileEvaluator", "entropy_power", "evaluator_for", "fs_complexity",
     "integrate", "report_from_profile",
 ]
@@ -95,7 +96,7 @@ ENTROPY_POWER_GUARD = 350.0
 # basis table and reused by every block of the fill: ``_DENSITY_ROWS`` rows
 # of grid points per angle (12 padded half rows: psi and psi' on both
 # sides, whose space rho, j and the functionals' two temporaries reuse,
-# and their odd part), so 8 angles at the default 4096 points.  Larger
+# and their odd part), so 8 angles at the default grid.  Larger
 # blocks gain little speed once the GEMMs have 16 rows (10 angles in 2 MiB
 # ran no faster), and every byte adds to the peak memory.
 BLOCK_BYTES = 3 * 2 ** 19
@@ -106,28 +107,6 @@ BLOCK_BYTES = 3 * 2 ** 19
 # default grid's half width, where the whole table of a 385-term state is
 # 6.3 MB and one of the 4096-row ``gauss:`` cap 67 MB
 CHUNK_BYTES = 2 ** 20
-
-
-@dataclass(frozen=True)
-class Numerics:
-    """Resolution and tolerance knobs, mirrored by the CLI flags; checked
-    at construction (ValueError)."""
-
-    grid_points: int = 4096
-    gfs_rel_tol: float = 1e-5
-    mfs_theta_tol: float = 1e-6
-
-    def __post_init__(self):
-        if self.grid_points < 2:
-            raise ValueError(f"grid_points must be >= 2, got {self.grid_points}")
-        for name in ("gfs_rel_tol", "mfs_theta_tol"):
-            value = getattr(self, name)
-            if not 0.0 < value < math.inf:     # NaN fails too
-                raise ValueError(f"{name} must be finite and > 0, "
-                                 f"got {value!r}")
-
-
-DEFAULT_NUMERICS = Numerics()
 
 
 @dataclass(frozen=True, slots=True)
@@ -237,12 +216,10 @@ class ProfileEvaluator:
     ``mirror_axis`` is an angle a with cfs(a + t) = cfs(a - t) for all t,
     read from the state, or None when the state shows no such axis."""
 
-    numerics: Numerics
     grid: Grid
     mirror_axis: float | None = None
 
-    def __init__(self, numerics: Numerics = DEFAULT_NUMERICS):
-        self.numerics = numerics
+    def __init__(self):
         self._cache: dict[float, ComplexityReport] = {}
 
     def density_block(self, thetas, ws: _Workspace):
@@ -292,13 +269,13 @@ class ProfileEvaluator:
         return self.report(theta).cfs
 
 
-def _fock_grid(state: FockState, numerics: Numerics) -> Grid:
+def _fock_grid(state: FockState, grid_points: int) -> Grid:
     """The grid of a FockState's densities, built once its basis table of
     N + 2 rows (at the full grid width, twice the half table) and its
     one-angle workspace, larger for N <= 3, pass the cell cap."""
-    hermite.check_cells(state.n_max + 2, numerics.grid_points)
-    _Workspace.check(1, numerics.grid_points)
-    return default_grid(state.n_max, numerics.grid_points)
+    hermite.check_cells(state.n_max + 2, grid_points)
+    _Workspace.check(1, grid_points)
+    return default_grid(state.n_max, grid_points)
 
 
 def chunk_rows(grid_points: int) -> int:
@@ -327,10 +304,10 @@ class FockEvaluator(ProfileEvaluator):
     does not hold basis row N.  The mirror axis comes from the
     coefficients."""
 
-    def __init__(self, state: FockState, numerics: Numerics = DEFAULT_NUMERICS):
-        super().__init__(numerics)
+    def __init__(self, state: FockState, grid_points: int = GRID_POINTS):
+        super().__init__()
         self.state = state
-        self.grid = _fock_grid(state, numerics)
+        self.grid = _fock_grid(state, grid_points)
         self.table = hermite.tabulate(self.grid.half_points, state.n_max + 1)
         self._plan = _Plan(state, self.grid, self.table)
         self.mirror_axis = mirror_axis(state)
@@ -353,14 +330,14 @@ class GaussianEvaluator(ProfileEvaluator):
     mirror_axis = 0.0
 
     def __init__(self, state: AnalyticGaussian,
-                 numerics: Numerics = DEFAULT_NUMERICS):
-        super().__init__(numerics)
+                 grid_points: int = GRID_POINTS):
+        super().__init__()
         self.sigma = state.sigma
         # its largest array, the workspace below, before the grid exists
-        _Workspace.check(2, numerics.grid_points)
+        _Workspace.check(2, grid_points)
         widest = max(self.sigma, 1.0 / self.sigma)
         self.grid = Grid(extent=(1.0 + GRID_MARGIN) * widest,
-                         count=numerics.grid_points)
+                         count=grid_points)
         # a grid that cannot hold the state may overflow s^2 / v
         with np.errstate(over="ignore", invalid="ignore"):
             rho = self.density_block([0.0, 0.5 * math.pi],
@@ -385,16 +362,17 @@ class GaussianEvaluator(ProfileEvaluator):
         return rho, current, 1.0 / v[:, 0]
 
 
-def evaluator_for(state, numerics: Numerics = DEFAULT_NUMERICS):
-    """The evaluator of a FockState or an AnalyticGaussian."""
+def evaluator_for(state, grid_points: int = GRID_POINTS):
+    """The evaluator of a FockState or an AnalyticGaussian on a grid of
+    ``grid_points`` points."""
     if isinstance(state, FockState):
-        return FockEvaluator(state, numerics)
+        return FockEvaluator(state, grid_points)
     if isinstance(state, AnalyticGaussian):
-        return GaussianEvaluator(state, numerics)
+        return GaussianEvaluator(state, grid_points)
     raise TypeError(f"cannot evaluate complexity of {type(state).__name__}")
 
 
-def fs_complexity(state, theta: float, numerics: Numerics = DEFAULT_NUMERICS,
+def fs_complexity(state, theta: float, grid_points: int = GRID_POINTS,
                   extensions: bool = False) -> ComplexityReport:
     """Fisher-Shannon complexity report of a state at one angle, evaluated
     at the canonical angle it reports (see ``ProfileEvaluator``).
@@ -411,9 +389,9 @@ def fs_complexity(state, theta: float, numerics: Numerics = DEFAULT_NUMERICS,
     sigma 3 to 4, where kinetic - 4 integral of j^2 / rho cancels most of
     its two terms."""
     if isinstance(state, FockState):
-        grid = _fock_grid(state, numerics)
+        grid = _fock_grid(state, grid_points)
         profile = eval_density(state, theta, grid, hermite.row_chunks(
             grid.half_points, state.n_max + 1, chunk_rows(grid.count)))
     else:
-        profile = evaluator_for(state, numerics).profile(theta)
+        profile = evaluator_for(state, grid_points).profile(theta)
     return report_from_profile(profile, extensions)

@@ -23,6 +23,9 @@ __all__ = ["AnalyticGaussian", "DensityProfile", "FockState", "Grid",
            "rotate"]
 
 NORM_TOL = 1e-10
+# Points of every grid unless a caller passes another count: the one
+# numerics input of the measures
+GRID_POINTS = 4096
 # Units of Gaussian decay that every grid reaches past the state: past the
 # top basis function's turning point (``default_grid``), or past the widest
 # standard deviation of an analytic Gaussian.  A discretization constant
@@ -114,7 +117,7 @@ def integrate(values, grid: Grid):
     return grid.dx * (total - 0.5 * (y[..., 0] + y[..., -1]))
 
 
-def default_grid(n_max: int, grid_points: int = 4096) -> Grid:
+def default_grid(n_max: int, grid_points: int = GRID_POINTS) -> Grid:
     """Classical turning point of the highest basis function plus
     GRID_MARGIN units of Gaussian decay; tail contributions land below
     1e-12."""

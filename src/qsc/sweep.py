@@ -37,10 +37,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .functionals import (ComplexityReport, DEFAULT_NUMERICS, Numerics,
-                          evaluator_for)
+from .functionals import ComplexityReport, evaluator_for
 from .hermite import MAX_TABLE_CELLS
-from .state import canonical_theta
+from .state import GRID_POINTS, canonical_theta
 
 __all__ = ["GlobalMeasure", "SweepResult", "analyze", "min_fs", "sweep"]
 
@@ -53,6 +52,10 @@ GFS_START = 32
 GFS_MAX_RESOLUTION = 1024
 MFS_SCAN = 128
 MFS_FINE = 8
+# the targets: the relative agreement of successive gfs estimates, and the
+# bracket width at which Brent's search of the mfs arg-min stops
+GFS_REL_TOL = 1e-5
+MFS_THETA_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -92,19 +95,18 @@ def _lattice_cfs(ev, n: int):
     return thetas, half + half[-2:0:-1]
 
 
-def sweep(state, n_theta: int,
-          numerics: Numerics = DEFAULT_NUMERICS) -> SweepResult:
+def sweep(state, n_theta: int, grid_points: int = GRID_POINTS) -> SweepResult:
     """Evaluate the complexity report on the periodic lattice k pi / n_theta,
     k = 0..n_theta-1 (endpoint pi excluded).  Its work, n_theta *
     grid_points angle-points, is capped at MAX_TABLE_CELLS (32768 angles at
     the default grid); blocked fills hold no array of that size."""
     if n_theta < 4:
         raise ValueError("need at least 4 theta samples")
-    if n_theta * numerics.grid_points > MAX_TABLE_CELLS:
+    if n_theta * grid_points > MAX_TABLE_CELLS:
         raise ValueError(
-            f"{n_theta} theta samples of {numerics.grid_points} grid points "
+            f"{n_theta} theta samples of {grid_points} grid points "
             f"exceed the cap of {MAX_TABLE_CELLS} values")
-    ev = evaluator_for(state, numerics)
+    ev = evaluator_for(state, grid_points)
     thetas = _lattice(n_theta)
     return SweepResult(thetas=np.array(thetas),
                        reports=tuple(ev.reports(thetas)))
@@ -168,7 +170,7 @@ def _brent_min(f, seeds, values, tol: float):
     return x, fx
 
 
-def min_fs(state, numerics: Numerics = DEFAULT_NUMERICS) -> tuple[float, float]:
+def min_fs(state, grid_points: int = GRID_POINTS) -> tuple[float, float]:
     """Minimum Fisher-Shannon measure and its canonical arg-min angle.
 
     Scans the MFS_SCAN lattice and takes its best sample theta_k (ties
@@ -176,12 +178,12 @@ def min_fs(state, numerics: Numerics = DEFAULT_NUMERICS) -> tuple[float, float]:
     i pi / (MFS_FINE MFS_SCAN), 0 < |i| < MFS_FINE, are evaluated as one
     lattice; with theta_k and its two scan neighbours they make a fine
     lattice over the two scan cells around theta_k.  Brent's method then
-    refines to the ``mfs_theta_tol`` in the two fine cells around the best
+    refines to MFS_THETA_TOL in the two fine cells around the best
     interior fine sample, seeded with it and its neighbours.  The result is
     never above the scan.  One search settles in one basin: when a node
     event splits the fine cells around the best fine sample into two
     basins, it can report the higher one."""
-    ev = evaluator_for(state, numerics)
+    ev = evaluator_for(state, grid_points)
     thetas, values = _lattice_cfs(ev, MFS_SCAN)
     n = len(values)
     k = int(np.argmin(values))
@@ -194,23 +196,23 @@ def min_fs(state, numerics: Numerics = DEFAULT_NUMERICS) -> tuple[float, float]:
     # theta_k is interior and no end is below it
     j = 1 + int(np.argmin(fs[1:-1]))
     x, fx = _brent_min(ev.cfs, xs[j - 1:j + 2], fs[j - 1:j + 2],
-                       ev.numerics.mfs_theta_tol)
+                       MFS_THETA_TOL)
     return canonical_theta(x), fx
 
 
-def analyze(state, numerics: Numerics = DEFAULT_NUMERICS) -> GlobalMeasure:
+def analyze(state, grid_points: int = GRID_POINTS) -> GlobalMeasure:
     """Global measure: the periodic-trapezoid average of cfs on the lattice
     about the state's mirror axis, doubled from GFS_START angles until
-    successive estimates agree to ``gfs_rel_tol`` or the lattice reaches
+    successive estimates agree to GFS_REL_TOL or the lattice reaches
     GFS_MAX_RESOLUTION (the minimum measure is ``min_fs``'s)."""
-    ev = evaluator_for(state, numerics)
-    tol = ev.numerics.gfs_rel_tol
+    ev = evaluator_for(state, grid_points)
     res = GFS_START
     estimate = float(np.mean(_lattice_cfs(ev, res)[1]))
     converged = False
     while res < GFS_MAX_RESOLUTION and not converged:
         res *= 2
         refined = float(np.mean(_lattice_cfs(ev, res)[1]))
-        converged = abs(refined - estimate) <= tol * max(abs(refined), 1e-300)
+        converged = (abs(refined - estimate)
+                     <= GFS_REL_TOL * max(abs(refined), 1e-300))
         estimate = refined
     return GlobalMeasure(gfs=estimate, converged=converged, resolution=res)

@@ -12,6 +12,12 @@ runs the commands, prints the largest relative move of each field against
 the file at PATH (default tests/data/cli_outputs.json) and every entry whose
 exit code, keys or text changed, then writes the new corpus to PATH.  A
 change that moves numbers regenerates the file and quotes that report.
+
+The committed corpus reproduces byte for byte only on the host that wrote
+it: another BLAS kernel moves the last bits of some values, within the
+bounds of ``test_cli_outputs.py``.  To show that a change leaves the
+outputs as they were, run the script to a scratch PATH on the parent
+commit and on the change, on the same host, and compare those two files.
 """
 
 from __future__ import annotations
@@ -42,7 +48,6 @@ ARGVS = [
     ["gfs", "gauss:sigma=2,analytic"],
     ["gfs", "super:1,1+1i,1"],
     ["mfs", "super:1,2i,3"],
-    ["mfs", "super:1,0,1", "--mfs-theta-tol", "1e-300"],
     ["measure", "box:n=3", "--theta", "0"],
     ["measure", "box:n=6,N=384", "--theta", "0"],
     ["measure", "fock:1200", "--theta", "0.4"],

@@ -37,7 +37,7 @@ from qsc.catalog import (BoxSpec, box_cfs_momentum, box_cfs_position,
                          box_state, choose_squeezed_truncation,
                          squeezed_vacuum_fock, superposition_state)
 from qsc.frft import equivalence_failures
-from qsc.functionals import FockEvaluator, Numerics, fs_complexity
+from qsc.functionals import FockEvaluator, fs_complexity
 from qsc.state import AnalyticGaussian, make_state, rotate
 from qsc.sweep import analyze, min_fs, sweep
 from conftest import INV_SQRT2, fock
@@ -357,8 +357,8 @@ def test_c10_property_suite(phi_states, box_states, box_analyses):
 
     # grid-doubling stability of the criterion-1 values
     for n in range(1, 11):
-        coarse = fs_complexity(fock(n), 0.0, Numerics(grid_points=4096)).cfs
-        fine = fs_complexity(fock(n), 0.0, Numerics(grid_points=8192)).cfs
+        coarse = fs_complexity(fock(n), 0.0, grid_points=4096).cfs
+        fine = fs_complexity(fock(n), 0.0, grid_points=8192).cfs
         if abs(fine - coarse) > 1e-6 * coarse:
             problems.append(f"grid-doubling drift at n={n}")
 

@@ -17,14 +17,22 @@ from hypothesis import strategies as st
 
 import qsc
 from qsc.catalog import parse_state_literal
-from qsc.cli import _numerics, build_parser, main
+from qsc.cli import build_parser, main
 from qsc.errors import NumericsError
-from qsc.functionals import Numerics, chunk_rows
+from qsc.functionals import chunk_rows
 from qsc.hermite import MAX_TABLE_CELLS, row_chunks, tabulate
-from qsc.state import Grid, eval_density, make_state
-from qsc.sweep import sweep
+from qsc.state import GRID_POINTS, Grid, eval_density, make_state
+from qsc.sweep import analyze, sweep
+from conftest import fock
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
+
+# every command that takes --grid-points, with a state where it takes one
+NUMERICS_COMMANDS = [
+    ("measure", "fock:1"), ("sweep", "fock:1"), ("gfs", "fock:1"),
+    ("mfs", "fock:1"), ("table1",), ("box",), ("reproduce",)]
+# a literal that exits 3 once read: a refusal with exit 2 came before it
+_UNREAD = "fock:" + "9" * 30
 
 
 def run_cli(capsys, *argv):
@@ -136,27 +144,30 @@ class TestMeasure:
         assert "error" in err
 
     def test_non_finite_result_is_a_numerics_error(self, capsys, monkeypatch):
-        monkeypatch.setattr("qsc.cli.min_fs", lambda state, numerics: (0.1, math.nan))
+        monkeypatch.setattr("qsc.cli.min_fs",
+                            lambda state, grid_points: (0.1, math.nan))
         code, out, err = run_cli(capsys, "mfs", "fock:1")
         assert code == 3
         assert out == ""
         assert "not finite" in err
 
     @pytest.mark.parametrize("argv", [
-        ("gfs", "fock:1", "--gfs-rel-tol", "nan"),
-        ("gfs", "fock:1", "--gfs-rel-tol", "-1"),
-        ("mfs", "fock:1", "--mfs-theta-tol", "nan"),
-        ("mfs", "fock:1", "--mfs-theta-tol", "0"),
-        ("measure", "fock:1", "--grid-points", "1"),
-        ("sweep", "fock:1", "--theta-samples", "2"),
-        ("gfs", "fock:1", "--gfs-rel-tol", "-1e-3"),
-        ("mfs", "fock:1", "--mfs-theta-tol", "inf"),
-    ])
+        (command, *([_UNREAD] if state else []), "--grid-points", points)
+        for command, *state in NUMERICS_COMMANDS
+        for points in ("1", "0", "-5")
+    ] + [("sweep", "fock:1", "--theta-samples", "2")])
     def test_bad_numerics_flag_is_a_parse_error(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert out == ""
         assert "error" in err
+        if "--grid-points" in argv:
+            # refused before the state literal is read, and so is the
+            # same grid by the library
+            points = int(argv[-1])
+            assert f"grid_points must be >= 2, got {points}" in err
+            with pytest.raises(ValueError):
+                analyze(fock(1), grid_points=points)
 
     @pytest.mark.parametrize("argv", [
         ("measure", "fock:1", "--grid-points", "2"),
@@ -410,7 +421,7 @@ class TestSweep:
                                                   tmp_path):
         result = sweep(parse_state_literal("fock:1"), 4)
         bad = (replace(result.reports[0], cfs=math.nan),) + result.reports[1:]
-        monkeypatch.setattr("qsc.cli.sweep", lambda state, n, numerics:
+        monkeypatch.setattr("qsc.cli.sweep", lambda state, n, grid_points:
                             replace(result, reports=bad))
         target = tmp_path / "curve.csv"
         code, out, err = run_cli(capsys, "sweep", "fock:1", "--theta-samples",
@@ -536,9 +547,7 @@ def test_selftest_takes_no_numerics_flags(capsys, flag):
     assert capsys.readouterr().out == ""
 
 
-@pytest.mark.parametrize("argv", [
-    ("measure", "fock:1"), ("sweep", "fock:1"), ("gfs", "fock:1"),
-    ("mfs", "fock:1"), ("table1",), ("box",), ("reproduce",)])
+@pytest.mark.parametrize("argv", NUMERICS_COMMANDS)
 def test_grid_margin_is_not_a_flag(capsys, argv):
     # the grid's margin is a constant of the discretization
     # (qsc.state.GRID_MARGIN), not a parameter of the measures
@@ -549,19 +558,13 @@ def test_grid_margin_is_not_a_flag(capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
-    ("measure", "fock:1", "--gfs-rel-tol", "1e-3"),
-    ("measure", "fock:1", "--mfs-theta-tol", "1e-3"),
-    ("sweep", "fock:1", "--gfs-rel-tol", "1e-3"),
-    ("sweep", "fock:1", "--mfs-theta-tol", "1e-3"),
-    ("gfs", "fock:1", "--mfs-theta-tol", "1e-3"),
-    ("mfs", "fock:1", "--gfs-rel-tol", "1e-3"),
-    ("table1", "--gfs-rel-tol", "1e-3"),
-    ("table1", "--mfs-theta-tol", "1e-3"),
-    ("box", "--gfs-rel-tol", "1e-3"),
-    ("box", "--mfs-theta-tol", "1e-3"),
+    (*command, flag, value) for command in NUMERICS_COMMANDS
+    for flag, value in (("--gfs-rel-tol", "1e-5"), ("--mfs-theta-tol", "1e-6"))
 ])
 def test_a_command_refuses_the_tolerances_it_does_not_read(capsys, argv):
-    # a flag that changes nothing is refused, not silently ignored
+    # the targets of the gfs doubling and the mfs search are constants
+    # (qsc.sweep.GFS_REL_TOL, MFS_THETA_TOL), not flags: both exit 2 like
+    # any unknown flag, even at those values
     with pytest.raises(SystemExit) as exc:
         main(list(argv))
     assert exc.value.code == 2
@@ -597,7 +600,9 @@ def test_main_is_reentrant_on_the_one_parser(capsys):
 
 
 def test_flag_defaults_are_the_numerics_defaults():
-    assert _numerics(build_parser().parse_args(["gfs", "fock:1"])) == Numerics()
+    parser = build_parser()
+    for command in NUMERICS_COMMANDS:
+        assert parser.parse_args(list(command)).grid_points == GRID_POINTS
 
 
 @pytest.mark.parametrize("argv", [
@@ -733,11 +738,7 @@ def _command_line(draw):
     flags = {"--grid-points": _field(
                  64, 1024, st.one_of(st.integers(-2, 63).map(str),
                                      st.sampled_from(["", "x", "1e3"])))}
-    if command == "gfs":
-        flags["--gfs-rel-tol"] = _field(1e-8, 1e-1)
-    elif command == "mfs":
-        flags["--mfs-theta-tol"] = _field(1e-9, 1e-2)
-    elif command == "measure":
+    if command == "measure":
         flags["--theta"] = _field(-10.0, 10.0)
     for flag, values in flags.items():
         if draw(st.booleans()):

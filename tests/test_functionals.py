@@ -10,13 +10,13 @@ from hypothesis import strategies as st
 from qsc import hermite
 from qsc.errors import NumericsError
 from qsc import functionals
-from qsc.functionals import (DEFAULT_NUMERICS, ComplexityReport,
-                             FockEvaluator, Numerics, _variance, chunk_rows,
-                             entropy_power, evaluator_for, fs_complexity,
-                             integrate, report_from_profile)
-from qsc.state import (_SPLIT_TERMS, AnalyticGaussian, DensityProfile, Grid,
-                       _Workspace, canonical_theta, default_grid,
-                       eval_density, gaussian_sigma_theta, make_state)
+from qsc.functionals import (ComplexityReport, FockEvaluator, _variance,
+                             chunk_rows, entropy_power, evaluator_for,
+                             fs_complexity, integrate, report_from_profile)
+from qsc.state import (_SPLIT_TERMS, GRID_POINTS, AnalyticGaussian,
+                       DensityProfile, Grid, _Workspace, canonical_theta,
+                       default_grid, eval_density, gaussian_sigma_theta,
+                       make_state)
 from conftest import INV_SQRT2, fock
 
 # frozen from 30-digit quadrature of the closed-form densities
@@ -56,7 +56,7 @@ def variance(profile):
 
 def gaussian_profile(var, count=8193):
     return evaluator_for(AnalyticGaussian(math.sqrt(var)),
-                         Numerics(grid_points=count)).profile(0.0)
+                         grid_points=count).profile(0.0)
 
 
 class TestIntegrate:
@@ -292,15 +292,15 @@ class TestInvariants:
 
     @pytest.mark.parametrize("n", [1, 5, 10])
     def test_grid_doubling_stability(self, n):
-        coarse = fs_complexity(fock(n), 0.0, Numerics(grid_points=4096)).cfs
-        fine = fs_complexity(fock(n), 0.0, Numerics(grid_points=8192)).cfs
+        coarse = fs_complexity(fock(n), 0.0, grid_points=4096).cfs
+        fine = fs_complexity(fock(n), 0.0, grid_points=8192).cfs
         assert fine == pytest.approx(coarse, rel=1e-6)
 
 
 def test_grid_refusal_comes_before_the_basis_table():
     # row N of the basis table decides, before the evaluator exists
     with pytest.raises(NumericsError, match="cannot hold the state"):
-        FockEvaluator(fock(60), Numerics(grid_points=64))
+        FockEvaluator(fock(60), grid_points=64)
 
 
 def test_evaluator_build_holds_one_basis_table():
@@ -308,7 +308,7 @@ def test_evaluator_build_holds_one_basis_table():
     # terms peaks near one (N + 2)-row table, not two (the table holds the
     # grid's nonnegative half, so it is below one full-width table)
     state = make_state(np.ones(385), renormalize=True)
-    table_bytes = (state.n_max + 2) * DEFAULT_NUMERICS.grid_points * 8
+    table_bytes = (state.n_max + 2) * GRID_POINTS * 8
     tracemalloc.start()
     try:
         evaluator_for(state)
@@ -333,7 +333,7 @@ def test_one_evaluator_runs_the_hermite_recurrence_once(monkeypatch):
     monkeypatch.setattr(hermite, "tabulate", counted)
     FockEvaluator(fock(60))
     with pytest.raises(NumericsError, match="cannot hold the state"):
-        FockEvaluator(fock(60), Numerics(grid_points=64))
+        FockEvaluator(fock(60), grid_points=64)
     assert counts == [61, 61]
 
 
@@ -382,8 +382,7 @@ def test_lattice_and_single_angle_reports_agree_bit_for_bit(terms, complex_,
     raw = rng.normal(size=terms)
     if complex_:
         raw = raw + 1j * rng.normal(size=terms)
-    ev = FockEvaluator(make_state(raw, renormalize=True),
-                       Numerics(grid_points=points))
+    ev = FockEvaluator(make_state(raw, renormalize=True), points)
     thetas = [k * math.pi / 19 - 1.0 for k in range(21)]
     for theta, report in zip(thetas, ev.reports(thetas)):
         single = report_from_profile(ev.profile(theta))
@@ -393,7 +392,7 @@ def test_lattice_and_single_angle_reports_agree_bit_for_bit(terms, complex_,
 
 @pytest.mark.parametrize("points", [4096, 4097])
 def test_gaussian_lattice_and_single_angle_reports_agree_bit_for_bit(points):
-    ev = evaluator_for(AnalyticGaussian(1.7), Numerics(grid_points=points))
+    ev = evaluator_for(AnalyticGaussian(1.7), grid_points=points)
     thetas = [k * math.pi / 19 - 1.0 for k in range(21)]
     for theta, report in zip(thetas, ev.reports(thetas)):
         single = report_from_profile(ev.profile(theta))
@@ -431,7 +430,7 @@ def test_workspace_pads_stay_zero_across_blocks():
     # the pads of the folded rows are zeroed once, and every pass over a
     # block, of any size, leaves them zero and raises no float error
     ev = FockEvaluator(make_state(np.arange(1.0, 6.0), renormalize=True),
-                       Numerics(grid_points=601))
+                       grid_points=601)
     ws = _Workspace(8, ev.grid.count)
     half = ev.grid.half_points.shape[0]
     with np.errstate(divide="raise", over="raise", invalid="raise"):
@@ -507,11 +506,10 @@ def test_streamed_measure_matches_the_evaluator(monkeypatch, terms, points,
     one_chunk = terms + 1 <= chunk_rows(points)
     assert one_chunk == (chunk is None and terms < 64)
     state = _complex_state(terms, terms)
-    numerics = Numerics(grid_points=points)
     for theta in (0.0, 0.3, 2.1):
-        streamed = fs_complexity(state, theta, numerics, extensions=True)
+        streamed = fs_complexity(state, theta, points, extensions=True)
         stored = report_from_profile(
-            FockEvaluator(state, numerics).profile(theta), True)
+            FockEvaluator(state, points).profile(theta), True)
         if one_chunk or terms < _SPLIT_TERMS:
             assert streamed == stored, theta
             continue

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import warnings
@@ -10,9 +11,10 @@ import pytest
 
 import qsc
 from qsc.catalog import parse_state_literal, superposition_state
-from qsc.functionals import (FockEvaluator, Numerics, ProfileEvaluator,
-                             block_rows, evaluator_for, fs_complexity)
-from qsc.state import AnalyticGaussian, _Workspace, make_state, rotate
+from qsc.functionals import (FockEvaluator, ProfileEvaluator, block_rows,
+                             evaluator_for, fs_complexity)
+from qsc.state import (GRID_POINTS, AnalyticGaussian, _Workspace, make_state,
+                       rotate)
 from qsc.sweep import (MFS_SCAN, GlobalMeasure, _lattice_cfs, analyze, min_fs,
                        sweep)
 from conftest import INV_SQRT2, fock
@@ -154,19 +156,23 @@ def test_fock_rows_have_equal_global_minimum_single(phi1):
     assert min_fs(fock(3))[1] == pytest.approx(single, rel=1e-6)
 
 
-def test_gfs_respects_custom_tolerance(phi1):
-    loose = analyze(phi1, Numerics(gfs_rel_tol=1e-3))
-    assert loose.converged
-    assert loose.resolution < analyze(phi1).resolution
-    assert loose.gfs == pytest.approx(GFS_PHI1, rel=1e-3)
-
-
-def test_golden_section_ends_below_float_spacing():
+def test_golden_section_ends_below_float_spacing(monkeypatch):
     # a tolerance below the float spacing of the bracket must still end the
-    # search, with the value of the default tolerance
-    theta, value = min_fs(fock(1), Numerics(mfs_theta_tol=1e-300))
-    assert 0.0 <= theta < math.pi
-    assert value == pytest.approx(min_fs(fock(1))[1], rel=1e-12)
+    # search, with the value of the default tolerance: the search of
+    # min_fs(fock(1)), run again from its seeds at tol = 1e-300
+    module = sys.modules["qsc.sweep"]
+    brent, calls = module._brent_min, []
+
+    def recorded(f, seeds, values, tol):
+        calls.append((f, seeds, values))
+        return brent(f, seeds, values, tol)
+
+    monkeypatch.setattr(module, "_brent_min", recorded)
+    default = min_fs(fock(1))[1]
+    (f, seeds, values), = calls
+    theta, value = brent(f, seeds, values, tol=1e-300)
+    assert seeds[0] <= theta <= seeds[2]
+    assert value == pytest.approx(default, rel=1e-12)
 
 
 def _random_state(terms: int, seed: int):
@@ -196,7 +202,7 @@ def _box_n2():
 def test_block_reports_match_single_angle_reports(make):
     # a lattice that ends on a partial block, for each state family
     state = make()
-    rows = block_rows(Numerics().grid_points)
+    rows = block_rows(GRID_POINTS)
     n_theta = 2 * rows + 3
     assert n_theta % rows != 0
     res = sweep(state, n_theta)
@@ -311,7 +317,7 @@ def test_a_state_without_mirror_axis():
 def test_gfs_evaluates_half_the_lattice(monkeypatch):
     ev = evaluator_for(_rotated_real_state(6, 3))
     monkeypatch.setattr(sys.modules["qsc.sweep"], "evaluator_for",
-                        lambda state, numerics: ev)
+                        lambda state, grid_points: ev)
     resolution = analyze(ev.state).resolution
     # the coarser lattices reuse the angles of the finest one
     assert len(ev._cache) == resolution // 2 + 1
@@ -477,18 +483,29 @@ def test_min_fs_against_an_in_bracket_reference():
     assert max(gaps) <= 4e-5
 
 
-def test_invariants_script_runs_on_its_first_states(capsys):
+def test_invariants_script_runs_on_its_first_states(capsys, tmp_path):
     # tests/invariants.py is run by hand on all 300 states; its first three
-    # keep it working without the gfs runs: every law holds, and a line
-    # per band of K in the table of each lattice mode
+    # keep it working without the gfs runs: every law holds, a line per
+    # band of K and one of the paper's 14 states in the table of each
+    # lattice mode, and the same tables as JSON (about 1.5 s)
     import invariants
-    assert invariants.main(["--states", "3", "--no-gfs"]) == 0
+    path = tmp_path / "invariants.json"
+    assert invariants.main(["--states", "3", "--no-gfs",
+                            "--json", str(path)]) == 0
     out = capsys.readouterr().out
     lines = out.splitlines()
     assert all(title in lines for title in invariants.MODES.values())
     firsts = [line.split()[0] for line in lines if line.strip()]
-    assert all(firsts.count(f"{lo}-{hi}") == len(invariants.MODES)
-               for lo, hi in invariants.BANDS)
+    labels = [f"{lo}-{hi}" for lo, hi in invariants.BANDS] + ["paper"]
+    assert all(firsts.count(label) == len(invariants.MODES)
+               for label in labels)
     assert "Cramer-Rao" in out
+    saved = json.loads(path.read_text())
+    for mode in invariants.MODES:
+        table = saved["tables"][mode]
+        assert [row["K"] for row in table] == labels
+        assert sum(row["states"] for row in table[:-1]) == 3
+        assert table[-1]["states"] == len(invariants.PAPER) == 14
+        assert list(saved["paper"][mode]) == invariants.PAPER
     # the plain mode leaves the package's evaluators as it found them
     assert invariants.SWEEP.evaluator_for is evaluator_for
